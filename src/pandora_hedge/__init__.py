@@ -29,7 +29,7 @@ from .indices import (
     surrogate_dist,
     surrogate_value,
 )
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedge_transform
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
 from .policies import (
     Action,
     evaluate_policy_exact,

@@ -10,6 +10,7 @@ import argparse
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError
@@ -24,7 +25,7 @@ from .combinatorial import (
 )
 from .distkit import mean, min_of_independent
 from .indices import SurrogateKind, surrogate_dist
-from .instancefile import InstanceFormatError, load_instance
+from .instancefile import InstanceFormatError, LoadedInstance, load_instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
     SINGLE_POLICIES,
@@ -51,9 +52,24 @@ RANDOM_HELP = (
 )
 
 
-def _default_budget() -> int:
-    env = os.environ.get("PANDORA_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget (default PANDORA_BUDGET or 10^7)")
+        p.add_argument("--budget", type=_budget, default=None, help="enumeration budget (default PANDORA_BUDGET or 10^7)")
 
     p_analyze = sub.add_parser("analyze", help="per-item indices")
     p_analyze.add_argument("path")
@@ -75,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("path")
     p_bounds.add_argument("--mc", action="store_true", help="Monte Carlo fallback for large instances")
     p_bounds.add_argument("--trials", type=int, default=100_000)
-    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--seed", type=_seed, default=0)
     common(p_bounds)
 
     p_sim = sub.add_parser("simulate", help="evaluate a policy")
@@ -83,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--policy", required=True)
     p_sim.add_argument("--exact", action="store_true", help="exact expectation by enumeration")
     p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--trace", type=int, default=0, metavar="K", help="print K sampled policy traces")
     common(p_sim)
 
@@ -95,17 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("path", nargs="?", help="a single instance file")
     p_verify.add_argument("--corpus", help="directory of instance files")
     p_verify.add_argument("--random", type=int, default=0, metavar="N", help="N random instances. " + RANDOM_HELP)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     common(p_verify)
     return parser
 
 
-def _load(path: str):
-    return load_instance(path)
-
-
 def cmd_analyze(args) -> int:
-    loaded = _load(args.path)
+    loaded = load_instance(args.path)
     report = Report(items=items_block(loaded.instance))
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return EXIT_OK
@@ -146,13 +158,13 @@ def _oracle_block(loaded, budget):
 
 
 def cmd_bounds(args, budget) -> int:
-    loaded = _load(args.path)
+    loaded = load_instance(args.path)
     bounds = _bounds_block(loaded, budget, args.mc, args.trials, args.seed)
     lh_key = "E[Z^LH]" if loaded.model is not None else "E[min W^LH]"
     noi_key = "E[Z^NOI]" if loaded.model is not None else "E[min W^NOI]"
     ratio = None
     if lh_key in bounds and noi_key in bounds:
-        lh, noi = _as_float(bounds[lh_key]), _as_float(bounds[noi_key])
+        lh, noi = float(Fraction(bounds[lh_key])), float(Fraction(bounds[noi_key]))
         ratio = ratio_block(lh, noi, float(loaded.instance.max_alpha))
     report = Report(
         items=items_block(loaded.instance),
@@ -162,14 +174,6 @@ def cmd_bounds(args, budget) -> int:
     )
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return EXIT_OK if report.ratio_ok() else EXIT_VERIFY_FAIL
-
-
-def _as_float(x) -> float:
-    from fractions import Fraction
-
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
 
 
 def _trace_dicts(loaded, policy, seed, count):
@@ -198,7 +202,7 @@ def _trace_dicts(loaded, policy, seed, count):
 
 
 def cmd_simulate(args, budget) -> int:
-    loaded = _load(args.path)
+    loaded = load_instance(args.path)
     policies = SINGLE_POLICIES if loaded.model is None else COMB_POLICIES
     if args.policy not in policies:
         sys.stderr.write(
@@ -238,18 +242,16 @@ def _verify_one(loaded, budget, label, failures, out_checks):
 def cmd_verify(args, budget) -> int:
     sources = []
     if args.path:
-        sources.append((args.path, _load(args.path)))
+        sources.append((args.path, load_instance(args.path)))
     if args.corpus:
         paths = sorted(Path(args.corpus).glob("*.json"))
         if not paths:
             sys.stderr.write(f"no instance files in {args.corpus}\n")
             return EXIT_USAGE
         for p in paths:
-            sources.append((str(p), _load(p)))
+            sources.append((str(p), load_instance(p)))
     if args.random:
         rng = random.Random(args.seed)
-        from .instancefile import LoadedInstance
-
         for i in range(args.random):
             if i % 3 == 2:
                 model, inst = random_comb_instance(rng, max_items=5)
@@ -286,7 +288,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("PANDORA_BUDGET")
+        try:
+            budget = _budget(env) if env else DEFAULT_BUDGET
+        except argparse.ArgumentTypeError as exc:
+            sys.stderr.write(f"error: PANDORA_BUDGET: {exc}\n")
+            return EXIT_USAGE
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -13,37 +13,60 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedge_transform
-from .policies import sample_coins, sample_realizations
-from .sampling import SURROGATE_STREAM, sample_price_indices, uniforms
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .policies import (
+    _price_rows,
+    iter_hedged_views,
+    iter_price_realizations,
+    sample_coins,
+    sample_realizations,
+)
+from .sampling import SURROGATE_STREAM, mc_summary, sample_price_indices, uniforms
 
 
 class RuleError(RuntimeError):
     """A greedy rule violated its contract (e.g. proposed a selected item)."""
 
 
-@lru_cache(maxsize=1024)
-def _family_members(sets: tuple[frozenset[int], ...]) -> frozenset[frozenset[int]]:
-    return frozenset(sets)
+def _spanning_forest(edges, vertices, ids):
+    """Union-find over ``vertices``: walk the edge ids in order and keep each
+    edge that joins two components.  Returns (kept ids, find)."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = []
+    for n in ids:
+        a, b = (find(v) for v in edges[n])
+        if a != b:
+            parent[a] = b
+            kept.append(n)
+    return kept, find
 
 
 @dataclass(frozen=True)
 class ExplicitFamily:
     sets: tuple[frozenset[int], ...]
 
+    @cached_property
+    def members(self) -> frozenset[frozenset[int]]:
+        return frozenset(self.sets)
+
     def validate(self, n_items: int) -> None:
         if not self.sets:
             raise ValueError("feasible family is empty")
         universe = frozenset(range(n_items))
-        members = _family_members(self.sets)
+        members = self.members
         for s in self.sets:
             if not s or not s <= universe:
                 raise ValueError(f"feasible set {sorted(s)} is empty or out of range")
@@ -55,7 +78,7 @@ class ExplicitFamily:
                     )
 
     def is_feasible(self, selected: frozenset[int], n_items: int) -> bool:
-        return selected in _family_members(self.sets)
+        return selected in self.members
 
 
 @dataclass(frozen=True)
@@ -90,21 +113,8 @@ class GraphicMatroid:
 
     def is_feasible(self, selected: frozenset[int], n_items: int) -> bool:
         verts = self.vertices()
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        components = len(verts)
-        for n in selected:
-            a, b = (find(v) for v in self.edges[n])
-            if a != b:
-                parent[a] = b
-                components -= 1
-        return components == 1
+        kept, _ = _spanning_forest(self.edges, verts, selected)
+        return len(kept) == len(verts) - 1
 
 
 Family = Union[ExplicitFamily, UniformMatroid, GraphicMatroid]
@@ -155,12 +165,6 @@ class CombModel:
     def terminal_cost(self, selected: frozenset[int]) -> Numeric:
         return self.terminal.cost(selected)
 
-    @classmethod
-    def single_item_selection(cls, n_items: int) -> "CombModel":
-        """The family of singletons with zero terminal cost."""
-        sets = [frozenset(s) for r in range(1, n_items + 1) for s in itertools.combinations(range(n_items), r)]
-        return cls(ExplicitFamily(tuple(sets)), ZeroTerminal(), n_items)
-
 
 def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
     """One-shot optimum: minimize price sum plus terminal cost over feasible
@@ -173,24 +177,9 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
         chosen = sorted(range(model.n_items), key=lambda n: (prices[n], n))[: family.k]
         return sum(prices[n] for n in chosen), frozenset(chosen)
     if isinstance(family, GraphicMatroid) and isinstance(model.terminal, ZeroTerminal):
-        verts = family.vertices()
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        tree = []
-        value = 0
-        for n in sorted(range(model.n_items), key=lambda n: (prices[n], n)):
-            a, b = (find(v) for v in family.edges[n])
-            if a != b:
-                parent[a] = b
-                tree.append(n)
-                value = value + prices[n]
-        return value, frozenset(tree)
+        by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
+        tree, _ = _spanning_forest(family.edges, family.vertices(), by_price)
+        return sum(prices[n] for n in tree), frozenset(tree)
     # generic desk-scale path: enumerate subsets
     if model.n_items > 22:
         raise ValueError("explicit subset enumeration is limited to 22 items")
@@ -226,12 +215,8 @@ def expected_surrogate_cost(
     size = math.prod(len(d) for d in dists)
     check_budget(size, budget, "surrogate cost enumeration")
     total = 0
-    for combo in itertools.product(*(d.atoms for d in dists)):
-        prob = 1
-        for _, p in combo:
-            prob = prob * p
-        value, _ = surrogate_cost(model, [v for v, _ in combo])
-        total = total + prob * value
+    for prob, prices in _price_rows(dists, range(len(dists)), [None] * len(dists)):
+        total = total + prob * surrogate_cost(model, prices)[0]
     return total
 
 
@@ -252,13 +237,10 @@ def expected_surrogate_cost_mc(
         idx = sample_price_indices([float(p) for p in d.probs], us)
         values = d.values
         per_item.append([values[i] for i in idx])
-    vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        value, _ = surrogate_cost(model, [per_item[n][t] for n in range(len(dists))])
-        vals[t] = float(value)
-    mean_v = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean_v, stderr
+    return mc_summary(
+        surrogate_cost(model, [per_item[n][t] for n in range(len(dists))])[0]
+        for t in range(trials)
+    )
 
 
 class GreedyRule:
@@ -299,21 +281,8 @@ class GraphicMatroidRule(GreedyRule):
     def propose(self, tau, selected, inspected, model):
         family = model.family
         verts = family.vertices()
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        components = len(verts)
-        for n in selected:
-            a, b = (find(v) for v in family.edges[n])
-            if a != b:
-                parent[a] = b
-                components -= 1
-        if components == 1:
+        kept, find = _spanning_forest(family.edges, verts, selected)
+        if len(kept) == len(verts) - 1:
             return None
         candidates = [
             n
@@ -349,8 +318,9 @@ def frugal_oi_policy(
     """
     if rule is None:
         rule = rule_for_model(model)
+    costs = [item.cost for item in instance.items]
     inspected, selected, order, total = _run_frugal(
-        model, instance, realization.prices, rule
+        model, instance.reservation_prices, costs, realization.prices, rule
     )
     return PolicyTrace(
         inspection_order=tuple(order),
@@ -360,14 +330,15 @@ def frugal_oi_policy(
     )
 
 
-def _run_frugal(model, instance, prices, rule):
-    indices = instance.indices
-    tau = [indices[n].u_rsv for n in range(len(instance))]
+def _run_frugal(model, keys, costs, prices, rule):
+    """Frugal loop on a key/cost/price view (see ``hedged_view``): tentative
+    prices start at the keys.  Returns (inspected, selected, order, total)."""
+    tau = list(keys)
     inspected: set[int] = set()
     selected: set[int] = set()
     order: list[int] = []
     total = 0
-    for _ in range(2 * len(instance) + 1):
+    for _ in range(2 * len(keys) + 1):
         prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
         if prop is None:
             if not model.is_feasible(frozenset(selected)):
@@ -379,9 +350,9 @@ def _run_frugal(model, instance, prices, rule):
         if prop not in inspected:
             inspected.add(prop)
             order.append(prop)
-            total = total + instance.items[prop].cost
+            total = total + costs[prop]
             v = prices[prop]
-            tau[prop] = v if v > indices[prop].u_rsv else indices[prop].u_rsv
+            tau[prop] = v if v > keys[prop] else keys[prop]
         else:
             selected.add(prop)
             total = total + prices[prop]
@@ -399,12 +370,8 @@ def combinatorial_lh_policy(
     composition on the induced obligatory-inspection instance."""
     if rule is None:
         rule = rule_for_model(model)
-    transformed = hedge_transform(instance, coins)
-    prices = tuple(
-        realization.prices[n] if coins.labels[n] else instance.indices[n].mu
-        for n in range(len(instance))
-    )
-    inspected, selected, order, _ = _run_frugal(model, transformed, prices, rule)
+    keys, costs, prices = hedged_view(instance, coins.labels, realization.prices)
+    inspected, selected, order, _ = _run_frugal(model, keys, costs, prices, rule)
     true_order = tuple(n for n in order if coins.labels[n])
     without = frozenset(n for n in selected if not coins.labels[n])
     total = (
@@ -436,59 +403,21 @@ def evaluate_comb_policy_exact(
         rule = rule_for_model(model)
     if policy == "frugal-oi":
         check_budget(instance.support_product(), budget, "frugal policy evaluation")
+        keys = instance.reservation_prices
+        costs = [item.cost for item in instance.items]
         total = 0
-        for prob, prices in _iter_rows(instance):
-            cost = _run_frugal(model, instance, prices, rule)[3]
-            total = total + prob * cost
+        for prob, prices in iter_price_realizations(instance):
+            total = total + prob * _run_frugal(model, keys, costs, prices, rule)[3]
         return total
     if policy == "local-hedging":
-        return _comb_lh_exact(model, instance, rule, budget)
+        # uninspected selections are charged their mean by the view, which is
+        # exactly the marginal expectation of the realized price
+        total = 0
+        for keys, costs, rows in iter_hedged_views(instance, budget):
+            for prob, prices in rows:
+                total = total + prob * _run_frugal(model, keys, costs, prices, rule)[3]
+        return total
     raise ValueError(f"unknown policy {policy!r}; expected one of {COMB_POLICIES}")
-
-
-def _iter_rows(instance: Instance):
-    for combo in itertools.product(*(item.dist.atoms for item in instance.items)):
-        prob = 1
-        for _, p in combo:
-            prob = prob * p
-        yield prob, tuple(v for v, _ in combo)
-
-
-def _comb_lh_exact(model, instance, rule, budget):
-    branches = 1
-    for n, item in enumerate(instance.items):
-        p = instance.indices[n].p_hedge
-        if p == 1:
-            branches *= len(item.dist)
-        elif p != 0:
-            branches *= len(item.dist) + 1
-    check_budget(branches, budget, "hedged policy evaluation")
-    n_items = len(instance)
-    varying = [n for n in range(n_items) if 0 < instance.indices[n].p_hedge < 1]
-    base_labels = [instance.indices[n].p_hedge == 1 for n in range(n_items)]
-    total = 0
-    for combo in itertools.product((True, False), repeat=len(varying)):
-        labels = list(base_labels)
-        weight = 1
-        for n, lab in zip(varying, combo):
-            labels[n] = lab
-            p = instance.indices[n].p_hedge
-            weight = weight * (p if lab else 1 - p)
-        coins = HedgeCoins(tuple(labels))
-        transformed = hedge_transform(instance, coins)
-        oi_ids = [n for n in range(n_items) if labels[n]]
-        base_prices = [instance.indices[n].mu for n in range(n_items)]
-        for atoms in itertools.product(*(instance.items[n].dist.atoms for n in oi_ids)):
-            prob = weight
-            prices = list(base_prices)
-            for n, (v, p) in zip(oi_ids, atoms):
-                prices[n] = v
-                prob = prob * p
-            # uninspected selections are charged their mean by the transform,
-            # which is exactly the marginal expectation of the realized price
-            cost = _run_frugal(model, transformed, prices, rule)[3]
-            total = total + prob * cost
-    return total
 
 
 def evaluate_comb_policy_mc(
@@ -507,13 +436,10 @@ def evaluate_comb_policy_mc(
         rule = rule_for_model(model)
     realizations = sample_realizations(instance, seed, 0, trials)
     coin_rows = sample_coins(instance, seed, 0, trials) if policy == "local-hedging" else None
-    vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
+
+    def trace(t):
         if policy == "frugal-oi":
-            trace = frugal_oi_policy(model, instance, realizations[t], rule)
-        else:
-            trace = combinatorial_lh_policy(model, instance, realizations[t], coin_rows[t], rule)
-        vals[t] = float(trace.total_cost)
-    mean_v = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean_v, stderr
+            return frugal_oi_policy(model, instance, realizations[t], rule)
+        return combinatorial_lh_policy(model, instance, realizations[t], coin_rows[t], rule)
+
+    return mc_summary(trace(t).total_cost for t in range(trials))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .distkit import DiscreteDist, Numeric
+from .distkit import Numeric
 from .indices import Item, ItemIndices, compute_indices
 
 
@@ -31,11 +31,10 @@ class Instance:
             if len(indices) != len(items):
                 raise ValueError("one indices record per item required")
         self.indices = indices
+        self.reservation_prices = tuple(ix.u_rsv for ix in indices)
         # inspection order used by the reservation-price policy: ascending
         # reservation price, ties by item id
-        self.order_by_reservation = tuple(
-            sorted(range(len(items)), key=lambda n: (self.indices[n].u_rsv, n))
-        )
+        self.order_by_reservation = key_order(self.reservation_prices)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -49,6 +48,11 @@ class Instance:
         for item in self.items:
             prod *= len(item.dist)
         return prod
+
+
+def key_order(keys: Sequence[Numeric]) -> tuple[int, ...]:
+    """Item ids by ascending key, ties by id."""
+    return tuple(sorted(range(len(keys)), key=lambda n: (keys[n], n)))
 
 
 @dataclass(frozen=True)
@@ -105,17 +109,25 @@ class PolicyTrace:
             raise ValueError("selected_without_inspection must be a subset of selected")
 
 
-def hedge_transform(instance: Instance, coins: HedgeCoins) -> Instance:
-    """Obligatory-inspection instance induced by a vector of hedge labels.
+def hedged_view(
+    instance: Instance, labels: Sequence[bool], prices: Sequence[Numeric]
+) -> tuple[list[Numeric], list[Numeric], list[Numeric]]:
+    """Sort keys, inspection costs and prices an engine sees under hedge labels.
 
-    A non-inspection item becomes a free-to-inspect item whose price is
-    deterministically its mean; the expected cost of any policy on the
-    transformed instance matches the original accounting.
+    A labelled (obligatory-inspection) item keeps its reservation price, its
+    cost and its realized price.  Any other item acts as a free point mass at
+    its mean: key and price are the mean (the reservation price of a point
+    mass at zero cost) and its cost is 0.
     """
-    items = []
+    keys, costs, seen = [], [], []
     for n, item in enumerate(instance.items):
-        if coins.labels[n]:
-            items.append(item)
+        if labels[n]:
+            keys.append(instance.indices[n].u_rsv)
+            costs.append(item.cost)
+            seen.append(prices[n])
         else:
-            items.append(Item(id=n, cost=0, dist=DiscreteDist.point_mass(instance.indices[n].mu)))
-    return Instance(items)
+            mu = instance.indices[n].mu
+            keys.append(mu)
+            costs.append(0)
+            seen.append(mu)
+    return keys, costs, seen

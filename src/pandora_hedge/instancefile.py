@@ -9,6 +9,7 @@ schema typos cannot silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,8 @@ def _parse_number(x: Any, where: str) -> Numeric:
     if isinstance(x, int):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InstanceFormatError(f"{where}: expected a finite number, got {x}")
         return x
     if isinstance(x, str):
         try:
@@ -57,6 +60,10 @@ def _parse_number(x: Any, where: str) -> Numeric:
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"{where}: cannot parse rational {x!r}: {exc}") from None
     raise InstanceFormatError(f"{where}: expected a number or rational string")
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_dist(entries: Any, where: str) -> DiscreteDist:
@@ -80,7 +87,7 @@ def _parse_family(obj: Any, n_items: int):
     kind = obj["kind"]
     if kind == "uniform_matroid":
         _check_fields(obj, {"kind", "k"}, {"kind", "k"}, "model.family")
-        if not isinstance(obj["k"], int):
+        if not _is_int(obj["k"]):
             raise InstanceFormatError("model.family.k: expected an integer")
         return UniformMatroid(obj["k"])
     if kind == "explicit":
@@ -90,7 +97,7 @@ def _parse_family(obj: Any, n_items: int):
             raise InstanceFormatError("model.family.sets: expected an array of id arrays")
         parsed = []
         for i, s in enumerate(sets):
-            if not isinstance(s, list) or not all(isinstance(x, int) for x in s):
+            if not isinstance(s, list) or not all(_is_int(x) for x in s):
                 raise InstanceFormatError(f"model.family.sets[{i}]: expected an array of integer ids")
             parsed.append(frozenset(s))
         return ExplicitFamily(tuple(parsed))
@@ -104,7 +111,7 @@ def _parse_family(obj: Any, n_items: int):
             if (
                 not isinstance(e, list)
                 or len(e) != 2
-                or not all(isinstance(x, int) for x in e)
+                or not all(_is_int(x) for x in e)
             ):
                 raise InstanceFormatError(f"model.family.edges[{i}]: expected an integer pair")
             parsed_edges.append((e[0], e[1]))
@@ -150,8 +157,8 @@ class LoadedInstance:
 def parse_document(doc: Any) -> LoadedInstance:
     _check_fields(doc, {"version", "items", "model", "metadata"}, {"version", "items"}, "instance")
     version = doc["version"]
-    if not isinstance(version, str):
-        raise InstanceFormatError("version: expected a string")
+    if version != CURRENT_VERSION:
+        raise InstanceFormatError(f"version: unsupported version {version!r}; expected {CURRENT_VERSION!r}")
     raw_items = doc["items"]
     if not isinstance(raw_items, list) or not raw_items:
         raise InstanceFormatError("items: expected a nonempty array")

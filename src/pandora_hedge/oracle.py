@@ -11,17 +11,15 @@ a floating-point infinity.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel
 from .distkit import Numeric
 from .instance import Instance
 from .policies import run_policy, sample_coins, sample_realizations
+from .sampling import mc_summary
 
 
 def _tmin(a, b):
@@ -141,8 +139,8 @@ def pi_surrogate_bound(
     realizations = sample_realizations(instance, seed, 0, trials)
     coin_rows = sample_coins(instance, seed, 0, trials) if policy == "local-hedging" else None
     indices = instance.indices
-    vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
+
+    def bound(t):
         coins = coin_rows[t] if coin_rows is not None else None
         trace = run_policy(instance, policy, realizations[t], coins)
         inspected = set(trace.inspection_order)
@@ -154,7 +152,6 @@ def pi_surrogate_bound(
             else:
                 contrib = indices[m].mu
             w = _tmin(w, contrib)
-        vals[t] = float(w)
-    mean_v = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean_v, stderr
+        return w
+
+    return mc_summary(bound(t) for t in range(trials))

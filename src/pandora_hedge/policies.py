@@ -8,11 +8,8 @@ sampling contract, so estimates do not depend on execution order.
 from __future__ import annotations
 
 import itertools
-import math
 from enum import Enum
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import (
@@ -23,8 +20,8 @@ from .distkit import (
     min_with_constant_expectation,
 )
 from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedge_transform
-from .sampling import COIN_STREAM, PRICE_STREAM, sample_price_indices, uniforms
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view, key_order
+from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_price_indices, uniforms
 
 
 class Action(Enum):
@@ -65,17 +62,18 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
     return min(candidates)
 
 
-def _run_reservation_order(instance: Instance, prices: Sequence[Numeric]):
-    """Core adaptive loop: inspect in ascending reservation price, stop when
-    the best observed price is at most the next reservation price, select the
-    cheapest observation (ties by id).  Returns (inspected ids, selected id).
+def _run_reservation_order(
+    order: Sequence[int], keys: Sequence[Numeric], prices: Sequence[Numeric]
+):
+    """Core adaptive loop: inspect in ``order`` (ascending key), stop when the
+    best observed price is at most the next key, select the cheapest
+    observation (ties by id).  Returns (inspected ids, selected id).
     """
-    indices = instance.indices
     best_v = None
     best_id = None
     inspected = []
-    for n in instance.order_by_reservation:
-        if best_id is not None and best_v <= indices[n].u_rsv:
+    for n in order:
+        if best_id is not None and best_v <= keys[n]:
             break
         inspected.append(n)
         v = prices[n]
@@ -86,7 +84,9 @@ def _run_reservation_order(instance: Instance, prices: Sequence[Numeric]):
 
 def weitzman_policy(instance: Instance, realization: Realization) -> PolicyTrace:
     """Obligatory-inspection reservation-price policy."""
-    inspected, sel = _run_reservation_order(instance, realization.prices)
+    inspected, sel = _run_reservation_order(
+        instance.order_by_reservation, instance.reservation_prices, realization.prices
+    )
     total = sum(instance.items[n].cost for n in inspected) + realization.prices[sel]
     return PolicyTrace(
         inspection_order=tuple(inspected),
@@ -104,12 +104,8 @@ def local_hedging_policy(
     Non-inspection items are played as free deterministic items at their mean;
     the trace still charges the realized price of whatever is selected.
     """
-    transformed = hedge_transform(instance, coins)
-    prices = tuple(
-        realization.prices[n] if coins.labels[n] else instance.indices[n].mu
-        for n in range(len(instance))
-    )
-    inspected, sel = _run_reservation_order(transformed, prices)
+    keys, _, prices = hedged_view(instance, coins.labels, realization.prices)
+    inspected, sel = _run_reservation_order(key_order(keys), keys, prices)
     true_inspected = tuple(n for n in inspected if coins.labels[n])
     without = frozenset() if coins.labels[sel] else frozenset({sel})
     total = sum(instance.items[n].cost for n in true_inspected) + realization.prices[sel]
@@ -197,55 +193,57 @@ def run_policy(
     raise ValueError(f"unknown policy {policy!r}; expected one of {SINGLE_POLICIES}")
 
 
+def _price_rows(
+    dists: Sequence[DiscreteDist], ids: Sequence[int], base: Sequence[Numeric], weight: Numeric = 1
+):
+    """Yield (probability, price row) over the product of ``dists[n]`` for n
+    in ``ids``; every other entry of the row keeps its ``base`` value."""
+    for atoms in itertools.product(*(dists[n].atoms for n in ids)):
+        prob = weight
+        row = list(base)
+        for n, (v, p) in zip(ids, atoms):
+            row[n] = v
+            prob = prob * p
+        yield prob, row
+
+
 def iter_price_realizations(instance: Instance):
     """Yield (probability, price row) over the product of all supports."""
-    for combo in itertools.product(*(item.dist.atoms for item in instance.items)):
-        prob = 1
-        for _, p in combo:
-            prob = prob * p
-        yield prob, tuple(v for v, _ in combo)
+    dists = [item.dist for item in instance.items]
+    for prob, row in _price_rows(dists, range(len(dists)), [None] * len(dists)):
+        yield prob, tuple(row)
 
 
-def _lh_branch_count(instance: Instance) -> int:
+def iter_hedged_views(instance: Instance, budget: int):
+    """Enumerate the hedged policy's label vectors with their weights.
+
+    Items with hedging probability 0 or 1 have a fixed label; the others
+    branch both ways.  Yields (keys, costs, rows) per label vector, where
+    keys and costs are its ``hedged_view`` and rows yields (probability,
+    price row) over the supports of the labelled items, weighted by the
+    label vector's probability.  Non-inspection prices are marginalized to
+    the mean, which is exactly the expectation of the realized price.
+    """
+    p_hedge = [ix.p_hedge for ix in instance.indices]
     branches = 1
     for n, item in enumerate(instance.items):
-        p = instance.indices[n].p_hedge
-        if p == 0:
-            pass  # always non-inspection: price marginalized to the mean
-        elif p == 1:
+        if p_hedge[n] == 1:
             branches *= len(item.dist)
-        else:
+        elif p_hedge[n] != 0:
             branches *= len(item.dist) + 1
-    return branches
-
-
-def _lh_exact(instance: Instance, budget: int) -> Numeric:
-    check_budget(_lh_branch_count(instance), budget, "hedged policy evaluation")
-    n_items = len(instance)
-    varying = [n for n in range(n_items) if 0 < instance.indices[n].p_hedge < 1]
-    base_labels = [instance.indices[n].p_hedge == 1 for n in range(n_items)]
-    total = 0
+    check_budget(branches, budget, "hedged policy evaluation")
+    mus = [ix.mu for ix in instance.indices]
+    dists = [item.dist for item in instance.items]
+    varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
     for combo in itertools.product((True, False), repeat=len(varying)):
-        labels = list(base_labels)
+        labels = [p == 1 for p in p_hedge]
         weight = 1
         for n, lab in zip(varying, combo):
             labels[n] = lab
-            p = instance.indices[n].p_hedge
-            weight = weight * (p if lab else 1 - p)
-        coins = HedgeCoins(tuple(labels))
-        transformed = hedge_transform(instance, coins)
-        oi_ids = [n for n in range(n_items) if labels[n]]
-        base_prices = [instance.indices[n].mu for n in range(n_items)]
-        for atoms in itertools.product(*(instance.items[n].dist.atoms for n in oi_ids)):
-            prob = weight
-            prices = list(base_prices)
-            for n, (v, p) in zip(oi_ids, atoms):
-                prices[n] = v
-                prob = prob * p
-            inspected, sel = _run_reservation_order(transformed, prices)
-            cost = sum(instance.items[n].cost for n in inspected if labels[n]) + prices[sel]
-            total = total + prob * cost
-    return total
+            weight = weight * (p_hedge[n] if lab else 1 - p_hedge[n])
+        keys, costs, base = hedged_view(instance, labels, mus)
+        oi_ids = [n for n in range(len(instance)) if labels[n]]
+        yield keys, costs, _price_rows(dists, oi_ids, base, weight)
 
 
 def evaluate_policy_exact(
@@ -254,7 +252,13 @@ def evaluate_policy_exact(
     """Exact expected total cost by enumerating realizations (and, for the
     hedged policy, coin vectors with non-inspection prices marginalized)."""
     if policy == "local-hedging":
-        return _lh_exact(instance, budget)
+        total = 0
+        for keys, costs, rows in iter_hedged_views(instance, budget):
+            order = key_order(keys)
+            for prob, prices in rows:
+                inspected, sel = _run_reservation_order(order, keys, prices)
+                total = total + prob * (sum(costs[n] for n in inspected) + prices[sel])
+        return total
     if policy not in SINGLE_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {SINGLE_POLICIES}")
     check_budget(instance.support_product(), budget, "policy evaluation")
@@ -268,11 +272,6 @@ def evaluate_policy_exact(
             trace = run_policy(instance, policy, realization)
         total = total + prob * trace.total_cost
     return total
-
-
-def sample_realization(instance: Instance, seed: int, trial: int) -> Realization:
-    row = sample_realizations(instance, seed, trial, 1)[0]
-    return row
 
 
 def sample_realizations(instance: Instance, seed: int, start: int, count: int):
@@ -307,15 +306,12 @@ def evaluate_policy_mc(
     needs_coins = policy == "local-hedging"
     coin_rows = sample_coins(instance, seed, 0, trials) if needs_coins else None
     fixed_coins = commit_enum_labeling(instance) if policy == "commit-enum" else None
-    vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
+
+    def trace(t):
         if policy == "commit-enum":
-            trace = local_hedging_policy(instance, realizations[t], fixed_coins)
-        elif needs_coins:
-            trace = local_hedging_policy(instance, realizations[t], coin_rows[t])
-        else:
-            trace = run_policy(instance, policy, realizations[t])
-        vals[t] = float(trace.total_cost)
-    mean_v = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean_v, stderr
+            return local_hedging_policy(instance, realizations[t], fixed_coins)
+        if needs_coins:
+            return local_hedging_policy(instance, realizations[t], coin_rows[t])
+        return run_policy(instance, policy, realizations[t])
+
+    return mc_summary(trace(t).total_cost for t in range(trials))

@@ -8,6 +8,9 @@ any subset of trials in any order and still reproduce bit-identical results.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 import numpy as np
 from numpy.random import Philox
 
@@ -47,3 +50,11 @@ def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
     cum = np.cumsum(np.asarray(cum_probs, dtype=np.float64))
     cum[-1] = 1.0  # guard against float shortfall in the last bin
     return np.searchsorted(cum, us, side="right")
+
+
+def mc_summary(values: Iterable) -> tuple[float, float]:
+    """Mean and standard error of per-trial Monte Carlo values (as floats)."""
+    vals = np.fromiter((float(v) for v in values), dtype=np.float64)
+    mean_v = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return mean_v, stderr

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from pandora_hedge.cli import main
 from pandora_hedge.instance import Instance
 from pandora_hedge.verify import run_checks
@@ -132,6 +134,36 @@ class TestVerify:
     def test_empty_corpus_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--corpus", str(tmp_path))
         assert code == 2
+
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_bad_budget_flag_exit_2(self, capsys, value):
+        code, _, err = run_cli(capsys, "verify", GOLDEN, "--budget", value)
+        assert code == 2 and "budget must be a nonnegative integer" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1e7"])
+    def test_bad_env_budget_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PANDORA_BUDGET", value)
+        code, out, err = run_cli(capsys, "verify", GOLDEN)
+        assert code == 2 and out == ""
+        assert "PANDORA_BUDGET" in err and repr(value) in err
+
+    @pytest.mark.parametrize(
+        "command", [("bounds", GOLDEN), ("simulate", GOLDEN, "--policy", "weitzman"), ("verify", GOLDEN)]
+    )
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70 + 5), "seven"])
+    def test_seed_out_of_range_exit_2(self, capsys, command, seed):
+        code, out, err = run_cli(capsys, *command, "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be an integer in [0, 2^64)" in err and repr(seed) in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", GOLDEN, "--policy", "weitzman", "--trials", "50", "--seed", str(2**64 - 1), "--json"
+        )
+        assert code == 0 and json.loads(out)["policy"]["seed"] == 2**64 - 1
 
 
 class TestFaultInjection:

@@ -128,6 +128,67 @@ class TestModels:
             parse_document(doc)
 
 
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("items", 1, "cost"), r"items\[1\]\.cost"),
+            (("items", 1, "dist", 0, "value"), r"items\[1\]\.dist\[0\]\.value"),
+            (("items", 1, "dist", 1, "prob"), r"items\[1\]\.dist\[1\]\.prob"),
+        ],
+    )
+    def test_non_finite_item_number(self, path, where, value):
+        doc = json.loads(json.dumps(GOLDEN_DOC))
+        _set(doc, path, value)
+        with pytest.raises(InstanceFormatError, match=where + ": expected a finite number"):
+            parse_document(doc)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_distance(self, value):
+        fam = {"kind": "uniform_matroid", "k": 1}
+        term = {"kind": "facility_location", "distances": [[0, value], [1, 0]]}
+        with pytest.raises(InstanceFormatError, match=r"distances\[0\]\[1\]: expected a finite number"):
+            parse_document(model_doc(fam, term))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_in_file(self, tmp_path, literal):
+        path = tmp_path / "nan.json"
+        path.write_text('{"version": "1", "items": [{"cost": %s, "dist": [{"value": 1, "prob": 1}]}]}' % literal)
+        with pytest.raises(InstanceFormatError, match=r"items\[0\]\.cost: expected a finite number"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "family, where",
+        [
+            ({"kind": "uniform_matroid", "k": True}, r"model\.family\.k"),
+            ({"kind": "graphic", "edges": [[True, 1], [0, 1]]}, r"model\.family\.edges\[0\]"),
+            ({"kind": "graphic", "edges": [[0, 1], [0, False]]}, r"model\.family\.edges\[1\]"),
+            ({"kind": "explicit", "sets": [[0], [True], [0, 1]]}, r"model\.family\.sets\[1\]"),
+        ],
+    )
+    def test_boolean_ids_rejected(self, family, where):
+        with pytest.raises(InstanceFormatError, match=where):
+            parse_document(model_doc(family))
+
+    @pytest.mark.parametrize("version", ["zzz", "2", "", 1, None])
+    def test_unsupported_version(self, version):
+        doc = json.loads(json.dumps(GOLDEN_DOC))
+        doc["version"] = version
+        with pytest.raises(InstanceFormatError, match="version: unsupported version"):
+            parse_document(doc)
+
+
 class TestRoundTrip:
     def test_write_parse_write_fixed_point(self, tmp_path):
         doc = model_doc({"kind": "uniform_matroid", "k": 1})

@@ -1,16 +1,24 @@
+import dataclasses
+import importlib
+import pkgutil
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import pandora_hedge
 from pandora_hedge import (
     Action,
+    CombModel,
     DiscreteDist,
     HedgeCoins,
     Instance,
     Item,
     Realization,
     SurrogateKind,
+    UniformMatroid,
+    ZeroTerminal,
+    evaluate_comb_policy_mc,
     evaluate_policy_exact,
     evaluate_policy_mc,
     local_hedging_policy,
@@ -20,7 +28,7 @@ from pandora_hedge import (
 )
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
-from pandora_hedge.indices import surrogate_dist
+from pandora_hedge.indices import compute_indices, surrogate_dist
 from pandora_hedge.policies import (
     commit_enum_labeling,
     commit_enum_policy,
@@ -129,6 +137,68 @@ class TestLocalHedgingTraces:
         assert trace.selected_without_inspection == frozenset({1})
         assert trace.inspection_order == ()
         assert trace.total_cost == 10
+
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fixed_labels_reproduce_weitzman_and_never_inspect(self, exact):
+        rng = random.Random(29)
+        for _ in range(30):
+            inst = random_instance(rng, max_items=5, exact=exact)
+            cases = (
+                (HedgeCoins.all_obligatory(inst), weitzman_policy),
+                (HedgeCoins((False,) * len(inst)), never_inspect_policy),
+            )
+            for _, prices in iter_price_realizations(inst):
+                r = Realization(prices)
+                for coins, reference in cases:
+                    trace = local_hedging_policy(inst, r, coins)
+                    assert trace.labels == coins.labels
+                    assert dataclasses.replace(trace, labels=None) == reference(inst, r)
+
+
+def _count_index_rebuilds(monkeypatch) -> dict:
+    """Count Instance constructions and compute_indices calls through every
+    module binding from here on."""
+    counts = {"Instance": 0, "compute_indices": 0}
+    init = Instance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["Instance"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_indices(item):
+        counts["compute_indices"] += 1
+        return compute_indices(item)
+
+    monkeypatch.setattr(Instance, "__init__", counting_init)
+    modules = [pandora_hedge] + [
+        importlib.import_module(f"pandora_hedge.{m.name}") for m in pkgutil.iter_modules(pandora_hedge.__path__)
+    ]
+    for mod in modules:
+        if getattr(mod, "compute_indices", None) is compute_indices:
+            monkeypatch.setattr(mod, "compute_indices", counting_indices)
+    return counts
+
+
+class TestHedgedView:
+    def test_single_item_mc_rebuilds_nothing(self, monkeypatch):
+        inst = golden_pair(exact=False)
+        counts = _count_index_rebuilds(monkeypatch)
+        evaluate_policy_mc(inst, "local-hedging", 300, seed=4)
+        assert counts == {"Instance": 0, "compute_indices": 0}
+
+    def test_combinatorial_mc_rebuilds_nothing(self, monkeypatch):
+        inst = golden_pair(exact=False)
+        model = CombModel(UniformMatroid(1), ZeroTerminal(), 2)
+        counts = _count_index_rebuilds(monkeypatch)
+        evaluate_comb_policy_mc(model, inst, "local-hedging", 300, seed=4)
+        assert counts == {"Instance": 0, "compute_indices": 0}
+
+    def test_counter_sees_rebuilds(self, monkeypatch):
+        counts = _count_index_rebuilds(monkeypatch)
+        golden_pair()
+        surrogate_dist(two_point_item(), SurrogateKind.OI)
+        assert counts == {"Instance": 1, "compute_indices": 3}
 
 
 class TestExactEvaluation:
