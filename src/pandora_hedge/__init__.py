@@ -37,6 +37,7 @@ from .policies import (
     local_hedging_policy,
     one_item_optimal_action,
     one_item_value,
+    prepare_policy,
     weitzman_policy,
 )
 from .combinatorial import (
@@ -53,6 +54,7 @@ from .combinatorial import (
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
     frugal_oi_policy,
+    prepare_comb_policy,
     surrogate_cost,
 )
 from .oracle import (

@@ -12,32 +12,18 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError
-from .combinatorial import (
-    COMB_POLICIES,
-    combinatorial_lh_policy,
-    evaluate_comb_policy_exact,
-    evaluate_comb_policy_mc,
-    expected_surrogate_cost,
-    expected_surrogate_cost_mc,
-    frugal_oi_policy,
-)
+from .combinatorial import expected_surrogate_cost, expected_surrogate_cost_mc, prepare_comb_policy
 from .distkit import mean, min_of_independent
 from .indices import SurrogateKind, surrogate_dist
 from .instancefile import InstanceFormatError, LoadedInstance, load_instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
-from .policies import (
-    SINGLE_POLICIES,
-    evaluate_policy_exact,
-    evaluate_policy_mc,
-    run_policy,
-    sample_coins,
-    sample_realizations,
-)
+from .policies import evaluate_exact, evaluate_mc, iter_trials, prepare_policy
 from .randgen import random_comb_instance, random_instance
 from .report import Report, items_block, ratio_block, _num
-from .verify import run_checks
+from .verify import BUDGET_SKIP, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -52,24 +38,23 @@ RANDOM_HELP = (
 )
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
-    return value
+def _bounded_int(name: str, expected: str = "a nonnegative integer", upper: Optional[int] = None):
+    """argparse type for an integer in [0, upper), with an error naming the value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0 or (upper is not None and value >= upper):
+            raise argparse.ArgumentTypeError(f"{name} must be {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
-    return value
+_budget = _bounded_int("budget")
+_seed = _bounded_int("seed", "an integer in [0, 2^64)", 2**64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--exact", action="store_true", help="exact expectation by enumeration")
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--seed", type=_seed, default=0)
-    p_sim.add_argument("--trace", type=int, default=0, metavar="K", help="print K sampled policy traces")
+    p_sim.add_argument("--trace", type=_bounded_int("trace"), default=0, metavar="K", help="print K sampled policy traces")
     common(p_sim)
 
     p_verify = sub.add_parser(
@@ -110,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("path", nargs="?", help="a single instance file")
     p_verify.add_argument("--corpus", help="directory of instance files")
-    p_verify.add_argument("--random", type=int, default=0, metavar="N", help="N random instances. " + RANDOM_HELP)
+    p_verify.add_argument("--random", type=_bounded_int("random"), default=0, metavar="N", help="N random instances. " + RANDOM_HELP)
     p_verify.add_argument("--seed", type=_seed, default=0)
     common(p_verify)
     return parser
@@ -176,18 +161,9 @@ def cmd_bounds(args, budget) -> int:
     return EXIT_OK if report.ratio_ok() else EXIT_VERIFY_FAIL
 
 
-def _trace_dicts(loaded, policy, seed, count):
-    instance = loaded.instance
-    realizations = sample_realizations(instance, seed, 0, count)
-    coins = sample_coins(instance, seed, 0, count)
+def _trace_rows(instance, prepared, seed, count):
     out = []
-    for t in range(count):
-        if loaded.model is None:
-            trace = run_policy(instance, policy, realizations[t], coins[t])
-        elif policy == "frugal-oi":
-            trace = frugal_oi_policy(loaded.model, instance, realizations[t])
-        else:
-            trace = combinatorial_lh_policy(loaded.model, instance, realizations[t], coins[t])
+    for t, (_, trace) in enumerate(iter_trials(instance, prepared, seed, count)):
         row = {
             "trial": t,
             "inspection_order": list(trace.inspection_order),
@@ -203,28 +179,20 @@ def _trace_dicts(loaded, policy, seed, count):
 
 def cmd_simulate(args, budget) -> int:
     loaded = load_instance(args.path)
-    policies = SINGLE_POLICIES if loaded.model is None else COMB_POLICIES
-    if args.policy not in policies:
-        sys.stderr.write(
-            f"unknown policy {args.policy!r} for this instance; expected one of {', '.join(policies)}\n"
-        )
-        return EXIT_USAGE
+    instance = loaded.instance
+    if loaded.model is None:
+        prepared = prepare_policy(instance, args.policy)
+    else:
+        prepared = prepare_comb_policy(loaded.model, instance, args.policy)
     policy_block = {"name": args.policy}
     if args.exact:
-        if loaded.model is None:
-            value = evaluate_policy_exact(loaded.instance, args.policy, budget)
-        else:
-            value = evaluate_comb_policy_exact(loaded.model, loaded.instance, args.policy, budget=budget)
-        policy_block["exact_value"] = _num(value)
+        policy_block["exact_value"] = _num(evaluate_exact(instance, prepared, budget))
     else:
-        if loaded.model is None:
-            est, err = evaluate_policy_mc(loaded.instance, args.policy, args.trials, args.seed)
-        else:
-            est, err = evaluate_comb_policy_mc(loaded.model, loaded.instance, args.policy, args.trials, args.seed)
+        est, err = evaluate_mc(instance, prepared, args.trials, args.seed)
         policy_block.update({"mean": est, "stderr": err, "trials": args.trials, "seed": args.seed})
     if args.trace > 0:
-        policy_block["traces"] = _trace_dicts(loaded, args.policy, args.seed, args.trace)
-    report = Report(items=items_block(loaded.instance), policy=policy_block)
+        policy_block["traces"] = _trace_rows(instance, prepared, args.seed, args.trace)
+    report = Report(items=items_block(instance), policy=policy_block)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return EXIT_OK
 
@@ -269,16 +237,19 @@ def cmd_verify(args, budget) -> int:
     if args.json:
         sys.stdout.write(report.to_json())
     else:
-        per_name: dict[str, tuple[int, float]] = {}
+        per_name: dict[str, tuple[int, int, float]] = {}
         for row in checks:
-            count, worst = per_name.get(row["name"], (0, 0.0))
-            per_name[row["name"]] = (count + 1, max(worst, row["max_violation"]))
+            count, skipped, worst = per_name.get(row["name"], (0, 0, 0.0))
+            skipped += row["detail"] == BUDGET_SKIP
+            per_name[row["name"]] = (count + 1, skipped, max(worst, row["max_violation"]))
         for name in sorted(per_name):
-            count, worst = per_name[name]
+            count, skipped, worst = per_name[name]
             bad = sum(1 for f in failures if f[1] == name)
-            status = "pass" if bad == 0 else f"FAIL ({bad})"
+            status = f"FAIL ({bad})" if bad else "skip" if skipped == count else "pass"
             sys.stdout.write(f"{status:>10}  {name:<44} runs {count:>4}  max violation {worst:.3g}\n")
-        sys.stdout.write(f"{len(sources)} instance(s), {len(checks)} checks, {len(failures)} failure(s)\n")
+        skips = sum(row["detail"] == BUDGET_SKIP for row in checks)
+        tail = f", {skips} skipped (budget)" if skips else ""
+        sys.stdout.write(f"{len(sources)} instance(s), {len(checks)} checks, {len(failures)} failure(s){tail}\n")
     return EXIT_OK if not failures else EXIT_VERIFY_FAIL
 
 

@@ -19,15 +19,16 @@ from typing import Optional, Sequence, Union
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
+    PreparedPolicy,
     _price_rows,
-    iter_hedged_views,
-    iter_price_realizations,
-    sample_coins,
-    sample_realizations,
+    evaluate_exact,
+    evaluate_mc,
+    prepare_hedged,
+    prepare_obligatory,
 )
-from .sampling import SURROGATE_STREAM, mc_summary, sample_price_indices, uniforms
+from .sampling import SURROGATE_STREAM, mc_summary, sample_rows
 
 
 class RuleError(RuntimeError):
@@ -102,19 +103,18 @@ class GraphicMatroid:
     def validate(self, n_items: int) -> None:
         if len(self.edges) != n_items:
             raise ValueError("one edge per item required")
-        verts = self.vertices()
-        if len(verts) < 2:
+        if len(self.vertices) < 2:
             raise ValueError("graph needs at least two vertices")
         if not self.is_feasible(frozenset(range(n_items)), n_items):
             raise ValueError("graph is not connected; no spanning set exists")
 
+    @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.edges for v in e)
 
     def is_feasible(self, selected: frozenset[int], n_items: int) -> bool:
-        verts = self.vertices()
-        kept, _ = _spanning_forest(self.edges, verts, selected)
-        return len(kept) == len(verts) - 1
+        kept, _ = _spanning_forest(self.edges, self.vertices, selected)
+        return len(kept) == len(self.vertices) - 1
 
 
 Family = Union[ExplicitFamily, UniformMatroid, GraphicMatroid]
@@ -178,7 +178,7 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
         return sum(prices[n] for n in chosen), frozenset(chosen)
     if isinstance(family, GraphicMatroid) and isinstance(model.terminal, ZeroTerminal):
         by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
-        tree, _ = _spanning_forest(family.edges, family.vertices(), by_price)
+        tree, _ = _spanning_forest(family.edges, family.vertices, by_price)
         return sum(prices[n] for n in tree), frozenset(tree)
     # generic desk-scale path: enumerate subsets
     if model.n_items > 22:
@@ -230,17 +230,8 @@ def expected_surrogate_cost_mc(
     """Monte Carlo estimate of E[Z] with standard error."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    dists = _surrogate_dists(instance, kind)
-    per_item = []
-    for n, d in enumerate(dists):
-        us = uniforms(seed, n, SURROGATE_STREAM, trials)
-        idx = sample_price_indices([float(p) for p in d.probs], us)
-        values = d.values
-        per_item.append([values[i] for i in idx])
-    return mc_summary(
-        surrogate_cost(model, [per_item[n][t] for n in range(len(dists))])[0]
-        for t in range(trials)
-    )
+    rows = sample_rows(_surrogate_dists(instance, kind), seed, SURROGATE_STREAM, 0, trials)
+    return mc_summary(surrogate_cost(model, row)[0] for row in rows)
 
 
 class GreedyRule:
@@ -280,9 +271,8 @@ class UniformMatroidRule(GreedyRule):
 class GraphicMatroidRule(GreedyRule):
     def propose(self, tau, selected, inspected, model):
         family = model.family
-        verts = family.vertices()
-        kept, find = _spanning_forest(family.edges, verts, selected)
-        if len(kept) == len(verts) - 1:
+        kept, find = _spanning_forest(family.edges, family.vertices, selected)
+        if len(kept) == len(family.vertices) - 1:
             return None
         candidates = [
             n
@@ -304,59 +294,75 @@ def rule_for_model(model: CombModel) -> GreedyRule:
     )
 
 
+def frugal_engine(model: CombModel, rule: GreedyRule):
+    """The frugal composition of ``rule`` as an engine on a key/cost view
+    (see ``hedged_view``).
+
+    ``engine(keys, costs)`` returns ``run(prices)``: tentative prices start
+    at the keys; a proposed uninspected item is inspected (its tentative price
+    becomes the view price, floored at its key), a proposed inspected item is
+    selected.  ``run`` returns (inspected ids in order, selected ids, cost
+    under the view including the terminal cost, terminal cost).
+    """
+
+    def engine(keys, costs):
+        def run(prices):
+            tau = list(keys)
+            inspected: set[int] = set()
+            selected: set[int] = set()
+            order: list[int] = []
+            total = 0
+            for _ in range(2 * len(keys) + 1):
+                prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
+                if prop is None:
+                    if not model.is_feasible(frozenset(selected)):
+                        raise RuleError("rule declared completion with an infeasible set")
+                    terminal = model.terminal_cost(frozenset(selected))
+                    return order, selected, total + terminal, terminal
+                if prop in selected:
+                    raise RuleError(f"rule proposed already-selected item {prop}")
+                if prop not in inspected:
+                    inspected.add(prop)
+                    order.append(prop)
+                    total = total + costs[prop]
+                    v = prices[prop]
+                    tau[prop] = v if v > keys[prop] else keys[prop]
+                else:
+                    selected.add(prop)
+                    total = total + prices[prop]
+            raise RuleError("rule failed to terminate")
+
+        return run
+
+    return engine
+
+
+COMB_POLICIES = ("frugal-oi", "local-hedging")
+
+
+def prepare_comb_policy(
+    model: CombModel, instance: Instance, policy: str, rule: Optional[GreedyRule] = None
+) -> PreparedPolicy:
+    """Prepare a combinatorial policy by name: ``frugal-oi`` (the frugal
+    composition with obligatory inspection, charged its own total) or
+    ``local-hedging`` (two stages: commit labels, then run the frugal
+    composition on the induced obligatory-inspection view)."""
+    if policy not in COMB_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
+    engine = frugal_engine(model, rule_for_model(model) if rule is None else rule)
+    if policy == "local-hedging":
+        return prepare_hedged(instance, engine)
+    return prepare_obligatory(instance, engine)
+
+
 def frugal_oi_policy(
     model: CombModel,
     instance: Instance,
     realization: Realization,
     rule: Optional[GreedyRule] = None,
 ) -> PolicyTrace:
-    """Adaptive obligatory-inspection composition.
-
-    Tentative prices start at the reservation prices; a proposed uninspected
-    item is inspected (price becomes the realized price, floored at the
-    reservation price), a proposed inspected item is selected.
-    """
-    if rule is None:
-        rule = rule_for_model(model)
-    costs = [item.cost for item in instance.items]
-    inspected, selected, order, total = _run_frugal(
-        model, instance.reservation_prices, costs, realization.prices, rule
-    )
-    return PolicyTrace(
-        inspection_order=tuple(order),
-        selected=frozenset(selected),
-        selected_without_inspection=frozenset(),
-        total_cost=total,
-    )
-
-
-def _run_frugal(model, keys, costs, prices, rule):
-    """Frugal loop on a key/cost/price view (see ``hedged_view``): tentative
-    prices start at the keys.  Returns (inspected, selected, order, total)."""
-    tau = list(keys)
-    inspected: set[int] = set()
-    selected: set[int] = set()
-    order: list[int] = []
-    total = 0
-    for _ in range(2 * len(keys) + 1):
-        prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
-        if prop is None:
-            if not model.is_feasible(frozenset(selected)):
-                raise RuleError("rule declared completion with an infeasible set")
-            total = total + model.terminal_cost(frozenset(selected))
-            return inspected, selected, order, total
-        if prop in selected:
-            raise RuleError(f"rule proposed already-selected item {prop}")
-        if prop not in inspected:
-            inspected.add(prop)
-            order.append(prop)
-            total = total + costs[prop]
-            v = prices[prop]
-            tau[prop] = v if v > keys[prop] else keys[prop]
-        else:
-            selected.add(prop)
-            total = total + prices[prop]
-    raise RuleError("rule failed to terminate")
+    """Adaptive obligatory-inspection composition."""
+    return prepare_comb_policy(model, instance, "frugal-oi", rule).run(realization)
 
 
 def combinatorial_lh_policy(
@@ -366,29 +372,8 @@ def combinatorial_lh_policy(
     coins: HedgeCoins,
     rule: Optional[GreedyRule] = None,
 ) -> PolicyTrace:
-    """Two-stage hedged policy: commit labels, then run the frugal
-    composition on the induced obligatory-inspection instance."""
-    if rule is None:
-        rule = rule_for_model(model)
-    keys, costs, prices = hedged_view(instance, coins.labels, realization.prices)
-    inspected, selected, order, _ = _run_frugal(model, keys, costs, prices, rule)
-    true_order = tuple(n for n in order if coins.labels[n])
-    without = frozenset(n for n in selected if not coins.labels[n])
-    total = (
-        sum(instance.items[n].cost for n in true_order)
-        + sum(realization.prices[n] for n in selected)
-        + model.terminal_cost(frozenset(selected))
-    )
-    return PolicyTrace(
-        inspection_order=true_order,
-        selected=frozenset(selected),
-        selected_without_inspection=without,
-        total_cost=total,
-        labels=coins.labels,
-    )
-
-
-COMB_POLICIES = ("frugal-oi", "local-hedging")
+    """Two-stage hedged policy on the frugal composition."""
+    return prepare_comb_policy(model, instance, "local-hedging", rule).run(realization, coins)
 
 
 def evaluate_comb_policy_exact(
@@ -399,25 +384,7 @@ def evaluate_comb_policy_exact(
     budget: int = DEFAULT_BUDGET,
 ) -> Numeric:
     """Exact expected total cost of a combinatorial policy."""
-    if rule is None:
-        rule = rule_for_model(model)
-    if policy == "frugal-oi":
-        check_budget(instance.support_product(), budget, "frugal policy evaluation")
-        keys = instance.reservation_prices
-        costs = [item.cost for item in instance.items]
-        total = 0
-        for prob, prices in iter_price_realizations(instance):
-            total = total + prob * _run_frugal(model, keys, costs, prices, rule)[3]
-        return total
-    if policy == "local-hedging":
-        # uninspected selections are charged their mean by the view, which is
-        # exactly the marginal expectation of the realized price
-        total = 0
-        for keys, costs, rows in iter_hedged_views(instance, budget):
-            for prob, prices in rows:
-                total = total + prob * _run_frugal(model, keys, costs, prices, rule)[3]
-        return total
-    raise ValueError(f"unknown policy {policy!r}; expected one of {COMB_POLICIES}")
+    return evaluate_exact(instance, prepare_comb_policy(model, instance, policy, rule), budget)
 
 
 def evaluate_comb_policy_mc(
@@ -428,18 +395,4 @@ def evaluate_comb_policy_mc(
     seed: int,
     rule: Optional[GreedyRule] = None,
 ) -> tuple[float, float]:
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if policy not in COMB_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {COMB_POLICIES}")
-    if rule is None:
-        rule = rule_for_model(model)
-    realizations = sample_realizations(instance, seed, 0, trials)
-    coin_rows = sample_coins(instance, seed, 0, trials) if policy == "local-hedging" else None
-
-    def trace(t):
-        if policy == "frugal-oi":
-            return frugal_oi_policy(model, instance, realizations[t], rule)
-        return combinatorial_lh_policy(model, instance, realizations[t], coin_rows[t], rule)
-
-    return mc_summary(trace(t).total_cost for t in range(trials))
+    return evaluate_mc(instance, prepare_comb_policy(model, instance, policy, rule), trials, seed)

@@ -32,9 +32,6 @@ class Instance:
                 raise ValueError("one indices record per item required")
         self.indices = indices
         self.reservation_prices = tuple(ix.u_rsv for ix in indices)
-        # inspection order used by the reservation-price policy: ascending
-        # reservation price, ties by item id
-        self.order_by_reservation = key_order(self.reservation_prices)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -48,11 +45,6 @@ class Instance:
         for item in self.items:
             prod *= len(item.dist)
         return prod
-
-
-def key_order(keys: Sequence[Numeric]) -> tuple[int, ...]:
-    """Item ids by ascending key, ties by id."""
-    return tuple(sorted(range(len(keys)), key=lambda n: (keys[n], n)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel
 from .distkit import Numeric
 from .instance import Instance
-from .policies import run_policy, sample_coins, sample_realizations
+from .policies import iter_trials, prepare_policy
 from .sampling import mc_summary
 
 
@@ -134,24 +134,19 @@ def pi_surrogate_bound(
     reservation price when the policy inspected it, and its mean otherwise;
     the bound is the expectation of the minimum contribution.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    realizations = sample_realizations(instance, seed, 0, trials)
-    coin_rows = sample_coins(instance, seed, 0, trials) if policy == "local-hedging" else None
     indices = instance.indices
 
-    def bound(t):
-        coins = coin_rows[t] if coin_rows is not None else None
-        trace = run_policy(instance, policy, realizations[t], coins)
+    def bound(realization, trace):
         inspected = set(trace.inspection_order)
         w = None
         for m in range(len(instance)):
             if m in inspected:
-                v = realizations[t].prices[m]
+                v = realization.prices[m]
                 contrib = v if v > indices[m].u_rsv else indices[m].u_rsv
             else:
                 contrib = indices[m].mu
             w = _tmin(w, contrib)
         return w
 
-    return mc_summary(bound(t) for t in range(trials))
+    trials_run = iter_trials(instance, prepare_policy(instance, policy), seed, trials)
+    return mc_summary(bound(realization, trace) for realization, trace in trials_run)

@@ -1,4 +1,6 @@
-"""Executable single-item selection policies and their evaluators.
+"""Executable single-item selection policies and the policy layer shared
+with combinatorial selection: engines, prepared policies, traces and the
+exact and Monte Carlo evaluators.
 
 All policies are pure functions of (instance, realization, coins); the Monte
 Carlo evaluator derives realizations and coins from the counter-based
@@ -8,8 +10,9 @@ sampling contract, so estimates do not depend on execution order.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import (
@@ -20,8 +23,8 @@ from .distkit import (
     min_with_constant_expectation,
 )
 from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view, key_order
-from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_price_indices, uniforms
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_rows, uniforms
 
 
 class Action(Enum):
@@ -62,60 +65,100 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
     return min(candidates)
 
 
-def _run_reservation_order(
-    order: Sequence[int], keys: Sequence[Numeric], prices: Sequence[Numeric]
-):
-    """Core adaptive loop: inspect in ``order`` (ascending key), stop when the
-    best observed price is at most the next key, select the cheapest
-    observation (ties by id).  Returns (inspected ids, selected id).
+@dataclass(frozen=True)
+class PreparedPolicy:
+    """A policy with its trial-independent work done once.
+
+    ``run(realization, coins=None)`` returns one trial's trace.  ``engine``
+    is set only for local hedging, whose labels are drawn afresh each trial:
+    such a policy draws coins, and its exact value marginalizes the labels
+    through the engine.
     """
-    best_v = None
-    best_id = None
-    inspected = []
-    for n in order:
-        if best_id is not None and best_v <= keys[n]:
-            break
-        inspected.append(n)
-        v = prices[n]
-        if best_id is None or v < best_v or (v == best_v and n < best_id):
-            best_v, best_id = v, n
-    return inspected, best_id
+
+    run: Callable[..., PolicyTrace]
+    engine: Optional[Callable] = None
+
+    @property
+    def draws_coins(self) -> bool:
+        return self.engine is not None
 
 
-def weitzman_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Obligatory-inspection reservation-price policy."""
-    inspected, sel = _run_reservation_order(
-        instance.order_by_reservation, instance.reservation_prices, realization.prices
-    )
-    total = sum(instance.items[n].cost for n in inspected) + realization.prices[sel]
-    return PolicyTrace(
-        inspection_order=tuple(inspected),
-        selected=frozenset({sel}),
-        selected_without_inspection=frozenset(),
-        total_cost=total,
-    )
+def reservation_engine(keys: Sequence[Numeric], costs: Sequence[Numeric]):
+    """Weitzman's search on a key/cost view (see ``hedged_view``).
 
-
-def local_hedging_policy(
-    instance: Instance, realization: Realization, coins: HedgeCoins
-) -> PolicyTrace:
-    """Randomized committing policy driven by per-item hedge labels.
-
-    Non-inspection items are played as free deterministic items at their mean;
-    the trace still charges the realized price of whatever is selected.
+    Sorts once; the returned ``run(prices)`` inspects in ascending key order
+    (ties by id), stops when the best observed price is at most the next key,
+    and selects the cheapest observation (ties by id).  It returns (inspected
+    ids in order, selected ids, cost under the view, terminal cost 0).
     """
-    keys, _, prices = hedged_view(instance, coins.labels, realization.prices)
-    inspected, sel = _run_reservation_order(key_order(keys), keys, prices)
-    true_inspected = tuple(n for n in inspected if coins.labels[n])
-    without = frozenset() if coins.labels[sel] else frozenset({sel})
-    total = sum(instance.items[n].cost for n in true_inspected) + realization.prices[sel]
-    return PolicyTrace(
-        inspection_order=true_inspected,
-        selected=frozenset({sel}),
-        selected_without_inspection=without,
-        total_cost=total,
-        labels=coins.labels,
+    order = sorted(range(len(keys)), key=lambda n: (keys[n], n))
+
+    def run(prices):
+        best_v = None
+        best_id = None
+        inspected = []
+        for n in order:
+            if best_id is not None and best_v <= keys[n]:
+                break
+            inspected.append(n)
+            v = prices[n]
+            if best_id is None or v < best_v or (v == best_v and n < best_id):
+                best_v, best_id = v, n
+        return inspected, (best_id,), sum(costs[n] for n in inspected) + prices[best_id], 0
+
+    return run
+
+
+def prepare_obligatory(instance: Instance, engine) -> PreparedPolicy:
+    """Obligatory inspection on ``engine``: every item keeps its reservation
+    price and cost, and each trial is charged the engine's own total."""
+    search = engine(instance.reservation_prices, [item.cost for item in instance.items])
+
+    def run(realization, coins=None):
+        inspected, selected, total, _ = search(realization.prices)
+        return PolicyTrace(
+            inspection_order=tuple(inspected),
+            selected=frozenset(selected),
+            selected_without_inspection=frozenset(),
+            total_cost=total,
+        )
+
+    return PreparedPolicy(run)
+
+
+def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
+    """One trial of local hedging on any engine.
+
+    The engine searches the ``hedged_view``, where a non-inspection item is a
+    free point mass at its mean; the trace charges the true inspection costs,
+    the realized price of every selected item and the terminal cost.
+    """
+    keys, costs, prices = hedged_view(instance, labels, realization.prices)
+    inspected, selected, _, terminal = engine(keys, costs)(prices)
+    order = tuple(n for n in inspected if labels[n])
+    total = (
+        sum(instance.items[n].cost for n in order)
+        + sum(realization.prices[n] for n in selected)
+        + terminal
     )
+    return PolicyTrace(
+        inspection_order=order,
+        selected=frozenset(selected),
+        selected_without_inspection=frozenset(n for n in selected if not labels[n]),
+        total_cost=total,
+        labels=labels,
+    )
+
+
+def prepare_hedged(instance: Instance, engine) -> PreparedPolicy:
+    """Local hedging on ``engine``: each trial runs on its own coins."""
+
+    def run(realization, coins=None):
+        if coins is None:
+            raise ValueError("local-hedging needs hedge coins")
+        return hedged_trace(instance, engine, realization, coins.labels)
+
+    return PreparedPolicy(run, engine)
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -141,35 +184,44 @@ def commit_enum_labeling(instance: Instance) -> HedgeCoins:
     return HedgeCoins(labels)
 
 
-def commit_enum_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    return local_hedging_policy(instance, realization, commit_enum_labeling(instance))
-
-
-def inspect_all_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Diagnostic policy: inspect every item, then select the cheapest."""
-    prices = realization.prices
-    sel = min(range(len(instance)), key=lambda n: (prices[n], n))
-    total = sum(item.cost for item in instance.items) + prices[sel]
-    return PolicyTrace(
-        inspection_order=tuple(range(len(instance))),
-        selected=frozenset({sel}),
-        selected_without_inspection=frozenset(),
-        total_cost=total,
-    )
-
-
-def never_inspect_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Diagnostic policy: select the item with the lowest mean, uninspected."""
-    sel = min(range(len(instance)), key=lambda n: (instance.indices[n].mu, n))
-    return PolicyTrace(
-        inspection_order=(),
-        selected=frozenset({sel}),
-        selected_without_inspection=frozenset({sel}),
-        total_cost=realization.prices[sel],
-    )
-
-
 SINGLE_POLICIES = ("weitzman", "local-hedging", "commit-enum", "inspect-all", "never-inspect")
+
+
+def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
+    """Prepare a single-item policy by name: ``weitzman`` (obligatory
+    inspection), ``local-hedging``, ``commit-enum`` (the best committing
+    labeling, fixed for every trial), and the diagnostics ``inspect-all``
+    (inspect everything, select the cheapest) and ``never-inspect`` (select
+    the lowest mean uninspected)."""
+    if policy == "weitzman":
+        return prepare_obligatory(instance, reservation_engine)
+    if policy == "local-hedging":
+        return prepare_hedged(instance, reservation_engine)
+    if policy == "commit-enum":
+        labels = commit_enum_labeling(instance).labels
+        keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
+        fixed = reservation_engine(keys, costs)  # the labels never change: sort once
+        return PreparedPolicy(
+            lambda realization, coins=None: hedged_trace(instance, lambda *_: fixed, realization, labels)
+        )
+    ids = tuple(range(len(instance)))
+    if policy == "inspect-all":
+        inspect_cost = sum(item.cost for item in instance.items)
+
+        def inspect_all(realization, coins=None):
+            prices = realization.prices
+            sel = min(ids, key=lambda n: (prices[n], n))
+            return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
+
+        return PreparedPolicy(inspect_all)
+    if policy == "never-inspect":
+        sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
+        return PreparedPolicy(
+            lambda realization, coins=None: PolicyTrace(
+                (), frozenset({sel}), frozenset({sel}), realization.prices[sel]
+            )
+        )
+    raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
 
 
 def run_policy(
@@ -178,19 +230,33 @@ def run_policy(
     realization: Realization,
     coins: Optional[HedgeCoins] = None,
 ) -> PolicyTrace:
-    if policy == "weitzman":
-        return weitzman_policy(instance, realization)
-    if policy == "local-hedging":
-        if coins is None:
-            raise ValueError("local-hedging needs hedge coins")
-        return local_hedging_policy(instance, realization, coins)
-    if policy == "commit-enum":
-        return commit_enum_policy(instance, realization)
-    if policy == "inspect-all":
-        return inspect_all_policy(instance, realization)
-    if policy == "never-inspect":
-        return never_inspect_policy(instance, realization)
-    raise ValueError(f"unknown policy {policy!r}; expected one of {SINGLE_POLICIES}")
+    return prepare_policy(instance, policy).run(realization, coins)
+
+
+def weitzman_policy(instance: Instance, realization: Realization) -> PolicyTrace:
+    """Obligatory-inspection reservation-price policy."""
+    return run_policy(instance, "weitzman", realization)
+
+
+def local_hedging_policy(
+    instance: Instance, realization: Realization, coins: HedgeCoins
+) -> PolicyTrace:
+    """Randomized committing policy driven by per-item hedge labels."""
+    return hedged_trace(instance, reservation_engine, realization, coins.labels)
+
+
+def commit_enum_policy(instance: Instance, realization: Realization) -> PolicyTrace:
+    return run_policy(instance, "commit-enum", realization)
+
+
+def inspect_all_policy(instance: Instance, realization: Realization) -> PolicyTrace:
+    """Diagnostic policy: inspect every item, then select the cheapest."""
+    return run_policy(instance, "inspect-all", realization)
+
+
+def never_inspect_policy(instance: Instance, realization: Realization) -> PolicyTrace:
+    """Diagnostic policy: select the item with the lowest mean, uninspected."""
+    return run_policy(instance, "never-inspect", realization)
 
 
 def _price_rows(
@@ -246,43 +312,37 @@ def iter_hedged_views(instance: Instance, budget: int):
         yield keys, costs, _price_rows(dists, oi_ids, base, weight)
 
 
+def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
+    """Exact expected total cost of a prepared policy.
+
+    Local hedging enumerates label vectors with non-inspection prices
+    marginalized to the mean (exactly the expectation of the realized price);
+    every other policy enumerates realizations.
+    """
+    total = 0
+    if prepared.engine is not None:
+        for keys, costs, rows in iter_hedged_views(instance, budget):
+            run = prepared.engine(keys, costs)
+            for prob, prices in rows:
+                total = total + prob * run(prices)[2]
+        return total
+    check_budget(instance.support_product(), budget, "policy evaluation")
+    for prob, prices in iter_price_realizations(instance):
+        total = total + prob * prepared.run(Realization(prices)).total_cost
+    return total
+
+
 def evaluate_policy_exact(
     instance: Instance, policy: str, budget: int = DEFAULT_BUDGET
 ) -> Numeric:
-    """Exact expected total cost by enumerating realizations (and, for the
-    hedged policy, coin vectors with non-inspection prices marginalized)."""
-    if policy == "local-hedging":
-        total = 0
-        for keys, costs, rows in iter_hedged_views(instance, budget):
-            order = key_order(keys)
-            for prob, prices in rows:
-                inspected, sel = _run_reservation_order(order, keys, prices)
-                total = total + prob * (sum(costs[n] for n in inspected) + prices[sel])
-        return total
-    if policy not in SINGLE_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {SINGLE_POLICIES}")
-    check_budget(instance.support_product(), budget, "policy evaluation")
-    coins = commit_enum_labeling(instance) if policy == "commit-enum" else None
-    total = 0
-    for prob, prices in iter_price_realizations(instance):
-        realization = Realization(prices)
-        if policy == "commit-enum":
-            trace = local_hedging_policy(instance, realization, coins)
-        else:
-            trace = run_policy(instance, policy, realization)
-        total = total + prob * trace.total_cost
-    return total
+    """Exact expected total cost of a single-item policy by enumeration."""
+    return evaluate_exact(instance, prepare_policy(instance, policy), budget)
 
 
 def sample_realizations(instance: Instance, seed: int, start: int, count: int):
     """Realizations for trials start..start+count-1 under the seeding contract."""
-    per_item = []
-    for n, item in enumerate(instance.items):
-        us = uniforms(seed, n, PRICE_STREAM, count, start=start)
-        idx = sample_price_indices([float(p) for p in item.dist.probs], us)
-        values = item.dist.values
-        per_item.append([values[i] for i in idx])
-    return [Realization(tuple(per_item[n][t] for n in range(len(instance)))) for t in range(count)]
+    dists = [item.dist for item in instance.items]
+    return [Realization(row) for row in sample_rows(dists, seed, PRICE_STREAM, start, count)]
 
 
 def sample_coins(instance: Instance, seed: int, start: int, count: int):
@@ -290,28 +350,28 @@ def sample_coins(instance: Instance, seed: int, start: int, count: int):
     per_item = []
     for n in range(len(instance)):
         us = uniforms(seed, n, COIN_STREAM, count, start=start)
-        per_item.append(us < float(instance.indices[n].p_hedge))
-    return [HedgeCoins(tuple(bool(per_item[n][t]) for n in range(len(instance)))) for t in range(count)]
+        per_item.append((us < float(instance.indices[n].p_hedge)).tolist())
+    return [HedgeCoins(row) for row in zip(*per_item)]
+
+
+def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: int):
+    """Yield (realization, trace) for trials 0..count-1; coins are drawn
+    only for a policy that draws them."""
+    if count < 1:
+        raise ValueError("need at least one trial")
+    realizations = sample_realizations(instance, seed, 0, count)
+    coins = sample_coins(instance, seed, 0, count) if prepared.draws_coins else [None] * count
+    for realization, c in zip(realizations, coins):
+        yield realization, prepared.run(realization, c)
+
+
+def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of a prepared policy's total cost."""
+    return mc_summary(trace.total_cost for _, trace in iter_trials(instance, prepared, seed, trials))
 
 
 def evaluate_policy_mc(
     instance: Instance, policy: str, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a policy's total cost."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if policy not in SINGLE_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {SINGLE_POLICIES}")
-    realizations = sample_realizations(instance, seed, 0, trials)
-    needs_coins = policy == "local-hedging"
-    coin_rows = sample_coins(instance, seed, 0, trials) if needs_coins else None
-    fixed_coins = commit_enum_labeling(instance) if policy == "commit-enum" else None
-
-    def trace(t):
-        if policy == "commit-enum":
-            return local_hedging_policy(instance, realizations[t], fixed_coins)
-        if needs_coins:
-            return local_hedging_policy(instance, realizations[t], coin_rows[t])
-        return run_policy(instance, policy, realizations[t])
-
-    return mc_summary(trace(t).total_cost for t in range(trials))
+    return evaluate_mc(instance, prepare_policy(instance, policy), trials, seed)

@@ -52,6 +52,17 @@ def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, us, side="right")
 
 
+def sample_rows(dists, seed: int, stream: int, start: int, count: int) -> list[tuple]:
+    """One value row per trial start..start+count-1: entry n is a draw from
+    ``dists[n]`` on lane (seed, n, stream)."""
+    per_item = []
+    for n, d in enumerate(dists):
+        idx = sample_price_indices([float(p) for p in d.probs], uniforms(seed, n, stream, count, start=start))
+        values = d.values
+        per_item.append([values[i] for i in idx])
+    return list(zip(*per_item))
+
+
 def mc_summary(values: Iterable) -> tuple[float, float]:
     """Mean and standard error of per-trial Monte Carlo values (as floats)."""
     vals = np.fromiter((float(v) for v in values), dtype=np.float64)

@@ -35,10 +35,11 @@ from .policies import (
     evaluate_policy_exact,
     iter_price_realizations,
     one_item_value,
-    weitzman_policy,
+    prepare_policy,
 )
 
 TOL = 1e-12
+BUDGET_SKIP = "skipped (budget)"
 
 
 @dataclass
@@ -163,7 +164,7 @@ def check_oi_equalities(instance: Instance, tol, budget) -> CheckResult:
         policy_value = evaluate_policy_exact(instance, "weitzman", budget)
         oracle_value = opt_value_single_oi(instance, budget)
     except BudgetExceededError:
-        return CheckResult("obligatory-inspection equalities", True, 0.0, "skipped (budget)")
+        return CheckResult("obligatory-inspection equalities", True, 0.0, BUDGET_SKIP)
     one_shot = _min_surrogate_expectation(instance, SurrogateKind.OI)
     worst = max(abs(float(policy_value - one_shot)), abs(float(oracle_value - one_shot)))
     return CheckResult("obligatory-inspection equalities", worst <= tol, worst)
@@ -173,7 +174,7 @@ def check_lh_equality_and_bound(instance: Instance, tol, budget) -> CheckResult:
     try:
         policy_value = evaluate_policy_exact(instance, "local-hedging", budget)
     except BudgetExceededError:
-        return CheckResult("hedged policy equality and ratio bound", True, 0.0, "skipped (budget)")
+        return CheckResult("hedged policy equality and ratio bound", True, 0.0, BUDGET_SKIP)
     one_shot = _min_surrogate_expectation(instance, SurrogateKind.LH)
     noi_bound = _min_surrogate_expectation(instance, SurrogateKind.NOI)
     ceiling = instance.max_alpha * noi_bound
@@ -188,7 +189,7 @@ def check_noi_sandwich(instance: Instance, tol, budget) -> CheckResult:
         opt = opt_value_single_noi(instance, budget)
         lh = evaluate_policy_exact(instance, "local-hedging", budget)
     except BudgetExceededError:
-        return CheckResult("nonobligatory sandwich", True, 0.0, "skipped (budget)")
+        return CheckResult("nonobligatory sandwich", True, 0.0, BUDGET_SKIP)
     noi_bound = _min_surrogate_expectation(instance, SurrogateKind.NOI)
     worst = max(0.0, float(noi_bound - opt))
     worst = max(worst, max(0.0, float(opt - lh)))
@@ -197,10 +198,11 @@ def check_noi_sandwich(instance: Instance, tol, budget) -> CheckResult:
 
 def check_weitzman_trace(instance: Instance, tol, budget) -> CheckResult:
     if instance.support_product() > min(budget, 4096):
-        return CheckResult("selection argmin consistency", True, 0.0, "skipped (budget)")
+        return CheckResult("selection argmin consistency", True, 0.0, BUDGET_SKIP)
+    weitzman = prepare_policy(instance, "weitzman")
     worst = 0.0
     for _, prices in iter_price_realizations(instance):
-        trace = weitzman_policy(instance, Realization(prices))
+        trace = weitzman.run(Realization(prices))
         inspected = set(trace.inspection_order)
         views = []
         for n in range(len(instance)):
@@ -225,7 +227,7 @@ def check_frugal_beta1(model: CombModel, instance: Instance, tol, budget) -> Che
         policy_value = evaluate_comb_policy_exact(model, instance, "frugal-oi", budget=budget)
         z_oi = expected_surrogate_cost(model, instance, SurrogateKind.OI, budget)
     except BudgetExceededError:
-        return CheckResult(name, True, 0.0, "skipped (budget)")
+        return CheckResult(name, True, 0.0, BUDGET_SKIP)
     worst = abs(float(policy_value - z_oi))
     return CheckResult(name, worst <= tol, worst)
 
@@ -239,7 +241,7 @@ def check_comb_lh_chain(model: CombModel, instance: Instance, tol, budget) -> Ch
         z_noi = expected_surrogate_cost(model, instance, SurrogateKind.NOI, budget)
         z_lh = expected_surrogate_cost(model, instance, SurrogateKind.LH, budget)
     except BudgetExceededError:
-        return CheckResult(name, True, 0.0, "skipped (budget)")
+        return CheckResult(name, True, 0.0, BUDGET_SKIP)
     worst = abs(float(policy_value - z_lh))  # mixture identity
     worst = max(worst, max(0.0, float(policy_value - instance.max_alpha * z_noi)))
     worst = max(worst, max(0.0, float(policy_value - Fraction(4, 3) * z_noi)))
@@ -252,7 +254,7 @@ def check_comb_noi_lower(model: CombModel, instance: Instance, tol, budget) -> C
         opt = opt_value_comb_noi(model, instance, budget)
         z_noi = expected_surrogate_cost(model, instance, SurrogateKind.NOI, budget)
     except BudgetExceededError:
-        return CheckResult(name, True, 0.0, "skipped (budget)")
+        return CheckResult(name, True, 0.0, BUDGET_SKIP)
     worst = max(0.0, float(z_noi - opt))
     return CheckResult(name, worst <= tol, worst)
 
@@ -290,7 +292,7 @@ def check_single_reduction(model: CombModel, instance: Instance, tol, budget) ->
         gap = evaluate_comb_policy_exact(model, instance, "local-hedging", budget=budget) - evaluate_policy_exact(instance, "local-hedging", budget)
         worst = max(worst, abs(float(gap)))
     except BudgetExceededError:
-        return CheckResult(name, True, 0.0, "skipped (budget)")
+        return CheckResult(name, True, 0.0, BUDGET_SKIP)
     return CheckResult(name, worst <= tol, worst)
 
 

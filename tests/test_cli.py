@@ -135,6 +135,20 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--corpus", str(tmp_path))
         assert code == 2
 
+    def test_budget_skips_are_not_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", GOLDEN, "--budget", "0")
+        lines = out.splitlines()
+        skipped = {line[12:56].strip() for line in lines if line.split()[0] == "skip"}
+        assert code == 0 and lines[-1] == "1 instance(s), 9 checks, 0 failure(s), 4 skipped (budget)"
+        assert skipped == {
+            "obligatory-inspection equalities",
+            "hedged policy equality and ratio bound",
+            "nonobligatory sandwich",
+            "selection argmin consistency",
+        }
+        code, out, _ = run_cli(capsys, "verify", GOLDEN)
+        assert code == 0 and "skip" not in out and out.endswith("0 failure(s)\n")
+
 
 
 class TestArgumentValidation:
@@ -158,6 +172,16 @@ class TestArgumentValidation:
         code, out, err = run_cli(capsys, *command, "--seed", seed)
         assert code == 2 and out == ""
         assert "seed must be an integer in [0, 2^64)" in err and repr(seed) in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(("simulate", GOLDEN, "--policy", "weitzman"), "--trace"), (("verify", GOLDEN), "--random")],
+    )
+    @pytest.mark.parametrize("value", ["-2", "abc", "1.5"])
+    def test_bad_count_exit_2(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be a nonnegative integer" in err and repr(value) in err
 
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run_cli(

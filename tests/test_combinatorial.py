@@ -79,6 +79,11 @@ class TestFamilies:
         assert model.is_feasible(frozenset({0, 1, 2}))
         assert not model.is_feasible(frozenset({0}))
 
+    def test_graphic_vertex_set_built_once(self):
+        family = triangle_model().family
+        assert family.vertices == frozenset({0, 1, 2})
+        assert family.vertices is family.vertices
+
     def test_facility_location_validation(self):
         with pytest.raises(ValueError, match="square"):
             FacilityLocationTerminal(((F(0),),)).validate(2)
