@@ -28,7 +28,7 @@ from .policies import (
     prepare_hedged,
     prepare_obligatory,
 )
-from .sampling import SURROGATE_STREAM, mc_summary, sample_rows
+from .sampling import SURROGATE_STREAM, mc_summary, sample_rows, trial_chunks
 
 
 class RuleError(RuntimeError):
@@ -227,11 +227,14 @@ def expected_surrogate_cost_mc(
     trials: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E[Z] with standard error."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rows = sample_rows(_surrogate_dists(instance, kind), seed, SURROGATE_STREAM, 0, trials)
-    return mc_summary(surrogate_cost(model, row)[0] for row in rows)
+    """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
+    trials at a time."""
+    dists = _surrogate_dists(instance, kind)
+    return mc_summary(
+        surrogate_cost(model, row)[0]
+        for start, size in trial_chunks(trials)
+        for row in sample_rows(dists, seed, SURROGATE_STREAM, start, size)
+    )
 
 
 class GreedyRule:

@@ -10,9 +10,11 @@ sampling contract, so estimates do not depend on execution order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import (
@@ -24,7 +26,7 @@ from .distkit import (
 )
 from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
-from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_rows, uniforms
+from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, sample_rows, trial_chunks
 
 
 class Action(Enum):
@@ -72,11 +74,15 @@ class PreparedPolicy:
     ``run(realization, coins=None)`` returns one trial's trace.  ``engine``
     is set only for local hedging, whose labels are drawn afresh each trial:
     such a policy draws coins, and its exact value marginalizes the labels
-    through the engine.
+    through the engine.  ``batch(prices, labels)``, where a policy has one,
+    is its array form for Monte Carlo: it maps an (items x trials) price
+    array in the instance's ``array_dtype`` (and, for a policy that draws
+    coins, a label array of the same shape) to the trials' total costs.
     """
 
     run: Callable[..., PolicyTrace]
     engine: Optional[Callable] = None
+    batch: Optional[Callable] = None
 
     @property
     def draws_coins(self) -> bool:
@@ -107,6 +113,90 @@ def reservation_engine(keys: Sequence[Numeric], costs: Sequence[Numeric]):
         return inspected, (best_id,), sum(costs[n] for n in inspected) + prices[best_id], 0
 
     return run
+
+
+def array_dtype(instance: Instance):
+    """float64 when every cost, support value and index of the instance is a
+    Python float or a small int, so that array arithmetic and comparisons are
+    exactly Python's; otherwise object arrays that run Python's own."""
+    numbers = [
+        x
+        for item, ix in zip(instance.items, instance.indices)
+        for x in (item.cost, ix.mu, ix.u_rsv, *item.dist.values)
+    ]
+    plain = all(type(x) is float or (type(x) is int and abs(x) < 2**32) for x in numbers)
+    return np.float64 if plain else object
+
+
+_FIRST_BLOCK = 4  # slots in the first block; most trials stop after a few inspections
+
+
+def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = None):
+    """Array form of ``hedged_trace`` on ``reservation_engine``, with fixed
+    ``labels`` or, if None, labels drawn per trial.
+
+    Item n has two slots: labelled (key u_rsv, its cost and realized price)
+    and unlabelled (key and view price mu, cost 0).  The slots are sorted
+    once by (key, id), so the slots active in a trial come in the order of
+    that trial's own stable sort; fixed labels keep only their active slots.
+    The search walks the slots in blocks that double in size and keeps only
+    the trials still searching.  A trial adds its inspection costs in
+    inspection order (a slot it skips adds an exact zero), then the realized
+    price of the item with the lowest inspected view price.
+
+    Which of several tied items holds that lowest view price never changes a
+    total: an unlabelled item's view price is its key, so it is inspected
+    only below every earlier view price, and tied labelled items have equal
+    realized prices.
+    """
+    dtype = array_dtype(instance)
+    zero = 0 if dtype is object else 0.0
+    slots = [
+        (ix.u_rsv if lab else ix.mu, n, lab)
+        for n, ix in enumerate(instance.indices)
+        for lab in (True, False)
+        if labels is None or labels[n] == lab
+    ]
+    slots.sort(key=lambda s: (s[0], s[1]))
+    keys = np.array([s[0] for s in slots], dtype=dtype)[:, None]
+    ids = np.array([s[1] for s in slots], dtype=np.intp)[:, None]
+    lab = np.array([s[2] for s in slots])[:, None]
+    costs = np.array([instance.items[n].cost if b else zero for _, n, b in slots], dtype=dtype)[:, None]
+    mus = np.array([instance.indices[n].mu for _, n, _ in slots], dtype=dtype)[:, None]
+
+    def batch(prices, coins):
+        trials = prices.shape[1]
+        best = np.full(trials, np.inf, dtype=dtype)  # lowest view price inspected
+        chosen = np.full(trials, zero, dtype=dtype)  # realized price of its item
+        spent = np.full(trials, zero, dtype=dtype)
+        rows = np.arange(trials)  # trials still searching
+        s0, width = 0, _FIRST_BLOCK
+        while rows.size and s0 < len(slots):
+            blk = slice(s0, s0 + width)
+            realized = prices[ids[blk], rows]
+            seen = np.where(lab[blk], realized, mus[blk])
+            active = True if coins is None else coins[ids[blk], rows] == lab[blk]
+            pending = np.where(active, seen, np.inf)
+            # the lowest view price before each slot falls while the keys
+            # rise, so a trial stops at its first active slot whose key is at
+            # least that price
+            before = np.minimum.accumulate(np.vstack([best[rows], pending[:-1]]))
+            stop = active & (before <= keys[blk])
+            stopped = stop.any(axis=0)
+            first = np.where(stopped, stop.argmax(axis=0), len(seen))
+            inspected = active & (np.arange(len(seen))[:, None] < first)
+            steps = np.vstack([spent[rows], np.where(inspected, costs[blk], zero)])
+            spent[rows] = np.cumsum(steps, axis=0)[-1]
+            cand = np.where(inspected, seen, np.inf)
+            at = (cand.argmin(axis=0), np.arange(len(rows)))
+            better = cand[at] < best[rows]
+            best[rows[better]] = cand[at][better]
+            chosen[rows[better]] = realized[at][better]
+            rows = rows[~stopped]
+            s0, width = s0 + width, 2 * width
+        return spent + chosen
+
+    return batch
 
 
 def prepare_obligatory(instance: Instance, engine) -> PreparedPolicy:
@@ -194,15 +284,17 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     (inspect everything, select the cheapest) and ``never-inspect`` (select
     the lowest mean uninspected)."""
     if policy == "weitzman":
-        return prepare_obligatory(instance, reservation_engine)
+        obligatory = prepare_obligatory(instance, reservation_engine)
+        return replace(obligatory, batch=reservation_batch(instance, (True,) * len(instance)))
     if policy == "local-hedging":
-        return prepare_hedged(instance, reservation_engine)
+        return replace(prepare_hedged(instance, reservation_engine), batch=reservation_batch(instance))
     if policy == "commit-enum":
         labels = commit_enum_labeling(instance).labels
         keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
         fixed = reservation_engine(keys, costs)  # the labels never change: sort once
         return PreparedPolicy(
-            lambda realization, coins=None: hedged_trace(instance, lambda *_: fixed, realization, labels)
+            lambda realization, coins=None: hedged_trace(instance, lambda *_: fixed, realization, labels),
+            batch=reservation_batch(instance, labels),
         )
     ids = tuple(range(len(instance)))
     if policy == "inspect-all":
@@ -213,13 +305,14 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
             sel = min(ids, key=lambda n: (prices[n], n))
             return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
 
-        return PreparedPolicy(inspect_all)
+        return PreparedPolicy(inspect_all, batch=lambda prices, coins: inspect_cost + prices.min(axis=0))
     if policy == "never-inspect":
         sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
         return PreparedPolicy(
             lambda realization, coins=None: PolicyTrace(
                 (), frozenset({sel}), frozenset({sel}), realization.prices[sel]
-            )
+            ),
+            batch=lambda prices, coins: prices[sel],
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
 
@@ -339,6 +432,20 @@ def evaluate_policy_exact(
     return evaluate_exact(instance, prepare_policy(instance, policy), budget)
 
 
+def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:
+    """Prices of trials start..start+count-1 as an (items x trials) array of
+    ``dtype``."""
+    lanes = [(item.dist.values, item.dist.probs) for item in instance.items]
+    return sample_columns(lanes, seed, PRICE_STREAM, start, count, dtype)
+
+
+def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.ndarray:
+    """Hedge labels of trials start..start+count-1 as an (items x trials)
+    bool array: item n is labelled with probability p_hedge."""
+    lanes = [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices]
+    return sample_columns(lanes, seed, COIN_STREAM, start, count, bool)
+
+
 def sample_realizations(instance: Instance, seed: int, start: int, count: int):
     """Realizations for trials start..start+count-1 under the seeding contract."""
     dists = [item.dist for item in instance.items]
@@ -347,27 +454,31 @@ def sample_realizations(instance: Instance, seed: int, start: int, count: int):
 
 def sample_coins(instance: Instance, seed: int, start: int, count: int):
     """Hedge labels for trials start..start+count-1 under the seeding contract."""
-    per_item = []
-    for n in range(len(instance)):
-        us = uniforms(seed, n, COIN_STREAM, count, start=start)
-        per_item.append((us < float(instance.indices[n].p_hedge)).tolist())
-    return [HedgeCoins(row) for row in zip(*per_item)]
+    return [HedgeCoins(row) for row in zip(*coin_columns(instance, seed, start, count).tolist())]
 
 
 def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: int):
-    """Yield (realization, trace) for trials 0..count-1; coins are drawn
-    only for a policy that draws them."""
-    if count < 1:
-        raise ValueError("need at least one trial")
-    realizations = sample_realizations(instance, seed, 0, count)
-    coins = sample_coins(instance, seed, 0, count) if prepared.draws_coins else [None] * count
-    for realization, c in zip(realizations, coins):
-        yield realization, prepared.run(realization, c)
+    """Yield (realization, trace) for trials 0..count-1, drawn one chunk at a
+    time; coins are drawn only for a policy that draws them."""
+    for start, size in trial_chunks(count):
+        realizations = sample_realizations(instance, seed, start, size)
+        coins = sample_coins(instance, seed, start, size) if prepared.draws_coins else [None] * size
+        for realization, c in zip(realizations, coins):
+            yield realization, prepared.run(realization, c)
 
 
 def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of a prepared policy's total cost."""
-    return mc_summary(trace.total_cost for _, trace in iter_trials(instance, prepared, seed, trials))
+    """Monte Carlo mean and standard error of a prepared policy's total cost;
+    a policy with an array form runs it one chunk of trials at a time."""
+    if prepared.batch is None:
+        return mc_summary(trace.total_cost for _, trace in iter_trials(instance, prepared, seed, trials))
+    dtype = array_dtype(instance)
+    totals = []
+    for start, size in trial_chunks(trials):
+        prices = price_columns(instance, seed, start, size, dtype)
+        coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
+        totals.append(prepared.batch(prices, coins).astype(np.float64))
+    return mc_summary(np.concatenate(totals))
 
 
 def evaluate_policy_mc(

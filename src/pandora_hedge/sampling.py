@@ -18,6 +18,7 @@ PRICE_STREAM = 0
 COIN_STREAM = 1
 SURROGATE_STREAM = 2
 _NSTREAMS = 4
+MC_CHUNK = 4096  # trials drawn and run at once: bounds Monte Carlo memory
 
 _U64 = (1 << 64) - 1
 _INV53 = float(2.0**-53)
@@ -52,20 +53,40 @@ def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, us, side="right")
 
 
+def trial_chunks(count: int) -> list[tuple[int, int]]:
+    """(start, size) of the ``MC_CHUNK``-trial chunks covering trials
+    0..count-1; every Monte Carlo path draws and runs one chunk at a time."""
+    if count < 1:
+        raise ValueError("need at least one trial")
+    return [(start, min(MC_CHUNK, count - start)) for start in range(0, count, MC_CHUNK)]
+
+
+def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=object) -> np.ndarray:
+    """(lanes x trials) array for trials start..start+count-1: row n holds
+    draws of ``lanes[n] = (values, probs)`` on lane (seed, n, stream).
+
+    With ``dtype=object`` the entries are the values themselves."""
+    out = np.empty((len(lanes), count), dtype=dtype)
+    for n, (values, probs) in enumerate(lanes):
+        us = uniforms(seed, n, stream, count, start=start)
+        out[n] = np.asarray(values, dtype=dtype)[sample_price_indices([float(p) for p in probs], us)]
+    return out
+
+
 def sample_rows(dists, seed: int, stream: int, start: int, count: int) -> list[tuple]:
     """One value row per trial start..start+count-1: entry n is a draw from
     ``dists[n]`` on lane (seed, n, stream)."""
-    per_item = []
-    for n, d in enumerate(dists):
-        idx = sample_price_indices([float(p) for p in d.probs], uniforms(seed, n, stream, count, start=start))
-        values = d.values
-        per_item.append([values[i] for i in idx])
-    return list(zip(*per_item))
+    lanes = [(d.values, d.probs) for d in dists]
+    return list(zip(*sample_columns(lanes, seed, stream, start, count).tolist()))
 
 
 def mc_summary(values: Iterable) -> tuple[float, float]:
-    """Mean and standard error of per-trial Monte Carlo values (as floats)."""
-    vals = np.fromiter((float(v) for v in values), dtype=np.float64)
+    """Mean and standard error of per-trial Monte Carlo values (as floats);
+    ``values`` is an iterable of numbers or an array of them."""
+    if isinstance(values, np.ndarray):
+        vals = np.asarray(values, dtype=np.float64)
+    else:
+        vals = np.fromiter((float(v) for v in values), dtype=np.float64)
     mean_v = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean_v, stderr
