@@ -12,23 +12,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import Numeric
-from .indices import SurrogateKind, surrogate_dist
+from .distkit import DiscreteDist, Numeric, _is_exact
+from .indices import Item, SurrogateKind, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
     PreparedPolicy,
     _price_rows,
     evaluate_exact,
     evaluate_mc,
-    prepare_hedged,
-    prepare_obligatory,
+    hedged_run,
+    obligatory_run,
 )
-from .sampling import SURROGATE_STREAM, mc_summary, sample_rows, trial_chunks
+from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
 class RuleError(RuntimeError):
@@ -220,6 +222,66 @@ def expected_surrogate_cost(
     return total
 
 
+class IntegerGrid:
+    """A model and instance with every number that the frugal composition and
+    ``surrogate_cost`` compare or add multiplied by L, so that exact-mode
+    Monte Carlo runs on Python ints instead of ``Fraction``s.
+
+    In exact mode L is the lcm of the denominators of every cost, support
+    value, mean, reservation and backup price and facility-location distance.
+    A positive scale keeps every comparison, tie and branch, and a total t on
+    the grid leaves it as ``t / L``: int true division is correctly rounded,
+    so it equals ``float(Fraction(t, L))``.  If any of those numbers is not
+    exact (or the terminal is not one this module ships), L is 1 and every
+    number stays as it is.
+    """
+
+    def __init__(self, model: CombModel, instance: Instance):
+        self._model, self._instance = model, instance
+        terminal = model.terminal
+        distances = terminal.distances if isinstance(terminal, FacilityLocationTerminal) else ()
+        numbers = [
+            x
+            for item, ix in zip(instance.items, instance.indices)
+            for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)
+        ]
+        numbers += [d for row in distances for d in row]
+        self.exact = isinstance(terminal, (ZeroTerminal, FacilityLocationTerminal)) and all(map(_is_exact, numbers))
+        self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
+
+    def scale(self, x: Numeric) -> Numeric:
+        return x.numerator * (self.L // x.denominator) if self.exact else x
+
+    @cached_property
+    def model(self) -> CombModel:
+        terminal = self._model.terminal
+        if not self.exact or not isinstance(terminal, FacilityLocationTerminal):
+            return self._model
+        distances = tuple(tuple(map(self.scale, row)) for row in terminal.distances)
+        return replace(self._model, terminal=FacilityLocationTerminal(distances))
+
+    @cached_property
+    def instance(self) -> Instance:
+        if not self.exact:
+            return self._instance
+        s = self.scale
+        items = [
+            Item(item.id, s(item.cost), DiscreteDist(tuple((s(v), p) for v, p in item.dist.atoms)))
+            for item in self._instance.items
+        ]
+        indices = [replace(ix, mu=s(ix.mu), u_rsv=s(ix.u_rsv), u_bkp=s(ix.u_bkp)) for ix in self._instance.indices]
+        return Instance(items, indices)
+
+    def prices(self, columns: np.ndarray) -> np.ndarray:
+        """The (items x trials) price array ``columns``, drawn in
+        ``array_dtype``, on the grid."""
+        if not self.exact:
+            return columns
+        if columns.dtype != object:  # exact small ints held as float64
+            columns = columns.astype(np.int64).astype(object)
+        return np.frompyfunc(self.scale, 1, 1)(columns)
+
+
 def expected_surrogate_cost_mc(
     model: CombModel,
     instance: Instance,
@@ -228,12 +290,13 @@ def expected_surrogate_cost_mc(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
-    trials at a time."""
-    dists = _surrogate_dists(instance, kind)
+    trials at a time and run on the ``IntegerGrid``."""
+    grid = IntegerGrid(model, instance)
+    lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
     return mc_summary(
-        surrogate_cost(model, row)[0]
+        surrogate_cost(grid.model, row)[0] / grid.L
         for start, size in trial_chunks(trials)
-        for row in sample_rows(dists, seed, SURROGATE_STREAM, start, size)
+        for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
     )
 
 
@@ -243,6 +306,11 @@ class GreedyRule:
     Given tentative prices, the currently selected and inspected sets, and the
     model, propose the next item id or return None to declare completion.
     Proposals must keep the selected set extensible to a feasible set.
+
+    Monte Carlo may pass tentative prices (and a model whose terminal costs
+    are) scaled by a positive constant (see ``IntegerGrid``), so a rule may
+    only compare and add them; a rule that uses their size otherwise can
+    give Monte Carlo results that differ from ``run`` and the exact value.
     """
 
     def propose(
@@ -343,19 +411,42 @@ def frugal_engine(model: CombModel, rule: GreedyRule):
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
+def frugal_batch(model: CombModel, instance: Instance, rule: GreedyRule, trial_run):
+    """Array form of a frugal policy for Monte Carlo: ``trial_run(instance,
+    engine)`` (``obligatory_run`` or ``hedged_run``) runs the frugal
+    composition of ``rule`` once per trial column, on the ``IntegerGrid``
+    built at the first call."""
+
+    @cache
+    def on_grid():
+        grid = IntegerGrid(model, instance)
+        return grid, trial_run(grid.instance, frugal_engine(grid.model, rule))
+
+    def batch(prices, coins):
+        grid, run = on_grid()
+        rows = grid.prices(prices).T.tolist()
+        labels = [None] * len(rows) if coins is None else [HedgeCoins(tuple(c)) for c in coins.T.tolist()]
+        return np.array([run(Realization(tuple(r)), c).total_cost / grid.L for r, c in zip(rows, labels)])
+
+    return batch
+
+
 def prepare_comb_policy(
     model: CombModel, instance: Instance, policy: str, rule: Optional[GreedyRule] = None
 ) -> PreparedPolicy:
     """Prepare a combinatorial policy by name: ``frugal-oi`` (the frugal
     composition with obligatory inspection, charged its own total) or
     ``local-hedging`` (two stages: commit labels, then run the frugal
-    composition on the induced obligatory-inspection view)."""
+    composition on the induced obligatory-inspection view).  Monte Carlo runs
+    either on the ``IntegerGrid``."""
     if policy not in COMB_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
-    engine = frugal_engine(model, rule_for_model(model) if rule is None else rule)
-    if policy == "local-hedging":
-        return prepare_hedged(instance, engine)
-    return prepare_obligatory(instance, engine)
+    rule = rule_for_model(model) if rule is None else rule
+    hedged = policy == "local-hedging"
+    trial_run = hedged_run if hedged else obligatory_run
+    engine = frugal_engine(model, rule)
+    batch = frugal_batch(model, instance, rule, trial_run)
+    return PreparedPolicy(trial_run(instance, engine), batch=batch, engine=engine if hedged else None)
 
 
 def frugal_oi_policy(

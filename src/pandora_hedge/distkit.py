@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Numeric = Union[int, float, Fraction]
@@ -78,11 +79,12 @@ class DiscreteDist:
     def point_mass(cls, value: Numeric) -> "DiscreteDist":
         return cls(((value, 1),))
 
-    @property
+    # cached in the instance __dict__, which a frozen dataclass still has
+    @cached_property
     def values(self) -> tuple[Numeric, ...]:
         return tuple(v for v, _ in self.atoms)
 
-    @property
+    @cached_property
     def probs(self) -> tuple[Numeric, ...]:
         return tuple(p for _, p in self.atoms)
 

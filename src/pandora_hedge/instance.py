@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .distkit import Numeric
 from .indices import Item, ItemIndices, compute_indices
@@ -53,28 +53,12 @@ class Realization:
 
     prices: tuple[Numeric, ...]
 
-    @classmethod
-    def from_mapping(cls, instance: Instance, prices: Mapping[int, Numeric]) -> "Realization":
-        if set(prices) != set(range(len(instance))):
-            raise ValueError("realization must cover every item id exactly once")
-        row = tuple(prices[n] for n in range(len(instance)))
-        for n, v in enumerate(row):
-            if v not in instance.items[n].dist.values:
-                raise ValueError(f"price {v} not in the support of item {n}")
-        return cls(row)
-
 
 @dataclass(frozen=True)
 class HedgeCoins:
     """Hedge labels per item id; True marks an obligatory-inspection item."""
 
     labels: tuple[bool, ...]
-
-    @classmethod
-    def from_mapping(cls, instance: Instance, labels: Mapping[int, bool]) -> "HedgeCoins":
-        if set(labels) != set(range(len(instance))):
-            raise ValueError("coins must cover every item id exactly once")
-        return cls(tuple(bool(labels[n]) for n in range(len(instance))))
 
     @classmethod
     def all_obligatory(cls, instance: Instance) -> "HedgeCoins":

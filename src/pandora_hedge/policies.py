@@ -10,7 +10,7 @@ sampling contract, so estimates do not depend on execution order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -71,18 +71,18 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
 class PreparedPolicy:
     """A policy with its trial-independent work done once.
 
-    ``run(realization, coins=None)`` returns one trial's trace.  ``engine``
-    is set only for local hedging, whose labels are drawn afresh each trial:
-    such a policy draws coins, and its exact value marginalizes the labels
-    through the engine.  ``batch(prices, labels)``, where a policy has one,
-    is its array form for Monte Carlo: it maps an (items x trials) price
-    array in the instance's ``array_dtype`` (and, for a policy that draws
-    coins, a label array of the same shape) to the trials' total costs.
+    ``run(realization, coins=None)`` returns one trial's trace.
+    ``batch(prices, labels)`` is its array form for Monte Carlo: it maps an
+    (items x trials) price array in the instance's ``array_dtype`` (and, for
+    a policy that draws coins, a label array of the same shape) to the
+    trials' total costs.  ``engine`` is set only for local hedging, whose
+    labels are drawn afresh each trial: such a policy draws coins, and its
+    exact value marginalizes the labels through the engine.
     """
 
     run: Callable[..., PolicyTrace]
+    batch: Callable[..., np.ndarray]
     engine: Optional[Callable] = None
-    batch: Optional[Callable] = None
 
     @property
     def draws_coins(self) -> bool:
@@ -199,9 +199,10 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
     return batch
 
 
-def prepare_obligatory(instance: Instance, engine) -> PreparedPolicy:
-    """Obligatory inspection on ``engine``: every item keeps its reservation
-    price and cost, and each trial is charged the engine's own total."""
+def obligatory_run(instance: Instance, engine):
+    """One trial of obligatory inspection on ``engine``: every item keeps its
+    reservation price and cost, and the trial is charged the engine's own
+    total."""
     search = engine(instance.reservation_prices, [item.cost for item in instance.items])
 
     def run(realization, coins=None):
@@ -213,7 +214,7 @@ def prepare_obligatory(instance: Instance, engine) -> PreparedPolicy:
             total_cost=total,
         )
 
-    return PreparedPolicy(run)
+    return run
 
 
 def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
@@ -240,15 +241,15 @@ def hedged_trace(instance: Instance, engine, realization: Realization, labels) -
     )
 
 
-def prepare_hedged(instance: Instance, engine) -> PreparedPolicy:
-    """Local hedging on ``engine``: each trial runs on its own coins."""
+def hedged_run(instance: Instance, engine):
+    """One trial of local hedging on ``engine``, on that trial's own coins."""
 
     def run(realization, coins=None):
         if coins is None:
             raise ValueError("local-hedging needs hedge coins")
         return hedged_trace(instance, engine, realization, coins.labels)
 
-    return PreparedPolicy(run, engine)
+    return run
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -284,10 +285,11 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     (inspect everything, select the cheapest) and ``never-inspect`` (select
     the lowest mean uninspected)."""
     if policy == "weitzman":
-        obligatory = prepare_obligatory(instance, reservation_engine)
-        return replace(obligatory, batch=reservation_batch(instance, (True,) * len(instance)))
+        batch = reservation_batch(instance, (True,) * len(instance))
+        return PreparedPolicy(obligatory_run(instance, reservation_engine), batch=batch)
     if policy == "local-hedging":
-        return replace(prepare_hedged(instance, reservation_engine), batch=reservation_batch(instance))
+        run = hedged_run(instance, reservation_engine)
+        return PreparedPolicy(run, batch=reservation_batch(instance), engine=reservation_engine)
     if policy == "commit-enum":
         labels = commit_enum_labeling(instance).labels
         keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
@@ -468,10 +470,8 @@ def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: 
 
 
 def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of a prepared policy's total cost;
-    a policy with an array form runs it one chunk of trials at a time."""
-    if prepared.batch is None:
-        return mc_summary(trace.total_cost for _, trace in iter_trials(instance, prepared, seed, trials))
+    """Monte Carlo mean and standard error of a prepared policy's total cost,
+    run through its array form one chunk of trials at a time."""
     dtype = array_dtype(instance)
     totals = []
     for start, size in trial_chunks(trials):

@@ -9,6 +9,7 @@ any subset of trials in any order and still reproduce bit-identical results.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -24,9 +25,27 @@ _U64 = (1 << 64) - 1
 _INV53 = float(2.0**-53)
 
 
-def _generator(seed: int, item: int, stream: int) -> Philox:
-    key = np.array([seed & _U64, item * _NSTREAMS + stream], dtype=np.uint64)
-    return Philox(key=key)
+_local = threading.local()  # one generator per thread, re-keyed per call
+
+
+def _generator(seed: int, item: int, stream: int, start: int) -> Philox:
+    """The lane's Philox with its counter at trial ``start`` and an empty
+    buffer: the state of ``Philox(key=...)`` advanced by ``start``."""
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        bg = _local.philox = Philox(0)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([start, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed & _U64, item * _NSTREAMS + stream], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
 
 
 def _to_unit(raw: np.ndarray) -> np.ndarray:
@@ -36,10 +55,7 @@ def _to_unit(raw: np.ndarray) -> np.ndarray:
 
 def uniforms(seed: int, item: int, stream: int, n: int, start: int = 0) -> np.ndarray:
     """Uniform draws for trials start..start+n-1 of one (item, stream) lane."""
-    bg = _generator(seed, item, stream)
-    if start:
-        bg.advance(start)
-    raw = bg.random_raw(4 * n)[::4]  # first word of each counter block
+    raw = _generator(seed, item, stream, start).random_raw(4 * n)[::4]  # first word of each counter block
     return _to_unit(raw)
 
 def uniform_at(seed: int, item: int, stream: int, trial: int) -> float:

@@ -1,0 +1,267 @@
+"""Exact-mode combinatorial Monte Carlo runs on an integer grid: every
+estimate equals the summary of the per-trial ``Fraction`` results, bit for
+bit, and float-mode instances keep their own numbers."""
+
+import itertools
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from pandora_hedge import (
+    CombModel,
+    DiscreteDist,
+    ExplicitFamily,
+    FacilityLocationTerminal,
+    GraphicMatroid,
+    Instance,
+    Item,
+    SurrogateKind,
+    UniformMatroid,
+    ZeroTerminal,
+    evaluate_comb_policy_mc,
+    expected_surrogate_cost_mc,
+    prepare_comb_policy,
+    surrogate_cost,
+)
+from pandora_hedge import sampling
+from pandora_hedge.combinatorial import (
+    COMB_POLICIES,
+    GraphicMatroidRule,
+    IntegerGrid,
+    RuleError,
+    UniformMatroidRule,
+)
+from pandora_hedge.indices import compute_indices, surrogate_dist
+from pandora_hedge.policies import (
+    array_dtype,
+    coin_columns,
+    price_columns,
+    sample_coins,
+    sample_realizations,
+)
+from pandora_hedge.randgen import random_comb_instance, random_instance
+from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_rows
+
+SEED = 5
+
+
+def _dist(pairs):
+    return DiscreteDist(tuple(pairs))
+
+
+def tie_heavy():
+    """Six exact items with thirds and sevenths: two identical items (equal
+    keys), a mean equal to another item's support value, a free item
+    (p_hedge 1, key at its lowest value), a point mass and a too-costly item
+    (p_hedge 0, key at its mean)."""
+    third = F(1, 3)
+    items = [
+        (F(1, 7), _dist(((F(1), F(1, 2)), (F(3), F(1, 2))))),  # mean 2
+        (F(1, 7), _dist(((F(1), F(1, 2)), (F(3), F(1, 2))))),  # same keys as item 0
+        (F(0), _dist(((F(2), third), (F(8, 3), 2 * third)))),  # free; 2 is item 0's mean
+        (F(0), _dist(((F(2), F(1)),))),  # point mass at 2
+        (F(5), _dist(((F(4, 3), F(1, 2)), (F(8, 3), F(1, 2))))),  # too costly: key 2
+        (F(1, 21), _dist(((F(1), F(1, 4)), (F(2), F(1, 2)), (F(3), F(1, 4))))),
+    ]
+    return Instance([Item(n, c, d) for n, (c, d) in enumerate(items)])
+
+
+def uniform(k, n):
+    return CombModel(UniformMatroid(k), ZeroTerminal(), n)
+
+
+def square_with_diagonals(n):
+    edges = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3))[:n]
+    return CombModel(GraphicMatroid(edges), ZeroTerminal(), n)
+
+
+def facility(n, family=None):
+    rng = random.Random(n)
+    rows = [[F(rng.randint(0, 12), rng.choice((1, 3, 5))) for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = F(0)
+    distances = tuple(tuple(row) for row in rows)
+    return CombModel(family or UniformMatroid(1), FacilityLocationTerminal(distances), n)
+
+
+def all_nonempty(n):
+    return ExplicitFamily(
+        tuple(frozenset(s) for size in range(1, n + 1) for s in itertools.combinations(range(n), size))
+    )
+
+
+def big_grid():
+    """Denominators are distinct primes near 10^5, so L exceeds 10^20 and
+    L times the largest value is far above 2^53."""
+    primes = (100003, 100019, 100043, 100049)
+    items = [
+        Item(n, F(1, p), _dist(((F(p + n, p), F(1, 2)), (F(3 * p + 1, p), F(1, 2)))))
+        for n, p in enumerate(primes)
+    ]
+    return Instance(items)
+
+
+def all_int():
+    """Int costs, values and indices (given, as ints): an exact instance
+    whose price arrays are float64."""
+    pairs = [(1, (0, 4)), (0, (1, 3)), (1, (0, 8)), (2, (5, 7))]
+    items = [Item(n, c, _dist(((lo, F(1, 2)), (hi, F(1, 2))))) for n, (c, (lo, hi)) in enumerate(pairs)]
+    indices = []
+    for item in items:
+        ix = compute_indices(item)
+        indices.append(replace(ix, mu=int(ix.mu), u_rsv=int(ix.u_rsv), u_bkp=int(ix.u_bkp)))
+        assert (ix.mu, ix.u_rsv, ix.u_bkp) == (indices[-1].mu, indices[-1].u_rsv, indices[-1].u_bkp)
+    return Instance(items, indices)
+
+
+def _random_models(exact):
+    rng = random.Random(61 if exact else 60)
+    for k, graphic in ((1, False), (2, False), (3, True), (5, True)):
+        inst = random_instance(rng, n_items=k + 1 if not graphic else k, max_support=3, exact=exact)
+        yield (square_with_diagonals(len(inst)) if graphic else uniform(k, len(inst))), inst
+    for _ in range(3):
+        yield random_comb_instance(rng, max_items=6, exact=exact)
+
+
+def _exact_cases():
+    inst = tie_heavy()
+    yield uniform(2, len(inst)), inst
+    yield uniform(1, len(inst)), inst
+    yield square_with_diagonals(len(inst)), inst
+    yield facility(len(inst)), inst
+    big = big_grid()
+    yield uniform(2, len(big)), big
+    yield square_with_diagonals(len(big)), big
+    ints = all_int()
+    yield uniform(2, len(ints)), ints
+    yield square_with_diagonals(len(ints)), ints
+    yield from _random_models(True)
+
+
+def _reference_totals(model, instance, policy, count, rule=None):
+    """Per-trial totals of ``run`` on the seeded draws: today's numbers."""
+    run = prepare_comb_policy(model, instance, policy, rule).run
+    realizations = sample_realizations(instance, SEED, 0, count)
+    coins = sample_coins(instance, SEED, 0, count)
+    return [run(r, c).total_cost for r, c in zip(realizations, coins)]
+
+
+def _reference_surrogate(model, instance, kind, count):
+    dists = [surrogate_dist(item, kind) for item in instance.items]
+    return [surrogate_cost(model, row)[0] for row in sample_rows(dists, SEED, SURROGATE_STREAM, 0, count)]
+
+
+def test_cases_cover_ties_and_a_grid_beyond_float():
+    inst = tie_heavy()
+    keys = [ix.u_rsv for ix in inst.indices]
+    assert keys[0] == keys[1] and inst.indices[0].mu == 2 and inst.indices[4].mu == 2
+    assert inst.indices[2].p_hedge == 1 and inst.indices[4].p_hedge == 0 and 0 < inst.indices[0].p_hedge < 1
+    big = big_grid()
+    grid = IntegerGrid(uniform(2, len(big)), big)
+    assert grid.L * max(item.dist.max_support for item in big.items) > 2**53
+    ints = all_int()
+    assert array_dtype(ints) is not object and IntegerGrid(uniform(2, len(ints)), ints).L == 1
+    assert 0 < ints.indices[2].p_hedge < 1
+
+
+def test_grid_numbers_are_ints_and_scale_exactly():
+    model, inst = facility(len(tie_heavy())), tie_heavy()
+    grid = IntegerGrid(model, inst)
+    assert grid.exact and grid.L % 21 == 0
+    scaled = grid.instance
+    for item, on_grid, ix, ix_grid in zip(inst.items, scaled.items, inst.indices, scaled.indices):
+        for x, g in zip((item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp),
+                        (on_grid.cost, *on_grid.dist.values, ix_grid.mu, ix_grid.u_rsv, ix_grid.u_bkp)):
+            assert type(g) is int and g == x * grid.L
+        assert on_grid.dist.probs == item.dist.probs and ix_grid.p_hedge == ix.p_hedge
+    for row, row_grid in zip(model.terminal.distances, grid.model.terminal.distances):
+        assert [d * grid.L for d in row] == list(row_grid)
+
+
+@pytest.mark.parametrize("policy", COMB_POLICIES)
+class TestPoliciesOnTheGrid:
+    @pytest.mark.parametrize("count", [1, 2, 37])
+    def test_batch_totals_equal_fraction_totals(self, policy, count):
+        for model, inst in _exact_cases():
+            expected = _reference_totals(model, inst, policy, count)
+            assert all(isinstance(t, (F, int)) for t in expected)
+            prepared = prepare_comb_policy(model, inst, policy)
+            prices = price_columns(inst, SEED, 0, count, array_dtype(inst))
+            coins = coin_columns(inst, SEED, 0, count) if prepared.draws_coins else None
+            assert prepared.batch(prices, coins).tolist() == [float(t) for t in expected]
+
+    def test_mc_equals_per_trial_summary(self, policy):
+        for model, inst in _exact_cases():
+            expected = mc_summary(_reference_totals(model, inst, policy, 60))
+            assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
+
+    def test_straddles_a_chunk_boundary(self, policy, monkeypatch):
+        monkeypatch.setattr(sampling, "MC_CHUNK", 7)
+        for model, inst in _exact_cases():
+            for count in (6, 7, 8, 22):
+                expected = mc_summary(_reference_totals(model, inst, policy, count))
+                assert evaluate_comb_policy_mc(model, inst, policy, count, SEED) == expected
+
+    def test_float_mode_keeps_its_numbers(self, policy):
+        for model, inst in _random_models(False):
+            grid = IntegerGrid(model, inst)
+            assert not grid.exact and grid.L == 1 and grid.instance is inst and grid.model is model
+            expected = mc_summary(_reference_totals(model, inst, policy, 60))
+            assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
+
+    def test_rules_see_ints_in_exact_mode(self, policy):
+        seen = set()
+
+        class Recording(UniformMatroidRule):
+            def propose(self, tau, selected, inspected, model):
+                seen.update(type(t) for t in tau)
+                return super().propose(tau, selected, inspected, model)
+
+        inst = tie_heavy()
+        evaluate_comb_policy_mc(uniform(2, len(inst)), inst, policy, 20, SEED, rule=Recording())
+        assert seen == {int}
+
+    def test_misbehaving_rule_raises_from_mc(self, policy):
+        class Repeats(GraphicMatroidRule):
+            def propose(self, tau, selected, inspected, model):
+                return next(iter(selected)) if selected else super().propose(tau, selected, inspected, model)
+
+        class QuitsEarly(UniformMatroidRule):
+            def propose(self, tau, selected, inspected, model):
+                return None
+
+        inst = tie_heavy()
+        with pytest.raises(RuleError, match="already-selected"):
+            evaluate_comb_policy_mc(square_with_diagonals(len(inst)), inst, policy, 20, SEED, rule=Repeats())
+        with pytest.raises(RuleError, match="infeasible"):
+            evaluate_comb_policy_mc(uniform(2, len(inst)), inst, policy, 20, SEED, rule=QuitsEarly())
+
+
+def _surrogate_cases(exact):
+    if exact:
+        inst = tie_heavy()
+        yield CombModel(all_nonempty(len(inst)), ZeroTerminal(), len(inst)), inst
+        small = Instance(inst.items[:4])
+        yield facility(len(small), all_nonempty(len(small))), small
+        yield from _exact_cases()
+    else:
+        yield from _random_models(False)
+
+
+@pytest.mark.parametrize("kind", list(SurrogateKind))
+class TestSurrogateMcOnTheGrid:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_equals_per_row_summary(self, kind, exact):
+        for model, inst in _surrogate_cases(exact):
+            assert IntegerGrid(model, inst).exact == exact
+            expected = _reference_surrogate(model, inst, kind, 60)
+            assert expected_surrogate_cost_mc(model, inst, kind, 60, SEED) == mc_summary(expected)
+
+    def test_straddles_a_chunk_boundary(self, kind, monkeypatch):
+        monkeypatch.setattr(sampling, "MC_CHUNK", 7)
+        for model, inst in _surrogate_cases(True):
+            for count in (6, 8, 22):
+                expected = mc_summary(_reference_surrogate(model, inst, kind, count))
+                assert expected_surrogate_cost_mc(model, inst, kind, count, SEED) == expected

@@ -1,4 +1,8 @@
+import threading
+
 import numpy as np
+import pytest
+from numpy.random import Philox
 
 from pandora_hedge.policies import sample_coins, sample_realizations
 from pandora_hedge.sampling import (
@@ -40,6 +44,25 @@ class TestCounterContract:
         whole = uniforms(9, 1, PRICE_STREAM, 40)
         for t in (0, 1, 17, 39):
             assert uniform_at(9, 1, PRICE_STREAM, t) == whole[t]
+
+    @pytest.mark.parametrize("start", [0, 5, 4096, 2**40])
+    def test_reused_generator_equals_a_fresh_philox(self, start):
+        def fresh(seed, item, stream, n):
+            bg = Philox(key=np.array([seed, item * 4 + stream], dtype=np.uint64))
+            bg.advance(start)
+            return (bg.random_raw(4 * n)[::4] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+        # interleave lanes and lengths so that state left by one call would show in the next
+        for seed, item, stream, n in ((3, 0, PRICE_STREAM, 7), (3, 1, COIN_STREAM, 1), (2**64 - 1, 5, 2, 13)):
+            assert np.array_equal(uniforms(seed, item, stream, n, start=start), fresh(seed, item, stream, n))
+
+    def test_each_thread_draws_the_same(self):
+        main = uniforms(4, 2, PRICE_STREAM, 64, start=9)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(uniforms(4, 2, PRICE_STREAM, 64, start=9)))
+        worker.start()
+        worker.join()
+        assert np.array_equal(seen[0], main)
 
     def test_unit_interval(self):
         u = uniforms(5, 0, 0, 10_000)
