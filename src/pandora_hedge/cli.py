@@ -10,20 +10,20 @@ import argparse
 import os
 import random
 import sys
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError
-from .combinatorial import expected_surrogate_cost, expected_surrogate_cost_mc, prepare_comb_policy
-from .distkit import mean, min_of_independent
-from .indices import SurrogateKind, surrogate_dist
+from .combinatorial import expected_surrogate_cost_mc, prepare_comb_policy
+from .indices import SurrogateKind
 from .instancefile import InstanceFormatError, LoadedInstance, load_instance
-from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import evaluate_exact, evaluate_mc, iter_trials, prepare_policy
 from .randgen import random_comb_instance, random_instance
 from .report import Report, items_block, ratio_block, _num
-from .verify import BUDGET_SKIP, run_checks
+from .verify import ExactValues, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -108,54 +108,40 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _bounds_block(loaded, budget, mc, trials, seed):
+def _bounds_block(values: ExactValues, mc, trials, seed):
     bounds = {}
-    if loaded.model is None:
-        for kind in SurrogateKind:
-            dists = [surrogate_dist(item, kind) for item in loaded.instance.items]
-            bounds[f"E[min W^{kind.name}]"] = _num(mean(min_of_independent(dists)))
-    else:
-        for kind in SurrogateKind:
-            key = f"E[Z^{kind.name}]"
-            try:
-                bounds[key] = _num(expected_surrogate_cost(loaded.model, loaded.instance, kind, budget))
-            except BudgetExceededError:
-                if not mc:
-                    raise
-                est, err = expected_surrogate_cost_mc(loaded.model, loaded.instance, kind, trials, seed)
-                bounds[key] = est
-                bounds[key + " stderr"] = err
+    for kind in SurrogateKind:
+        key = values.one_shot_name(kind)
+        try:
+            bounds[key] = _num(values.one_shot(kind))
+        except BudgetExceededError:
+            if not mc:
+                raise
+            est, err = expected_surrogate_cost_mc(values.model, values.instance, kind, trials, seed)
+            bounds[key] = est
+            bounds[key + " stderr"] = err
     return bounds
 
 
-def _oracle_block(loaded, budget):
+def _oracle_block(values: ExactValues):
     """Optimal-policy values, included only when the DP budget permits."""
-    oracle = {}
     try:
-        if loaded.model is None:
-            oracle["optimal NOI"] = _num(opt_value_single_noi(loaded.instance, budget))
-            oracle["optimal OI"] = _num(opt_value_single_oi(loaded.instance, budget))
-        else:
-            oracle["optimal NOI"] = _num(opt_value_comb_noi(loaded.model, loaded.instance, budget))
+        optima = {kind: values.optimum(kind) for kind in (SurrogateKind.NOI, SurrogateKind.OI)}
     except BudgetExceededError:
         return None
-    return oracle
+    return {f"optimal {kind.name}": _num(v) for kind, v in optima.items() if v is not None}
 
 
 def cmd_bounds(args, budget) -> int:
     loaded = load_instance(args.path)
-    bounds = _bounds_block(loaded, budget, args.mc, args.trials, args.seed)
-    lh_key = "E[Z^LH]" if loaded.model is not None else "E[min W^LH]"
-    noi_key = "E[Z^NOI]" if loaded.model is not None else "E[min W^NOI]"
-    ratio = None
-    if lh_key in bounds and noi_key in bounds:
-        lh, noi = float(Fraction(bounds[lh_key])), float(Fraction(bounds[noi_key]))
-        ratio = ratio_block(lh, noi, float(loaded.instance.max_alpha))
+    values = ExactValues(loaded.instance, loaded.model, budget)
+    bounds = _bounds_block(values, args.mc, args.trials, args.seed)
+    lh, noi = (Fraction(bounds[values.one_shot_name(kind)]) for kind in (SurrogateKind.LH, SurrogateKind.NOI))
     report = Report(
         items=items_block(loaded.instance),
         bounds=bounds,
-        ratio=ratio,
-        oracle=_oracle_block(loaded, budget),
+        ratio=ratio_block(lh, noi, loaded.instance.max_alpha),
+        oracle=_oracle_block(values),
     )
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return EXIT_OK if report.ratio_ok() else EXIT_VERIFY_FAIL
@@ -197,14 +183,21 @@ def cmd_simulate(args, budget) -> int:
     return EXIT_OK
 
 
-def _verify_one(loaded, budget, label, failures, out_checks):
-    results = run_checks(loaded.instance, loaded.model, budget)
-    for r in results:
-        out_checks.append(
-            {"instance": label, "name": r.name, "passed": r.passed, "max_violation": r.max_violation, "detail": r.detail}
-        )
-        if not r.passed:
-            failures.append((label, r.name))
+def _verify_summary(checks, sources) -> str:
+    """One line per check name, then the totals.  A check reads pass when a
+    run passed, else skip when a run was over budget, else n/a: no run
+    applied."""
+    lines = []
+    for name in sorted({row["name"] for row in checks}):
+        rows = [row for row in checks if row["name"] == name]
+        count = Counter(row["status"] for row in rows)
+        status = f"FAIL ({count['fail']})" if count["fail"] else next(s for s in ("pass", "skip", "n/a") if count[s])
+        worst = max(row["max_violation"] for row in rows)
+        lines.append(f"{status:>10}  {name:<44} runs {len(rows):>4}  max violation {worst:.3g}")
+    total = Counter(row["status"] for row in checks)
+    tail = "".join(f", {total[s]} {what}" for s, what in (("skip", "skipped (budget)"), ("n/a", "not applicable")) if total[s])
+    lines.append(f"{sources} instance(s), {len(checks)} checks, {total['fail']} failure(s){tail}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args, budget) -> int:
@@ -229,28 +222,13 @@ def cmd_verify(args, budget) -> int:
     if not sources:
         sys.stderr.write("verify needs a path, --corpus, or --random N\n")
         return EXIT_USAGE
-    failures: list[tuple[str, str]] = []
-    checks: list[dict] = []
-    for label, loaded in sources:
-        _verify_one(loaded, budget, label, failures, checks)
-    report = Report(checks=checks)
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        per_name: dict[str, tuple[int, int, float]] = {}
-        for row in checks:
-            count, skipped, worst = per_name.get(row["name"], (0, 0, 0.0))
-            skipped += row["detail"] == BUDGET_SKIP
-            per_name[row["name"]] = (count + 1, skipped, max(worst, row["max_violation"]))
-        for name in sorted(per_name):
-            count, skipped, worst = per_name[name]
-            bad = sum(1 for f in failures if f[1] == name)
-            status = f"FAIL ({bad})" if bad else "skip" if skipped == count else "pass"
-            sys.stdout.write(f"{status:>10}  {name:<44} runs {count:>4}  max violation {worst:.3g}\n")
-        skips = sum(row["detail"] == BUDGET_SKIP for row in checks)
-        tail = f", {skips} skipped (budget)" if skips else ""
-        sys.stdout.write(f"{len(sources)} instance(s), {len(checks)} checks, {len(failures)} failure(s){tail}\n")
-    return EXIT_OK if not failures else EXIT_VERIFY_FAIL
+    checks = [
+        {"instance": label, "status": r.status, **asdict(r)}
+        for label, loaded in sources
+        for r in run_checks(loaded.instance, loaded.model, budget)
+    ]
+    sys.stdout.write(Report(checks=checks).to_json() if args.json else _verify_summary(checks, len(sources)))
+    return EXIT_VERIFY_FAIL if any(row["status"] == "fail" for row in checks) else EXIT_OK
 
 
 def main(argv=None) -> int:

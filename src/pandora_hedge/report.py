@@ -16,8 +16,6 @@ def _num(x) -> Any:
     """JSON-safe number: exact rationals render as strings."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return x
     return x
 
 
@@ -104,13 +102,6 @@ class Report:
                 lines.append(f"  {key:<24} {_cell(self.ratio[key])}")
             if not self.ratio_ok():
                 lines.append("  FAIL: ratio exceeds its certified ceiling")
-        if self.checks is not None:
-            lines.append("")
-            lines.append("checks:")
-            for row in self.checks:
-                status = "pass" if row["passed"] else "FAIL"
-                detail = f"  [{row['detail']}]" if row.get("detail") else ""
-                lines.append(f"  {status}  {row['name']:<44} max violation {row['max_violation']:.3g}{detail}")
         return "\n".join(lines) + "\n"
 
 

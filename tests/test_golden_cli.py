@@ -44,6 +44,9 @@ def _commands() -> list[tuple[str, ...]]:
             cmds.append(("simulate", rel, "--policy", policy, "--exact", "--json"))
         cmds.append(("verify", rel))
     cmds.append(("verify", "--corpus", "corpus"))
+    cmds.append(("verify", "--corpus", "corpus", "--budget", "0"))
+    cmds.append(("verify", "--corpus", "corpus", "--budget", "10"))
+    cmds.append(("verify", "--corpus", "corpus", "--budget", "10", "--json"))
     cmds.append(("verify", "--random", "20", "--seed", "42"))
     cmds.append(("verify", "--random", "20", "--seed", "42", "--json"))
     return cmds
