@@ -38,15 +38,15 @@ RANDOM_HELP = (
 )
 
 
-def _bounded_int(name: str, expected: str = "a nonnegative integer", upper: Optional[int] = None):
-    """argparse type for an integer in [0, upper), with an error naming the value."""
+def _bounded_int(name: str, expected: str = "a nonnegative integer", upper: Optional[int] = None, lower: int = 0):
+    """argparse type for an integer in [lower, upper), with an error naming the value."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = -1
-        if value < 0 or (upper is not None and value >= upper):
+            value = lower - 1
+        if value < lower or (upper is not None and value >= upper):
             raise argparse.ArgumentTypeError(f"{name} must be {expected}, got {text!r}")
         return value
 
@@ -55,6 +55,7 @@ def _bounded_int(name: str, expected: str = "a nonnegative integer", upper: Opti
 
 _budget = _bounded_int("budget")
 _seed = _bounded_int("seed", "an integer in [0, 2^64)", 2**64)
+_trials = _bounded_int("trials", "a positive integer", lower=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="one-shot surrogate bounds")
     p_bounds.add_argument("path")
     p_bounds.add_argument("--mc", action="store_true", help="Monte Carlo fallback for large instances")
-    p_bounds.add_argument("--trials", type=int, default=100_000)
+    p_bounds.add_argument("--trials", type=_trials, default=100_000)
     p_bounds.add_argument("--seed", type=_seed, default=0)
     common(p_bounds)
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("path")
     p_sim.add_argument("--policy", required=True)
     p_sim.add_argument("--exact", action="store_true", help="exact expectation by enumeration")
-    p_sim.add_argument("--trials", type=int, default=10_000)
+    p_sim.add_argument("--trials", type=_trials, default=10_000)
     p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--trace", type=_bounded_int("trace"), default=0, metavar="K", help="print K sampled policy traces")
     common(p_sim)

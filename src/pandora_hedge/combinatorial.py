@@ -13,16 +13,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import DiscreteDist, Numeric, _is_exact
-from .indices import Item, SurrogateKind, surrogate_dist
+from .distkit import Numeric
+from .indices import SurrogateKind, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
+    IntegerGrid,
     PreparedPolicy,
     _price_rows,
     evaluate_exact,
@@ -124,6 +125,8 @@ Family = Union[ExplicitFamily, UniformMatroid, GraphicMatroid]
 
 @dataclass(frozen=True)
 class ZeroTerminal:
+    distances = ()  # no item location pays a connection cost
+
     def cost(self, selected: frozenset[int]) -> Numeric:
         return 0
 
@@ -222,64 +225,12 @@ def expected_surrogate_cost(
     return total
 
 
-class IntegerGrid:
-    """A model and instance with every number that the frugal composition and
-    ``surrogate_cost`` compare or add multiplied by L, so that exact-mode
-    Monte Carlo runs on Python ints instead of ``Fraction``s.
-
-    In exact mode L is the lcm of the denominators of every cost, support
-    value, mean, reservation and backup price and facility-location distance.
-    A positive scale keeps every comparison, tie and branch, and a total t on
-    the grid leaves it as ``t / L``: int true division is correctly rounded,
-    so it equals ``float(Fraction(t, L))``.  If any of those numbers is not
-    exact (or the terminal is not one this module ships), L is 1 and every
-    number stays as it is.
-    """
-
-    def __init__(self, model: CombModel, instance: Instance):
-        self._model, self._instance = model, instance
-        terminal = model.terminal
-        distances = terminal.distances if isinstance(terminal, FacilityLocationTerminal) else ()
-        numbers = [
-            x
-            for item, ix in zip(instance.items, instance.indices)
-            for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)
-        ]
-        numbers += [d for row in distances for d in row]
-        self.exact = isinstance(terminal, (ZeroTerminal, FacilityLocationTerminal)) and all(map(_is_exact, numbers))
-        self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
-
-    def scale(self, x: Numeric) -> Numeric:
-        return x.numerator * (self.L // x.denominator) if self.exact else x
-
-    @cached_property
-    def model(self) -> CombModel:
-        terminal = self._model.terminal
-        if not self.exact or not isinstance(terminal, FacilityLocationTerminal):
-            return self._model
-        distances = tuple(tuple(map(self.scale, row)) for row in terminal.distances)
-        return replace(self._model, terminal=FacilityLocationTerminal(distances))
-
-    @cached_property
-    def instance(self) -> Instance:
-        if not self.exact:
-            return self._instance
-        s = self.scale
-        items = [
-            Item(item.id, s(item.cost), DiscreteDist(tuple((s(v), p) for v, p in item.dist.atoms)))
-            for item in self._instance.items
-        ]
-        indices = [replace(ix, mu=s(ix.mu), u_rsv=s(ix.u_rsv), u_bkp=s(ix.u_bkp)) for ix in self._instance.indices]
-        return Instance(items, indices)
-
-    def prices(self, columns: np.ndarray) -> np.ndarray:
-        """The (items x trials) price array ``columns``, drawn in
-        ``array_dtype``, on the grid."""
-        if not self.exact:
-            return columns
-        if columns.dtype != object:  # exact small ints held as float64
-            columns = columns.astype(np.int64).astype(object)
-        return np.frompyfunc(self.scale, 1, 1)(columns)
+def model_on_grid(model: CombModel, grid: IntegerGrid) -> CombModel:
+    """``model`` with its facility-location distances scaled onto ``grid``."""
+    distances = model.terminal.distances
+    if not grid.exact or not distances:
+        return model
+    return replace(model, terminal=FacilityLocationTerminal(tuple(tuple(map(grid.scale, row)) for row in distances)))
 
 
 def expected_surrogate_cost_mc(
@@ -290,11 +241,12 @@ def expected_surrogate_cost_mc(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
-    trials at a time and run on the ``IntegerGrid``."""
-    grid = IntegerGrid(model, instance)
+    trials at a time and run on the instance's ``IntegerGrid``."""
+    grid = IntegerGrid(instance, [d for row in model.terminal.distances for d in row])
+    on_grid = model_on_grid(model, grid)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
     return mc_summary(
-        surrogate_cost(grid.model, row)[0] / grid.L
+        surrogate_cost(on_grid, row)[0] / grid.L
         for start, size in trial_chunks(trials)
         for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
     )
@@ -411,22 +363,18 @@ def frugal_engine(model: CombModel, rule: GreedyRule):
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
-def frugal_batch(model: CombModel, instance: Instance, rule: GreedyRule, trial_run):
-    """Array form of a frugal policy for Monte Carlo: ``trial_run(instance,
+def frugal_batch(model: CombModel, rule: GreedyRule, trial_run, grid: IntegerGrid):
+    """Array form of a frugal policy on ``grid``: ``trial_run(instance,
     engine)`` (``obligatory_run`` or ``hedged_run``) runs the frugal
-    composition of ``rule`` once per trial column, on the ``IntegerGrid``
-    built at the first call."""
-
-    @cache
-    def on_grid():
-        grid = IntegerGrid(model, instance)
-        return grid, trial_run(grid.instance, frugal_engine(grid.model, rule))
+    composition of ``rule`` on the grid once per trial column."""
+    run = trial_run(grid.instance, frugal_engine(model_on_grid(model, grid), rule))
 
     def batch(prices, coins):
-        grid, run = on_grid()
-        rows = grid.prices(prices).T.tolist()
+        if grid.exact and prices.dtype != object:  # exact small ints drawn as float64
+            prices = prices.astype(np.int64)
+        rows = prices.T.tolist()
         labels = [None] * len(rows) if coins is None else [HedgeCoins(tuple(c)) for c in coins.T.tolist()]
-        return np.array([run(Realization(tuple(r)), c).total_cost / grid.L for r, c in zip(rows, labels)])
+        return [run(Realization(tuple(r)), c).total_cost for r, c in zip(rows, labels)]
 
     return batch
 
@@ -445,8 +393,9 @@ def prepare_comb_policy(
     hedged = policy == "local-hedging"
     trial_run = hedged_run if hedged else obligatory_run
     engine = frugal_engine(model, rule)
-    batch = frugal_batch(model, instance, rule, trial_run)
-    return PreparedPolicy(trial_run(instance, engine), batch=batch, engine=engine if hedged else None)
+    batch = partial(frugal_batch, model, rule, trial_run)
+    distances = tuple(d for row in model.terminal.distances for d in row)
+    return PreparedPolicy(trial_run(instance, engine), batch, engine if hedged else None, distances)
 
 
 def frugal_oi_policy(

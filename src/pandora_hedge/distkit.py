@@ -96,10 +96,6 @@ class DiscreteDist:
     def max_support(self) -> Numeric:
         return self.atoms[-1][0]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) and _is_exact(p) for v, p in self.atoms)
-
     def __len__(self) -> int:
         return len(self.atoms)
 

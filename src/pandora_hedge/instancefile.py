@@ -202,6 +202,7 @@ def load_instance(path: str | Path) -> LoadedInstance:
 
 
 def _encode_number(x: Numeric):
+    """JSON-safe number: exact rationals render as strings."""
     if isinstance(x, Fraction):
         return str(x)
     return x

@@ -10,8 +10,10 @@ sampling contract, so estimates do not depend on execution order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import (
     DiscreteDist,
     Numeric,
+    _is_exact,
     mean,
     min_of_independent,
     min_with_constant_expectation,
@@ -67,22 +70,65 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
     return min(candidates)
 
 
+class IntegerGrid:
+    """An instance with every number that Monte Carlo compares or adds (each
+    cost, support value, mean, reservation and backup price, plus ``extra``
+    numbers such as a model's facility-location distances) multiplied by L,
+    so that exact-mode Monte Carlo runs on Python ints.
+
+    ``exact`` (every such number is an int or ``Fraction``) is the package's
+    one test of exact mode.  In exact mode L is the lcm of the numbers'
+    denominators: a positive scale keeps every comparison, tie and branch,
+    the probabilities (so the draws) are unchanged, and a total t leaves the
+    grid as ``t / L`` in int true division, which rounds correctly.
+    Otherwise L is 1 and the grid is the instance itself.  The scaled
+    ``instance`` is built on first use, so reading ``exact`` scales nothing.
+    """
+
+    def __init__(self, instance: Instance, extra: Sequence[Numeric] = ()):
+        self._instance = instance
+        numbers = [
+            x
+            for item, ix in zip(instance.items, instance.indices)
+            for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)
+        ] + list(extra)
+        self.exact = all(map(_is_exact, numbers))
+        self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
+
+    def scale(self, x: Numeric) -> Numeric:
+        return x.numerator * (self.L // x.denominator) if self.exact else x
+
+    @cached_property
+    def instance(self) -> Instance:
+        if not self.exact:
+            return self._instance
+        s = self.scale
+        items = [
+            Item(item.id, s(item.cost), DiscreteDist(tuple((s(v), p) for v, p in item.dist.atoms)))
+            for item in self._instance.items
+        ]
+        indices = [replace(ix, mu=s(ix.mu), u_rsv=s(ix.u_rsv), u_bkp=s(ix.u_bkp)) for ix in self._instance.indices]
+        return Instance(items, indices)
+
+
 @dataclass(frozen=True)
 class PreparedPolicy:
     """A policy with its trial-independent work done once.
 
     ``run(realization, coins=None)`` returns one trial's trace.
-    ``batch(prices, labels)`` is its array form for Monte Carlo: it maps an
-    (items x trials) price array in the instance's ``array_dtype`` (and, for
-    a policy that draws coins, a label array of the same shape) to the
-    trials' total costs.  ``engine`` is set only for local hedging, whose
-    labels are drawn afresh each trial: such a policy draws coins, and its
-    exact value marginalizes the labels through the engine.
+    ``batch(grid)`` builds its array form for Monte Carlo on the instance's
+    ``IntegerGrid`` over ``grid_numbers``: a function that maps an (items x
+    trials) array of the grid's prices in ``array_dtype(grid.instance)``
+    (and, for a policy that draws coins, a label array of the same shape) to
+    the trials' totals on the grid.  ``engine`` is set only for local
+    hedging, whose labels are drawn afresh each trial: such a policy draws
+    coins, and its exact value marginalizes the labels through the engine.
     """
 
     run: Callable[..., PolicyTrace]
-    batch: Callable[..., np.ndarray]
+    batch: Callable[[IntegerGrid], Callable]
     engine: Optional[Callable] = None
+    grid_numbers: tuple = ()
 
     @property
     def draws_coins(self) -> bool:
@@ -285,18 +331,18 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     (inspect everything, select the cheapest) and ``never-inspect`` (select
     the lowest mean uninspected)."""
     if policy == "weitzman":
-        batch = reservation_batch(instance, (True,) * len(instance))
-        return PreparedPolicy(obligatory_run(instance, reservation_engine), batch=batch)
+        run = obligatory_run(instance, reservation_engine)
+        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance, (True,) * len(instance)))
     if policy == "local-hedging":
         run = hedged_run(instance, reservation_engine)
-        return PreparedPolicy(run, batch=reservation_batch(instance), engine=reservation_engine)
+        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance), engine=reservation_engine)
     if policy == "commit-enum":
         labels = commit_enum_labeling(instance).labels
         keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
         fixed = reservation_engine(keys, costs)  # the labels never change: sort once
         return PreparedPolicy(
             lambda realization, coins=None: hedged_trace(instance, lambda *_: fixed, realization, labels),
-            batch=reservation_batch(instance, labels),
+            lambda grid: reservation_batch(grid.instance, labels),
         )
     ids = tuple(range(len(instance)))
     if policy == "inspect-all":
@@ -307,30 +353,23 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
             sel = min(ids, key=lambda n: (prices[n], n))
             return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
 
-        return PreparedPolicy(inspect_all, batch=lambda prices, coins: inspect_cost + prices.min(axis=0))
+        return PreparedPolicy(
+            inspect_all, lambda grid: lambda prices, coins: sum(i.cost for i in grid.instance.items) + prices.min(axis=0)
+        )
     if policy == "never-inspect":
         sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
         return PreparedPolicy(
             lambda realization, coins=None: PolicyTrace(
                 (), frozenset({sel}), frozenset({sel}), realization.prices[sel]
             ),
-            batch=lambda prices, coins: prices[sel],
+            lambda grid: lambda prices, coins: prices[sel],
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
 
 
-def run_policy(
-    instance: Instance,
-    policy: str,
-    realization: Realization,
-    coins: Optional[HedgeCoins] = None,
-) -> PolicyTrace:
-    return prepare_policy(instance, policy).run(realization, coins)
-
-
 def weitzman_policy(instance: Instance, realization: Realization) -> PolicyTrace:
     """Obligatory-inspection reservation-price policy."""
-    return run_policy(instance, "weitzman", realization)
+    return prepare_policy(instance, "weitzman").run(realization)
 
 
 def local_hedging_policy(
@@ -338,20 +377,6 @@ def local_hedging_policy(
 ) -> PolicyTrace:
     """Randomized committing policy driven by per-item hedge labels."""
     return hedged_trace(instance, reservation_engine, realization, coins.labels)
-
-
-def commit_enum_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    return run_policy(instance, "commit-enum", realization)
-
-
-def inspect_all_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Diagnostic policy: inspect every item, then select the cheapest."""
-    return run_policy(instance, "inspect-all", realization)
-
-
-def never_inspect_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Diagnostic policy: select the item with the lowest mean, uninspected."""
-    return run_policy(instance, "never-inspect", realization)
 
 
 def _price_rows(
@@ -470,14 +495,20 @@ def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: 
 
 
 def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of a prepared policy's total cost,
-    run through its array form one chunk of trials at a time."""
-    dtype = array_dtype(instance)
+    """Monte Carlo mean and standard error of a prepared policy's total cost.
+
+    The trials run one chunk at a time through the policy's array form on the
+    instance's ``IntegerGrid``: prices are drawn from the grid's supports,
+    and totals leave the grid as floats."""
+    grid = IntegerGrid(instance, prepared.grid_numbers)
+    batch = prepared.batch(grid)
+    dtype = array_dtype(grid.instance)
     totals = []
     for start, size in trial_chunks(trials):
-        prices = price_columns(instance, seed, start, size, dtype)
+        prices = price_columns(grid.instance, seed, start, size, dtype)
         coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
-        totals.append(prepared.batch(prices, coins).astype(np.float64))
+        t = batch(prices, coins)
+        totals.append(np.array([int(x) / grid.L for x in t]) if grid.exact else np.asarray(t, dtype=np.float64))
     return mc_summary(np.concatenate(totals))
 
 

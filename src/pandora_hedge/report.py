@@ -4,19 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Optional
+from typing import Optional
 
 from .instance import Instance
+from .instancefile import _encode_number as _num
 
 RATIO_TOL = 1e-12
-
-
-def _num(x) -> Any:
-    """JSON-safe number: exact rationals render as strings."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
 
 
 def items_block(instance: Instance) -> list[dict]:

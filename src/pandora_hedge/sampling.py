@@ -30,7 +30,10 @@ _local = threading.local()  # one generator per thread, re-keyed per call
 
 def _generator(seed: int, item: int, stream: int, start: int) -> Philox:
     """The lane's Philox with its counter at trial ``start`` and an empty
-    buffer: the state of ``Philox(key=...)`` advanced by ``start``."""
+    buffer: the state of ``Philox(key=...)`` advanced by ``start``.  Every
+    draw passes through here, so no seed outside [0, 2^64) aliases another."""
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     bg = getattr(_local, "philox", None)
     if bg is None:
         bg = _local.philox = Philox(0)
@@ -38,7 +41,7 @@ def _generator(seed: int, item: int, stream: int, start: int) -> Philox:
         "bit_generator": "Philox",
         "state": {
             "counter": np.array([start, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed & _U64, item * _NSTREAMS + stream], dtype=np.uint64),
+            "key": np.array([seed, item * _NSTREAMS + stream], dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,

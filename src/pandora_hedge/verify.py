@@ -33,6 +33,7 @@ from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, surrogate_dist
 from .instance import Instance, Realization
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
+    IntegerGrid,
     evaluate_policy_exact,
     iter_price_realizations,
     one_item_value,
@@ -110,8 +111,7 @@ class ExactValues:
 
 
 def _tolerance(instance: Instance) -> float:
-    exact = all(item.dist.is_exact and not isinstance(item.cost, float) for item in instance.items)
-    return 0.0 if exact else TOL
+    return 0.0 if IntegerGrid(instance).exact else TOL
 
 
 def _with_midpoints(points):

@@ -8,9 +8,11 @@ checked against a second route, not against themselves.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, Realization
+from pandora_hedge.indices import compute_indices
 from pandora_hedge.policies import local_hedging_policy
 
 
@@ -65,3 +67,38 @@ def golden_pair(exact=True) -> Instance:
     else:
         a = Item(0, 0.0, DiscreteDist.point_mass(5.0))
     return Instance([a, two_point_item(exact, item_id=1)])
+
+
+def _two_point(lo, hi):
+    return DiscreteDist(((lo, F(1, 2)), (hi, F(1, 2))))
+
+
+def big_grid() -> Instance:
+    """Denominators are distinct primes near 10^5, so L exceeds 10^20 and
+    L times the largest value is far above 2^53."""
+    primes = (100003, 100019, 100043, 100049)
+    return Instance([Item(n, F(1, p), _two_point(F(p + n, p), F(3 * p + 1, p))) for n, p in enumerate(primes)])
+
+
+def wide_grid() -> Instance:
+    """Every scaled number is below 2^32 but L = 8 * 100000007 * 100000037
+    has 57 bits, so a float64 L is inexact: four two-point items {0, v},
+    v = (1 + n) / d with d alternating between the two primes, at cost v / 8."""
+    items = []
+    for n in range(4):
+        v = F(1 + n, (100000007, 100000037)[n % 2])
+        items.append(Item(n, v / 8, _two_point(F(0), v)))
+    return Instance(items)
+
+
+def all_int() -> Instance:
+    """Int costs, values and indices (given, as ints): an exact instance
+    whose price arrays are float64."""
+    pairs = [(1, (0, 4)), (0, (1, 3)), (1, (0, 8)), (2, (5, 7))]
+    items = [Item(n, c, _two_point(lo, hi)) for n, (c, (lo, hi)) in enumerate(pairs)]
+    indices = []
+    for item in items:
+        ix = compute_indices(item)
+        indices.append(replace(ix, mu=int(ix.mu), u_rsv=int(ix.u_rsv), u_bkp=int(ix.u_bkp)))
+        assert (ix.mu, ix.u_rsv, ix.u_bkp) == (indices[-1].mu, indices[-1].u_rsv, indices[-1].u_bkp)
+    return Instance(items, indices)

@@ -22,6 +22,7 @@ from pandora_hedge import sampling
 from pandora_hedge.indices import SurrogateKind
 from pandora_hedge.policies import (
     SINGLE_POLICIES,
+    IntegerGrid,
     array_dtype,
     coin_columns,
     prepare_policy,
@@ -32,6 +33,8 @@ from pandora_hedge.policies import (
 from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import COIN_STREAM, mc_summary, uniforms
+
+from helpers import all_int, big_grid, wide_grid
 
 SEED = 7
 
@@ -80,19 +83,21 @@ def _instances(exact):
         yield random_instance(rng, max_items=9, exact=exact)
 
 
-def _reference_totals(instance, policy, count):
+def _reference_totals(instance, policy, count, seed=SEED):
     """Totals of the per-trial policy (``reservation_engine``) on the seeded draws."""
     run = prepare_policy(instance, policy).run
-    realizations = sample_realizations(instance, SEED, 0, count)
-    coins = sample_coins(instance, SEED, 0, count)
+    realizations = sample_realizations(instance, seed, 0, count)
+    coins = sample_coins(instance, seed, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 
 
-def _batch_totals(instance, policy, count):
+def _batch_totals(instance, policy, count, seed=SEED):
+    """Totals of the array form on the instance's grid, and the grid's L."""
     prepared = prepare_policy(instance, policy)
-    prices = price_columns(instance, SEED, 0, count, array_dtype(instance))
-    coins = coin_columns(instance, SEED, 0, count) if prepared.draws_coins else None
-    return prepared.batch(prices, coins).tolist()
+    grid = IntegerGrid(instance)
+    prices = price_columns(grid.instance, seed, 0, count, array_dtype(grid.instance))
+    coins = coin_columns(instance, seed, 0, count) if prepared.draws_coins else None
+    return prepared.batch(grid)(prices, coins).tolist(), grid.L
 
 
 @pytest.mark.parametrize("p_hedge", [0, F(1, 3), 0.7, 1])
@@ -109,6 +114,7 @@ def test_tie_heavy_cases_hit_both_label_extremes():
     inst = tie_heavy("int")
     assert type(inst.items[1].dist.values[0]) is int and type(inst.items[3].cost) is int
     assert array_dtype(inst) is not object and array_dtype(tie_heavy("exact")) is object
+    assert array_dtype(IntegerGrid(tie_heavy("exact")).instance) is not object  # exact MC runs on float64
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -118,12 +124,13 @@ class TestBatchEqualsLoop:
     def test_totals_equal_per_trial(self, exact, policy, count):
         for inst in _instances(exact):
             expected = _reference_totals(inst, policy, count)
-            got = _batch_totals(inst, policy, count)
+            got, L = _batch_totals(inst, policy, count)
             if exact:
-                assert got == expected
-                assert all(isinstance(t, F) for t in got)
+                assert all(isinstance(t, F) for t in expected)
+                assert got == [t * L for t in expected]  # ints on the grid
+                assert [int(t) / L for t in got] == [float(t) for t in expected]
             else:
-                assert got == [float(t) for t in expected]
+                assert L == 1 and got == [float(t) for t in expected]
 
     def test_mc_equals_per_trial_summary(self, exact, policy):
         for inst in _instances(exact):
@@ -137,6 +144,32 @@ class TestBatchEqualsLoop:
             for count in (6, 7, 8, 22):
                 expected = mc_summary(_reference_totals(inst, policy, count))
                 assert evaluate_policy_mc(inst, policy, count, SEED) == expected
+
+
+@pytest.mark.parametrize("policy", SINGLE_POLICIES)
+@pytest.mark.parametrize(
+    "case", [lambda: tie_heavy("exact"), big_grid, all_int, wide_grid], ids=["tie_heavy", "big_grid", "all_int", "wide_grid"]
+)
+def test_grid_totals_leave_as_float_of_fraction_totals(policy, case):
+    inst = case()
+    expected = _reference_totals(inst, policy, 200)
+    got, L = _batch_totals(inst, policy, 200)
+    assert all(isinstance(t, (F, int)) for t in expected)
+    assert [int(t) / L for t in got] == [float(t) for t in expected]
+    assert evaluate_policy_mc(inst, policy, 200, SEED) == mc_summary(expected)
+
+
+def test_wide_grid_needs_exact_division():
+    """Scaled numbers fit float64 but L does not: t / L must be the exact
+    int division, which a float64 quotient misses on many trials."""
+    inst = wide_grid()
+    grid = IntegerGrid(inst)
+    assert 2**56 < grid.L < 2**57 and array_dtype(grid.instance) is not object
+    expected = _reference_totals(inst, "weitzman", 4000, seed=5)
+    got, L = _batch_totals(inst, "weitzman", 4000, seed=5)
+    assert [int(t) / L for t in got] == [float(t) for t in expected]
+    assert sum(t / float(L) != float(e) for t, e in zip(got, expected)) > 1000
+    assert evaluate_policy_mc(inst, "weitzman", 4000, 5) == mc_summary(expected)
 
 
 def test_default_chunk_boundary():

@@ -183,6 +183,13 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         assert f"{flag[2:]} must be a nonnegative integer" in err and repr(value) in err
 
+    @pytest.mark.parametrize("command", [("bounds", GOLDEN, "--mc"), ("simulate", GOLDEN, "--policy", "weitzman")])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_trials_exit_2(self, capsys, command, value):
+        code, out, err = run_cli(capsys, *command, "--trials", value)
+        assert code == 2 and out == ""
+        assert "--trials: trials must be a positive integer" in err and repr(value) in err
+
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", GOLDEN, "--policy", "weitzman", "--trials", "50", "--seed", str(2**64 - 1), "--json"

@@ -43,6 +43,9 @@ def _commands() -> list[tuple[str, ...]]:
             cmds.append(("simulate", rel, "--policy", policy) + MC)
             cmds.append(("simulate", rel, "--policy", policy, "--exact", "--json"))
         cmds.append(("verify", rel))
+    # more trials than one MC_CHUNK
+    for rel in ("corpus/golden_two_item.json", "corpus/matroid_rank2.json"):
+        cmds.append(("simulate", rel, "--policy", "local-hedging", "--trials", "5000", "--seed", "7", "--json"))
     cmds.append(("verify", "--corpus", "corpus"))
     cmds.append(("verify", "--corpus", "corpus", "--budget", "0"))
     cmds.append(("verify", "--corpus", "corpus", "--budget", "10"))

@@ -1,11 +1,12 @@
 """Exact-mode combinatorial Monte Carlo runs on an integer grid: every
 estimate equals the summary of the per-trial ``Fraction`` results, bit for
-bit, and float-mode instances keep their own numbers."""
+bit, float-mode instances keep their own numbers, and the exact evaluators
+scale nothing."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,15 +27,17 @@ from pandora_hedge import (
     surrogate_cost,
 )
 from pandora_hedge import sampling
+from pandora_hedge.cli import main
 from pandora_hedge.combinatorial import (
     COMB_POLICIES,
     GraphicMatroidRule,
-    IntegerGrid,
     RuleError,
     UniformMatroidRule,
+    model_on_grid,
 )
-from pandora_hedge.indices import compute_indices, surrogate_dist
+from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.policies import (
+    IntegerGrid,
     array_dtype,
     coin_columns,
     price_columns,
@@ -44,7 +47,10 @@ from pandora_hedge.policies import (
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_rows
 
+from helpers import all_int, big_grid
+
 SEED = 5
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _dist(pairs):
@@ -92,30 +98,6 @@ def all_nonempty(n):
     )
 
 
-def big_grid():
-    """Denominators are distinct primes near 10^5, so L exceeds 10^20 and
-    L times the largest value is far above 2^53."""
-    primes = (100003, 100019, 100043, 100049)
-    items = [
-        Item(n, F(1, p), _dist(((F(p + n, p), F(1, 2)), (F(3 * p + 1, p), F(1, 2)))))
-        for n, p in enumerate(primes)
-    ]
-    return Instance(items)
-
-
-def all_int():
-    """Int costs, values and indices (given, as ints): an exact instance
-    whose price arrays are float64."""
-    pairs = [(1, (0, 4)), (0, (1, 3)), (1, (0, 8)), (2, (5, 7))]
-    items = [Item(n, c, _dist(((lo, F(1, 2)), (hi, F(1, 2))))) for n, (c, (lo, hi)) in enumerate(pairs)]
-    indices = []
-    for item in items:
-        ix = compute_indices(item)
-        indices.append(replace(ix, mu=int(ix.mu), u_rsv=int(ix.u_rsv), u_bkp=int(ix.u_bkp)))
-        assert (ix.mu, ix.u_rsv, ix.u_bkp) == (indices[-1].mu, indices[-1].u_rsv, indices[-1].u_bkp)
-    return Instance(items, indices)
-
-
 def _random_models(exact):
     rng = random.Random(61 if exact else 60)
     for k, graphic in ((1, False), (2, False), (3, True), (5, True)):
@@ -140,6 +122,11 @@ def _exact_cases():
     yield from _random_models(True)
 
 
+def _grid(model, instance):
+    """The instance's grid over the model's distances, as Monte Carlo builds it."""
+    return IntegerGrid(instance, [d for row in model.terminal.distances for d in row])
+
+
 def _reference_totals(model, instance, policy, count, rule=None):
     """Per-trial totals of ``run`` on the seeded draws: today's numbers."""
     run = prepare_comb_policy(model, instance, policy, rule).run
@@ -159,16 +146,16 @@ def test_cases_cover_ties_and_a_grid_beyond_float():
     assert keys[0] == keys[1] and inst.indices[0].mu == 2 and inst.indices[4].mu == 2
     assert inst.indices[2].p_hedge == 1 and inst.indices[4].p_hedge == 0 and 0 < inst.indices[0].p_hedge < 1
     big = big_grid()
-    grid = IntegerGrid(uniform(2, len(big)), big)
+    grid = IntegerGrid(big)
     assert grid.L * max(item.dist.max_support for item in big.items) > 2**53
     ints = all_int()
-    assert array_dtype(ints) is not object and IntegerGrid(uniform(2, len(ints)), ints).L == 1
+    assert array_dtype(ints) is not object and IntegerGrid(ints).L == 1
     assert 0 < ints.indices[2].p_hedge < 1
 
 
 def test_grid_numbers_are_ints_and_scale_exactly():
     model, inst = facility(len(tie_heavy())), tie_heavy()
-    grid = IntegerGrid(model, inst)
+    grid = _grid(model, inst)
     assert grid.exact and grid.L % 21 == 0
     scaled = grid.instance
     for item, on_grid, ix, ix_grid in zip(inst.items, scaled.items, inst.indices, scaled.indices):
@@ -176,7 +163,7 @@ def test_grid_numbers_are_ints_and_scale_exactly():
                         (on_grid.cost, *on_grid.dist.values, ix_grid.mu, ix_grid.u_rsv, ix_grid.u_bkp)):
             assert type(g) is int and g == x * grid.L
         assert on_grid.dist.probs == item.dist.probs and ix_grid.p_hedge == ix.p_hedge
-    for row, row_grid in zip(model.terminal.distances, grid.model.terminal.distances):
+    for row, row_grid in zip(model.terminal.distances, model_on_grid(model, grid).terminal.distances):
         assert [d * grid.L for d in row] == list(row_grid)
 
 
@@ -188,9 +175,12 @@ class TestPoliciesOnTheGrid:
             expected = _reference_totals(model, inst, policy, count)
             assert all(isinstance(t, (F, int)) for t in expected)
             prepared = prepare_comb_policy(model, inst, policy)
-            prices = price_columns(inst, SEED, 0, count, array_dtype(inst))
+            grid = IntegerGrid(inst, prepared.grid_numbers)
+            prices = price_columns(grid.instance, SEED, 0, count, array_dtype(grid.instance))
             coins = coin_columns(inst, SEED, 0, count) if prepared.draws_coins else None
-            assert prepared.batch(prices, coins).tolist() == [float(t) for t in expected]
+            totals = prepared.batch(grid)(prices, coins)
+            assert all(type(t) is int for t in totals) and totals == [t * grid.L for t in expected]
+            assert [t / grid.L for t in totals] == [float(t) for t in expected]
 
     def test_mc_equals_per_trial_summary(self, policy):
         for model, inst in _exact_cases():
@@ -206,8 +196,8 @@ class TestPoliciesOnTheGrid:
 
     def test_float_mode_keeps_its_numbers(self, policy):
         for model, inst in _random_models(False):
-            grid = IntegerGrid(model, inst)
-            assert not grid.exact and grid.L == 1 and grid.instance is inst and grid.model is model
+            grid = _grid(model, inst)
+            assert not grid.exact and grid.L == 1 and grid.instance is inst and model_on_grid(model, grid) is model
             expected = mc_summary(_reference_totals(model, inst, policy, 60))
             assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
 
@@ -255,7 +245,7 @@ class TestSurrogateMcOnTheGrid:
     @pytest.mark.parametrize("exact", [True, False])
     def test_equals_per_row_summary(self, kind, exact):
         for model, inst in _surrogate_cases(exact):
-            assert IntegerGrid(model, inst).exact == exact
+            assert _grid(model, inst).exact == exact
             expected = _reference_surrogate(model, inst, kind, 60)
             assert expected_surrogate_cost_mc(model, inst, kind, 60, SEED) == mc_summary(expected)
 
@@ -265,3 +255,24 @@ class TestSurrogateMcOnTheGrid:
             for count in (6, 8, 22):
                 expected = mc_summary(_reference_surrogate(model, inst, kind, count))
                 assert expected_surrogate_cost_mc(model, inst, kind, count, SEED) == expected
+
+
+def test_exact_paths_scale_nothing(monkeypatch, capsys):
+    """verify, simulate --exact (with --trace) and bounds without --mc run on
+    the instance's own numbers; Monte Carlo runs on the grid."""
+
+    def no_scaling(self, x):
+        raise AssertionError("a number was scaled onto the grid")
+
+    monkeypatch.setattr(IntegerGrid, "scale", no_scaling)
+    monkeypatch.delenv("PANDORA_BUDGET", raising=False)
+    for name in ("golden_two_item.json", "matroid_rank2.json"):
+        path = str(CORPUS / name)
+        assert main(["verify", path]) == 0
+        assert main(["simulate", path, "--policy", "local-hedging", "--exact", "--trace", "3"]) == 0
+        assert main(["bounds", path]) == 0
+        with pytest.raises(AssertionError, match="scaled onto the grid"):
+            main(["simulate", path, "--policy", "local-hedging", "--trials", "10"])
+    with pytest.raises(AssertionError, match="scaled onto the grid"):
+        main(["bounds", str(CORPUS / "matroid_rank2.json"), "--mc", "--budget", "2", "--trials", "10"])
+    capsys.readouterr()

@@ -29,14 +29,7 @@ from pandora_hedge import (
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import compute_indices, surrogate_dist
-from pandora_hedge.policies import (
-    commit_enum_labeling,
-    commit_enum_policy,
-    inspect_all_policy,
-    iter_price_realizations,
-    never_inspect_policy,
-    run_policy,
-)
+from pandora_hedge.policies import commit_enum_labeling, iter_price_realizations, prepare_policy
 from pandora_hedge.randgen import random_instance
 
 from helpers import enumerate_lh_cost, golden_pair, two_point_item
@@ -146,7 +139,7 @@ class TestLocalHedgingTraces:
             inst = random_instance(rng, max_items=5, exact=exact)
             cases = (
                 (HedgeCoins.all_obligatory(inst), weitzman_policy),
-                (HedgeCoins((False,) * len(inst)), never_inspect_policy),
+                (HedgeCoins((False,) * len(inst)), lambda i, r: prepare_policy(i, "never-inspect").run(r)),
             )
             for _, prices in iter_price_realizations(inst):
                 r = Realization(prices)
@@ -256,24 +249,24 @@ class TestCommitEnum:
             assert ce <= lh + 1e-12  # best committing beats the mixture
 
     def test_trace_records_labels(self):
-        trace = commit_enum_policy(golden_pair(), Realization((F(5), F(10))))
+        trace = prepare_policy(golden_pair(), "commit-enum").run(Realization((F(5), F(10))))
         assert trace.labels == (True, True)
 
 
 class TestDiagnosticPolicies:
     def test_inspect_all(self):
-        trace = inspect_all_policy(golden_pair(), Realization((F(5), F(0))))
+        trace = prepare_policy(golden_pair(), "inspect-all").run(Realization((F(5), F(0))))
         assert trace.inspection_order == (0, 1) and trace.total_cost == 2
 
     def test_never_inspect(self):
-        trace = never_inspect_policy(golden_pair(), Realization((F(5), F(10))))
+        trace = prepare_policy(golden_pair(), "never-inspect").run(Realization((F(5), F(10))))
         assert trace.selected == frozenset({0}) and trace.total_cost == 5
 
     def test_run_policy_dispatch(self):
         r = Realization((F(5), F(0)))
-        assert run_policy(golden_pair(), "inspect-all", r).total_cost == 2
+        assert prepare_policy(golden_pair(), "inspect-all").run(r).total_cost == 2
         with pytest.raises(ValueError):
-            run_policy(golden_pair(), "local-hedging", r)  # coins required
+            prepare_policy(golden_pair(), "local-hedging").run(r)  # coins required
 
 
 class TestMonteCarloEvaluation:

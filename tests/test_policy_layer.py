@@ -18,7 +18,7 @@ from pandora_hedge import (
 from pandora_hedge import policies
 from pandora_hedge.cli import main
 from pandora_hedge.instancefile import LoadedInstance, write_instance
-from pandora_hedge.policies import SINGLE_POLICIES, run_policy, sample_coins, sample_realizations
+from pandora_hedge.policies import SINGLE_POLICIES, prepare_policy, sample_coins, sample_realizations
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import mc_summary
 
@@ -41,7 +41,7 @@ def _single_cases(exact):
     for _ in range(6):
         inst = random_instance(rng, max_items=5, exact=exact)
         for policy in SINGLE_POLICIES:
-            yield inst, None, policy, lambda r, c, i=inst, p=policy: run_policy(i, p, r, c)
+            yield inst, None, policy, lambda r, c, i=inst, p=policy: prepare_policy(i, p).run(r, c)
 
 
 def _comb_cases(exact):

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
+from pandora_hedge import (
+    CombModel,
+    SurrogateKind,
+    UniformMatroid,
+    ZeroTerminal,
+    evaluate_comb_policy_mc,
+    evaluate_policy_mc,
+    expected_surrogate_cost_mc,
+)
 from pandora_hedge.policies import sample_coins, sample_realizations
 from pandora_hedge.sampling import (
     COIN_STREAM,
@@ -55,6 +64,21 @@ class TestCounterContract:
         # interleave lanes and lengths so that state left by one call would show in the next
         for seed, item, stream, n in ((3, 0, PRICE_STREAM, 7), (3, 1, COIN_STREAM, 1), (2**64 - 1, 5, 2, 13)):
             assert np.array_equal(uniforms(seed, item, stream, n, start=start), fresh(seed, item, stream, n))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        """Such a seed would alias seed mod 2^64; every draw refuses it."""
+        inst = golden_pair()
+        model = CombModel(UniformMatroid(1), ZeroTerminal(), len(inst))
+        calls = (
+            lambda: uniforms(seed, 0, PRICE_STREAM, 4),
+            lambda: evaluate_policy_mc(inst, "local-hedging", 10, seed),
+            lambda: evaluate_comb_policy_mc(model, inst, "local-hedging", 10, seed),
+            lambda: expected_surrogate_cost_mc(model, inst, SurrogateKind.LH, 10, seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+                call()
 
     def test_each_thread_draws_the_same(self):
         main = uniforms(4, 2, PRICE_STREAM, 64, start=9)
