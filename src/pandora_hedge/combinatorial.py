@@ -25,6 +25,7 @@ from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
     IntegerGrid,
     PreparedPolicy,
+    _column_trials,
     _price_rows,
     evaluate_exact,
     evaluate_mc,
@@ -259,10 +260,11 @@ class GreedyRule:
     model, propose the next item id or return None to declare completion.
     Proposals must keep the selected set extensible to a feasible set.
 
-    Monte Carlo may pass tentative prices (and a model whose terminal costs
-    are) scaled by a positive constant (see ``IntegerGrid``), so a rule may
-    only compare and add them; a rule that uses their size otherwise can
-    give Monte Carlo results that differ from ``run`` and the exact value.
+    Monte Carlo and exact evaluation may pass tentative prices (and a model
+    whose terminal costs are) scaled by a positive constant (see
+    ``IntegerGrid``), so a rule may only compare and add them; a rule that
+    uses their size otherwise can give Monte Carlo results and exact values
+    that differ from ``run``.
     """
 
     def propose(
@@ -372,9 +374,7 @@ def frugal_batch(model: CombModel, rule: GreedyRule, trial_run, grid: IntegerGri
     def batch(prices, coins):
         if grid.exact and prices.dtype != object:  # exact small ints drawn as float64
             prices = prices.astype(np.int64)
-        rows = prices.T.tolist()
-        labels = [None] * len(rows) if coins is None else [HedgeCoins(tuple(c)) for c in coins.T.tolist()]
-        return [run(Realization(tuple(r)), c).total_cost for r, c in zip(rows, labels)]
+        return [run(r, c).total_cost for r, c in _column_trials(prices, coins)]
 
     return batch
 
@@ -385,8 +385,8 @@ def prepare_comb_policy(
     """Prepare a combinatorial policy by name: ``frugal-oi`` (the frugal
     composition with obligatory inspection, charged its own total) or
     ``local-hedging`` (two stages: commit labels, then run the frugal
-    composition on the induced obligatory-inspection view).  Monte Carlo runs
-    either on the ``IntegerGrid``."""
+    composition on the induced obligatory-inspection view).  Monte Carlo and
+    exact evaluation run either on the ``IntegerGrid``."""
     if policy not in COMB_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     rule = rule_for_model(model) if rule is None else rule
@@ -395,7 +395,7 @@ def prepare_comb_policy(
     engine = frugal_engine(model, rule)
     batch = partial(frugal_batch, model, rule, trial_run)
     distances = tuple(d for row in model.terminal.distances for d in row)
-    return PreparedPolicy(trial_run(instance, engine), batch, engine if hedged else None, distances)
+    return PreparedPolicy(trial_run(instance, engine), batch, hedged, distances)
 
 
 def frugal_oi_policy(

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +30,7 @@ from .distkit import (
 )
 from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
-from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, sample_rows, trial_chunks
+from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
 class Action(Enum):
@@ -115,24 +116,20 @@ class IntegerGrid:
 class PreparedPolicy:
     """A policy with its trial-independent work done once.
 
-    ``run(realization, coins=None)`` returns one trial's trace.
-    ``batch(grid)`` builds its array form for Monte Carlo on the instance's
-    ``IntegerGrid`` over ``grid_numbers``: a function that maps an (items x
-    trials) array of the grid's prices in ``array_dtype(grid.instance)``
-    (and, for a policy that draws coins, a label array of the same shape) to
-    the trials' totals on the grid.  ``engine`` is set only for local
-    hedging, whose labels are drawn afresh each trial: such a policy draws
-    coins, and its exact value marginalizes the labels through the engine.
+    ``run(realization, coins=None)`` returns one trial's trace on the
+    instance's own numbers.  ``batch(grid)`` builds its array form on the
+    instance's ``IntegerGrid`` over ``grid_numbers``: a function that maps an
+    (items x trials) array of the grid's prices in
+    ``array_dtype(grid.instance)`` (and, for a policy that ``draws_coins``, a
+    label array of the same shape) to the trials' totals on the grid.  Monte
+    Carlo and exact evaluation both run the array form.  Only local hedging
+    draws coins: its labels are drawn afresh each trial.
     """
 
     run: Callable[..., PolicyTrace]
     batch: Callable[[IntegerGrid], Callable]
-    engine: Optional[Callable] = None
+    draws_coins: bool = False
     grid_numbers: tuple = ()
-
-    @property
-    def draws_coins(self) -> bool:
-        return self.engine is not None
 
 
 def reservation_engine(keys: Sequence[Numeric], costs: Sequence[Numeric]):
@@ -163,14 +160,15 @@ def reservation_engine(keys: Sequence[Numeric], costs: Sequence[Numeric]):
 
 def array_dtype(instance: Instance):
     """float64 when every cost, support value and index of the instance is a
-    Python float or a small int, so that array arithmetic and comparisons are
-    exactly Python's; otherwise object arrays that run Python's own."""
+    Python float or an int below 2^53 / (N + 1), which keeps every float64
+    the kernels form (at most N costs and one price) exactly Python's;
+    otherwise object arrays that run Python's own."""
     numbers = [
         x
         for item, ix in zip(instance.items, instance.indices)
         for x in (item.cost, ix.mu, ix.u_rsv, *item.dist.values)
     ]
-    plain = all(type(x) is float or (type(x) is int and abs(x) < 2**32) for x in numbers)
+    plain = all(type(x) is float or (type(x) is int and abs(x) < 2**53 // (len(instance) + 1)) for x in numbers)
     return np.float64 if plain else object
 
 
@@ -179,7 +177,8 @@ _FIRST_BLOCK = 4  # slots in the first block; most trials stop after a few inspe
 
 def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = None):
     """Array form of ``hedged_trace`` on ``reservation_engine``, with fixed
-    ``labels`` or, if None, labels drawn per trial.
+    ``labels`` or, if None, per-trial labels; Monte Carlo and exact
+    evaluation run it on the instance's ``IntegerGrid``.
 
     Item n has two slots: labelled (key u_rsv, its cost and realized price)
     and unlabelled (key and view price mu, cost 0).  The slots are sorted
@@ -335,7 +334,7 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
         return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance, (True,) * len(instance)))
     if policy == "local-hedging":
         run = hedged_run(instance, reservation_engine)
-        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance), engine=reservation_engine)
+        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance), draws_coins=True)
     if policy == "commit-enum":
         labels = commit_enum_labeling(instance).labels
         keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
@@ -400,26 +399,17 @@ def iter_price_realizations(instance: Instance):
         yield prob, tuple(row)
 
 
-def iter_hedged_views(instance: Instance, budget: int):
-    """Enumerate the hedged policy's label vectors with their weights.
+EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's memory
 
-    Items with hedging probability 0 or 1 have a fixed label; the others
-    branch both ways.  Yields (keys, costs, rows) per label vector, where
-    keys and costs are its ``hedged_view`` and rows yields (probability,
-    price row) over the supports of the labelled items, weighted by the
-    label vector's probability.  Non-inspection prices are marginalized to
-    the mean, which is exactly the expectation of the realized price.
-    """
-    p_hedge = [ix.p_hedge for ix in instance.indices]
-    branches = 1
-    for n, item in enumerate(instance.items):
-        if p_hedge[n] == 1:
-            branches *= len(item.dist)
-        elif p_hedge[n] != 0:
-            branches *= len(item.dist) + 1
-    check_budget(branches, budget, "hedged policy evaluation")
-    mus = [ix.mu for ix in instance.indices]
+
+def _weighted_columns(instance: Instance, p_hedge: Sequence[Numeric]):
+    """Yield (weight, price row, labels) over the label vectors of
+    ``p_hedge``: items with hedging probability 0 or 1 have a fixed label,
+    the others branch both ways.  A vector's rows run over the supports of
+    its labelled items; every other item is priced at its mean, exactly the
+    expectation of a price that no trial inspects."""
     dists = [item.dist for item in instance.items]
+    mus = [ix.mu for ix in instance.indices]
     varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
     for combo in itertools.product((True, False), repeat=len(varying)):
         labels = [p == 1 for p in p_hedge]
@@ -427,29 +417,37 @@ def iter_hedged_views(instance: Instance, budget: int):
         for n, lab in zip(varying, combo):
             labels[n] = lab
             weight = weight * (p_hedge[n] if lab else 1 - p_hedge[n])
-        keys, costs, base = hedged_view(instance, labels, mus)
-        oi_ids = [n for n in range(len(instance)) if labels[n]]
-        yield keys, costs, _price_rows(dists, oi_ids, base, weight)
+        for prob, row in _price_rows(dists, [n for n, lab in enumerate(labels) if lab], mus, weight):
+            yield prob, row, labels
 
 
 def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
     """Exact expected total cost of a prepared policy.
 
-    Local hedging enumerates label vectors with non-inspection prices
-    marginalized to the mean (exactly the expectation of the realized price);
-    every other policy enumerates realizations.
+    Local hedging enumerates its label vectors, as constant coin columns;
+    every other policy labels every item, so it enumerates realizations.
+    The policy's array form runs on the instance's ``IntegerGrid``,
+    ``EXACT_CHUNK`` columns at a time, and weight x total is summed in
+    enumeration order.  An exact value leaves the grid as
+    ``Fraction(total, L)``, or as it is when every cost, support value,
+    probability and grid number is an int; a float-mode value is a float.
     """
+    p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
+    branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(instance.items, p_hedge) if p != 0)
+    check_budget(branches, budget, "hedged policy evaluation" if prepared.draws_coins else "policy evaluation")
+    grid = IntegerGrid(instance, prepared.grid_numbers)
+    batch = prepared.batch(grid)
+    dtype = array_dtype(grid.instance)
+    number = int if grid.exact else float  # a grid total as a Python number
+    columns = _weighted_columns(grid.instance, p_hedge)
     total = 0
-    if prepared.engine is not None:
-        for keys, costs, rows in iter_hedged_views(instance, budget):
-            run = prepared.engine(keys, costs)
-            for prob, prices in rows:
-                total = total + prob * run(prices)[2]
-        return total
-    check_budget(instance.support_product(), budget, "policy evaluation")
-    for prob, prices in iter_price_realizations(instance):
-        total = total + prob * prepared.run(Realization(prices)).total_cost
-    return total
+    while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
+        weights, rows, labels = zip(*chunk)
+        coins = np.array(labels, dtype=bool).T if prepared.draws_coins else None
+        for w, t in zip(weights, batch(np.array(rows, dtype=dtype).T, coins)):
+            total = total + w * number(t)
+    numbers = [*prepared.grid_numbers, *(x for i in instance.items for x in (i.cost, *i.dist.values, *i.dist.probs))]
+    return Fraction(total, grid.L) if grid.exact and any(type(x) is not int for x in numbers) else total
 
 
 def evaluate_policy_exact(
@@ -473,24 +471,20 @@ def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.nd
     return sample_columns(lanes, seed, COIN_STREAM, start, count, bool)
 
 
-def sample_realizations(instance: Instance, seed: int, start: int, count: int):
-    """Realizations for trials start..start+count-1 under the seeding contract."""
-    dists = [item.dist for item in instance.items]
-    return [Realization(row) for row in sample_rows(dists, seed, PRICE_STREAM, start, count)]
-
-
-def sample_coins(instance: Instance, seed: int, start: int, count: int):
-    """Hedge labels for trials start..start+count-1 under the seeding contract."""
-    return [HedgeCoins(row) for row in zip(*coin_columns(instance, seed, start, count).tolist())]
+def _column_trials(prices: np.ndarray, coins: Optional[np.ndarray]):
+    """(realization, coins or None) per trial column of (items x trials)
+    price and label arrays."""
+    labels = [None] * prices.shape[1] if coins is None else [HedgeCoins(tuple(c)) for c in coins.T.tolist()]
+    return [(Realization(tuple(r)), c) for r, c in zip(prices.T.tolist(), labels)]
 
 
 def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: int):
     """Yield (realization, trace) for trials 0..count-1, drawn one chunk at a
     time; coins are drawn only for a policy that draws them."""
     for start, size in trial_chunks(count):
-        realizations = sample_realizations(instance, seed, start, size)
-        coins = sample_coins(instance, seed, start, size) if prepared.draws_coins else [None] * size
-        for realization, c in zip(realizations, coins):
+        prices = price_columns(instance, seed, start, size, object)
+        coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
+        for realization, c in _column_trials(prices, coins):
             yield realization, prepared.run(realization, c)
 
 

@@ -61,9 +61,6 @@ def uniforms(seed: int, item: int, stream: int, n: int, start: int = 0) -> np.nd
     raw = _generator(seed, item, stream, start).random_raw(4 * n)[::4]  # first word of each counter block
     return _to_unit(raw)
 
-def uniform_at(seed: int, item: int, stream: int, trial: int) -> float:
-    return float(uniforms(seed, item, stream, 1, start=trial)[0])
-
 
 def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
     """Map uniforms to support indices via the cumulative distribution."""
@@ -90,13 +87,6 @@ def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=
         us = uniforms(seed, n, stream, count, start=start)
         out[n] = np.asarray(values, dtype=dtype)[sample_price_indices([float(p) for p in probs], us)]
     return out
-
-
-def sample_rows(dists, seed: int, stream: int, start: int, count: int) -> list[tuple]:
-    """One value row per trial start..start+count-1: entry n is a draw from
-    ``dists[n]`` on lane (seed, n, stream)."""
-    lanes = [(d.values, d.probs) for d in dists]
-    return list(zip(*sample_columns(lanes, seed, stream, start, count).tolist()))
 
 
 def mc_summary(values: Iterable) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, Realization
 from pandora_hedge.indices import compute_indices
-from pandora_hedge.policies import local_hedging_policy
+from pandora_hedge.policies import coin_columns, local_hedging_policy, price_columns
 
 
 def brute_min_atoms(dists):
@@ -52,6 +52,14 @@ def enumerate_lh_cost(instance: Instance):
             trace = local_hedging_policy(instance, Realization(tuple(v for v, _ in combo)), coins)
             total = total + prob * trace.total_cost
     return total
+
+
+def seeded_trials(instance: Instance, seed: int, start: int, count: int):
+    """Realizations and hedge coins of trials start..start+count-1: the
+    columns of ``price_columns`` and ``coin_columns``, one row per trial."""
+    prices = price_columns(instance, seed, start, count, object).T.tolist()
+    coins = coin_columns(instance, seed, start, count).T.tolist()
+    return [Realization(tuple(r)) for r in prices], [HedgeCoins(tuple(c)) for c in coins]
 
 
 def two_point_item(exact=True, item_id=0) -> Item:

@@ -27,7 +27,7 @@ from pandora_hedge.cli import main
 from pandora_hedge.combinatorial import evaluate_comb_policy_exact
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import ALPHA_CEILING
-from pandora_hedge.policies import sample_realizations
+from pandora_hedge.policies import price_columns
 from pandora_hedge.randgen import random_comb_instance, random_instance, random_item
 
 from helpers import golden_pair
@@ -250,7 +250,7 @@ def test_10_determinism(tmp_path, capsys):
     assert main(args) == 0
     out2 = capsys.readouterr().out
     # worker-count invariance: trials drawn in two chunks match the monolithic draw
-    whole = sample_realizations(src, 5, 0, 100)
-    chunked = sample_realizations(src, 5, 0, 60) + sample_realizations(src, 5, 60, 40)
-    ok = out1 == out2 and [r.prices for r in whole] == [r.prices for r in chunked]
+    whole = price_columns(src, 5, 0, 100, object).T.tolist()
+    chunked = price_columns(src, 5, 0, 60, object).T.tolist() + price_columns(src, 5, 60, 40, object).T.tolist()
+    ok = out1 == out2 and whole == chunked
     _report(10, ok, "fixed-seed simulation output is byte-identical and chunk-invariant")

@@ -27,14 +27,12 @@ from pandora_hedge.policies import (
     coin_columns,
     prepare_policy,
     price_columns,
-    sample_coins,
-    sample_realizations,
 )
 from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import COIN_STREAM, mc_summary, uniforms
 
-from helpers import all_int, big_grid, wide_grid
+from helpers import all_int, big_grid, seeded_trials, wide_grid
 
 SEED = 7
 
@@ -86,8 +84,7 @@ def _instances(exact):
 def _reference_totals(instance, policy, count, seed=SEED):
     """Totals of the per-trial policy (``reservation_engine``) on the seeded draws."""
     run = prepare_policy(instance, policy).run
-    realizations = sample_realizations(instance, seed, 0, count)
-    coins = sample_coins(instance, seed, 0, count)
+    realizations, coins = seeded_trials(instance, seed, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 
 

@@ -1,7 +1,7 @@
 """Exact-mode combinatorial Monte Carlo runs on an integer grid: every
 estimate equals the summary of the per-trial ``Fraction`` results, bit for
-bit, float-mode instances keep their own numbers, and the exact evaluators
-scale nothing."""
+bit, float-mode instances keep their own numbers, and only the paths that
+evaluate a policy's expected cost scale onto the grid."""
 
 import itertools
 import random
@@ -23,6 +23,10 @@ from pandora_hedge import (
     ZeroTerminal,
     evaluate_comb_policy_mc,
     expected_surrogate_cost_mc,
+    opt_value_comb_noi,
+    opt_value_single_noi,
+    opt_value_single_oi,
+    pi_surrogate_bound,
     prepare_comb_policy,
     surrogate_cost,
 )
@@ -36,18 +40,19 @@ from pandora_hedge.combinatorial import (
     model_on_grid,
 )
 from pandora_hedge.indices import surrogate_dist
+from pandora_hedge.instancefile import load_instance
 from pandora_hedge.policies import (
     IntegerGrid,
     array_dtype,
     coin_columns,
+    iter_trials,
+    prepare_policy,
     price_columns,
-    sample_coins,
-    sample_realizations,
 )
 from pandora_hedge.randgen import random_comb_instance, random_instance
-from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_rows
+from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_columns
 
-from helpers import all_int, big_grid
+from helpers import all_int, big_grid, seeded_trials
 
 SEED = 5
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -130,14 +135,14 @@ def _grid(model, instance):
 def _reference_totals(model, instance, policy, count, rule=None):
     """Per-trial totals of ``run`` on the seeded draws: today's numbers."""
     run = prepare_comb_policy(model, instance, policy, rule).run
-    realizations = sample_realizations(instance, SEED, 0, count)
-    coins = sample_coins(instance, SEED, 0, count)
+    realizations, coins = seeded_trials(instance, SEED, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 
 
 def _reference_surrogate(model, instance, kind, count):
-    dists = [surrogate_dist(item, kind) for item in instance.items]
-    return [surrogate_cost(model, row)[0] for row in sample_rows(dists, SEED, SURROGATE_STREAM, 0, count)]
+    lanes = [(d.values, d.probs) for d in (surrogate_dist(item, kind) for item in instance.items)]
+    rows = zip(*sample_columns(lanes, SEED, SURROGATE_STREAM, 0, count).tolist())
+    return [surrogate_cost(model, row)[0] for row in rows]
 
 
 def test_cases_cover_ties_and_a_grid_beyond_float():
@@ -257,9 +262,10 @@ class TestSurrogateMcOnTheGrid:
                 assert expected_surrogate_cost_mc(model, inst, kind, count, SEED) == expected
 
 
-def test_exact_paths_scale_nothing(monkeypatch, capsys):
-    """verify, simulate --exact (with --trace) and bounds without --mc run on
-    the instance's own numbers; Monte Carlo runs on the grid."""
+def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
+    """bounds without --mc, the DP oracles, --trace and pi_surrogate_bound
+    run on the instance's own numbers; simulate --exact, verify and Monte
+    Carlo run on the grid; a float instance's grid is the instance itself."""
 
     def no_scaling(self, x):
         raise AssertionError("a number was scaled onto the grid")
@@ -268,11 +274,27 @@ def test_exact_paths_scale_nothing(monkeypatch, capsys):
     monkeypatch.delenv("PANDORA_BUDGET", raising=False)
     for name in ("golden_two_item.json", "matroid_rank2.json"):
         path = str(CORPUS / name)
-        assert main(["verify", path]) == 0
-        assert main(["simulate", path, "--policy", "local-hedging", "--exact", "--trace", "3"]) == 0
+        loaded = load_instance(path)
         assert main(["bounds", path]) == 0
-        with pytest.raises(AssertionError, match="scaled onto the grid"):
-            main(["simulate", path, "--policy", "local-hedging", "--trials", "10"])
+        assert "optimal NOI" in capsys.readouterr().out
+        if loaded.model is None:
+            prepared = prepare_policy(loaded.instance, "local-hedging")
+            assert opt_value_single_noi(loaded.instance) <= opt_value_single_oi(loaded.instance)
+            pi_surrogate_bound(loaded.instance, "local-hedging", 10, SEED)
+        else:
+            prepared = prepare_comb_policy(loaded.model, loaded.instance, "local-hedging")
+            opt_value_comb_noi(loaded.model, loaded.instance)
+        assert len(list(iter_trials(loaded.instance, prepared, SEED, 3))) == 3
+        for argv in (["verify"], ["simulate", "--policy", "local-hedging", "--exact"],
+                     ["simulate", "--policy", "local-hedging", "--trials", "10"]):
+            with pytest.raises(AssertionError, match="scaled onto the grid"):
+                main([argv[0], path, *argv[1:]])
     with pytest.raises(AssertionError, match="scaled onto the grid"):
         main(["bounds", str(CORPUS / "matroid_rank2.json"), "--mc", "--budget", "2", "--trials", "10"])
+    path = str(CORPUS / "float_mode_pair.json")
+    inst = load_instance(path).instance
+    assert IntegerGrid(inst).instance is inst
+    assert main(["verify", path]) == 0
+    assert main(["simulate", path, "--policy", "local-hedging", "--exact", "--trace", "3"]) == 0
+    assert main(["simulate", path, "--policy", "local-hedging", "--trials", "10"]) == 0
     capsys.readouterr()

@@ -18,11 +18,11 @@ from pandora_hedge import (
 from pandora_hedge import policies
 from pandora_hedge.cli import main
 from pandora_hedge.instancefile import LoadedInstance, write_instance
-from pandora_hedge.policies import SINGLE_POLICIES, prepare_policy, sample_coins, sample_realizations
+from pandora_hedge.policies import SINGLE_POLICIES, prepare_policy
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import mc_summary
 
-from helpers import golden_pair
+from helpers import golden_pair, seeded_trials
 
 GOLDEN = str(Path(__file__).resolve().parent.parent / "corpus" / "golden_two_item.json")
 TRIALS = 60
@@ -31,8 +31,7 @@ SEED = 13
 
 def _reference_traces(instance, per_trial, count, seed=SEED):
     """Traces from the public per-trial function on the seeded draws."""
-    realizations = sample_realizations(instance, seed, 0, count)
-    coins = sample_coins(instance, seed, 0, count)
+    realizations, coins = seeded_trials(instance, seed, 0, count)
     return [per_trial(realizations[t], coins[t]) for t in range(count)]
 
 

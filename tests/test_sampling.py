@@ -13,12 +13,11 @@ from pandora_hedge import (
     evaluate_policy_mc,
     expected_surrogate_cost_mc,
 )
-from pandora_hedge.policies import sample_coins, sample_realizations
+from pandora_hedge.policies import coin_columns, price_columns
 from pandora_hedge.sampling import (
     COIN_STREAM,
     PRICE_STREAM,
     sample_price_indices,
-    uniform_at,
     uniforms,
 )
 
@@ -52,7 +51,7 @@ class TestCounterContract:
     def test_uniform_at_is_random_access(self):
         whole = uniforms(9, 1, PRICE_STREAM, 40)
         for t in (0, 1, 17, 39):
-            assert uniform_at(9, 1, PRICE_STREAM, t) == whole[t]
+            assert uniforms(9, 1, PRICE_STREAM, 1, start=t)[0] == whole[t]
 
     @pytest.mark.parametrize("start", [0, 5, 4096, 2**40])
     def test_reused_generator_equals_a_fresh_philox(self, start):
@@ -107,20 +106,20 @@ class TestPriceSampling:
 
     def test_realizations_in_support(self):
         inst = golden_pair(exact=False)
-        rows = sample_realizations(inst, 3, 0, 500)
+        rows = price_columns(inst, 3, 0, 500, object).T.tolist()
         for row in rows:
-            assert row.prices[0] == 5.0 and row.prices[1] in (0.0, 10.0)
+            assert row[0] == 5.0 and row[1] in (0.0, 10.0)
 
     def test_coin_rates_track_p(self):
         inst = golden_pair(exact=False)
-        rows = sample_coins(inst, 3, 0, 20_000)
-        rate_a = sum(r.labels[0] for r in rows) / len(rows)
-        rate_b = sum(r.labels[1] for r in rows) / len(rows)
+        rows = coin_columns(inst, 3, 0, 20_000).T.tolist()
+        rate_a = sum(r[0] for r in rows) / len(rows)
+        rate_b = sum(r[1] for r in rows) / len(rows)
         assert rate_a == 0.0  # p_hedge = 0 for the never-inspect item
         assert abs(rate_b - 5 / 13) < 0.02
 
     def test_trial_slices_are_schedule_invariant(self):
         inst = golden_pair(exact=False)
-        whole = sample_realizations(inst, 11, 0, 60)
-        tail = sample_realizations(inst, 11, 25, 35)
-        assert [r.prices for r in whole[25:]] == [r.prices for r in tail]
+        whole = price_columns(inst, 11, 0, 60, object).T.tolist()
+        tail = price_columns(inst, 11, 25, 35, object).T.tolist()
+        assert whole[25:] == tail
