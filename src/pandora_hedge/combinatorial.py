@@ -21,17 +21,8 @@ import numpy as np
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization
-from .policies import (
-    IntegerGrid,
-    PreparedPolicy,
-    _column_trials,
-    _price_rows,
-    evaluate_exact,
-    evaluate_mc,
-    hedged_run,
-    obligatory_run,
-)
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .policies import IntegerGrid, PreparedPolicy, _column_traces, _price_rows, evaluate_exact, evaluate_mc
 from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
@@ -171,6 +162,12 @@ class CombModel:
     def terminal_cost(self, selected: frozenset[int]) -> Numeric:
         return self.terminal.cost(selected)
 
+    @property
+    def grid_numbers(self) -> tuple:
+        """The numbers the model adds to the instance's ``IntegerGrid``: its
+        facility-location distances."""
+        return tuple(d for row in self.terminal.distances for d in row)
+
 
 def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
     """One-shot optimum: minimize price sum plus terminal cost over feasible
@@ -243,7 +240,7 @@ def expected_surrogate_cost_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
     trials at a time and run on the instance's ``IntegerGrid``."""
-    grid = IntegerGrid(instance, [d for row in model.terminal.distances for d in row])
+    grid = IntegerGrid(instance, model.grid_numbers)
     on_grid = model_on_grid(model, grid)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
     return mc_summary(
@@ -256,15 +253,16 @@ def expected_surrogate_cost_mc(
 class GreedyRule:
     """Plugin interface for the frugal composition.
 
-    Given tentative prices, the currently selected and inspected sets, and the
-    model, propose the next item id or return None to declare completion.
-    Proposals must keep the selected set extensible to a feasible set.
+    ``frugal_trace`` asks the rule for each step: given tentative prices, the
+    currently selected and inspected sets, and the model, propose the next
+    item id or return None to declare completion.  Proposals must keep the
+    selected set extensible to a feasible set.
 
-    Monte Carlo and exact evaluation may pass tentative prices (and a model
-    whose terminal costs are) scaled by a positive constant (see
-    ``IntegerGrid``), so a rule may only compare and add them; a rule that
-    uses their size otherwise can give Monte Carlo results and exact values
-    that differ from ``run``.
+    Traces pass the instance's own prices.  Monte Carlo and exact evaluation
+    may pass tentative prices (and a model whose terminal costs are) scaled
+    by a positive constant (see ``IntegerGrid``), so a rule may only compare
+    and add them; a rule that uses their size otherwise can give Monte Carlo
+    results and exact values that differ from its traces.
     """
 
     def propose(
@@ -319,62 +317,66 @@ def rule_for_model(model: CombModel) -> GreedyRule:
     )
 
 
-def frugal_engine(model: CombModel, rule: GreedyRule):
-    """The frugal composition of ``rule`` as an engine on a key/cost view
-    (see ``hedged_view``).
-
-    ``engine(keys, costs)`` returns ``run(prices)``: tentative prices start
-    at the keys; a proposed uninspected item is inspected (its tentative price
-    becomes the view price, floored at its key), a proposed inspected item is
-    selected.  ``run`` returns (inspected ids in order, selected ids, cost
-    under the view including the terminal cost, terminal cost).
-    """
-
-    def engine(keys, costs):
-        def run(prices):
-            tau = list(keys)
-            inspected: set[int] = set()
-            selected: set[int] = set()
-            order: list[int] = []
-            total = 0
-            for _ in range(2 * len(keys) + 1):
-                prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
-                if prop is None:
-                    if not model.is_feasible(frozenset(selected)):
-                        raise RuleError("rule declared completion with an infeasible set")
-                    terminal = model.terminal_cost(frozenset(selected))
-                    return order, selected, total + terminal, terminal
-                if prop in selected:
-                    raise RuleError(f"rule proposed already-selected item {prop}")
-                if prop not in inspected:
-                    inspected.add(prop)
-                    order.append(prop)
-                    total = total + costs[prop]
-                    v = prices[prop]
-                    tau[prop] = v if v > keys[prop] else keys[prop]
-                else:
-                    selected.add(prop)
-                    total = total + prices[prop]
-            raise RuleError("rule failed to terminate")
-
-        return run
-
-    return engine
+def frugal_trace(
+    model: CombModel, rule: GreedyRule, instance: Instance, prices: Sequence[Numeric], labels=None
+) -> PolicyTrace:
+    """One trial of the frugal composition of ``rule``: tentative prices
+    start at the keys; a proposed uninspected item is inspected (its
+    tentative price becomes its view price, floored at its key), a proposed
+    inspected item is selected.  With ``labels`` None (frugal-oi) every item
+    keeps its reservation price, cost and realized price, and the trial is
+    charged its running total in event order, then the terminal cost.  With
+    labels (local hedging) it runs on the ``hedged_view`` and is charged the
+    labelled costs in inspection order, the selected realized prices, then
+    the terminal cost."""
+    if labels is None:
+        keys, costs, seen = instance.reservation_prices, [item.cost for item in instance.items], prices
+    else:
+        keys, costs, seen = hedged_view(instance, labels, prices)
+    tau = list(keys)
+    inspected: set[int] = set()
+    selected: set[int] = set()
+    order: list[int] = []
+    total = 0
+    for _ in range(2 * len(keys) + 1):
+        prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
+        if prop is None:
+            break
+        if prop in selected:
+            raise RuleError(f"rule proposed already-selected item {prop}")
+        if prop not in inspected:
+            inspected.add(prop)
+            order.append(prop)
+            total = total + costs[prop]
+            v = seen[prop]
+            tau[prop] = v if v > keys[prop] else keys[prop]
+        else:
+            selected.add(prop)
+            total = total + seen[prop]
+    else:
+        raise RuleError("rule failed to terminate")
+    if not model.is_feasible(frozenset(selected)):
+        raise RuleError("rule declared completion with an infeasible set")
+    terminal = model.terminal_cost(frozenset(selected))
+    if labels is None:
+        return PolicyTrace(tuple(order), frozenset(selected), frozenset(), total + terminal)
+    order = tuple(n for n in order if labels[n])
+    total = sum(instance.items[n].cost for n in order) + sum(prices[n] for n in selected) + terminal
+    return PolicyTrace(order, frozenset(selected), frozenset(n for n in selected if not labels[n]), total, labels)
 
 
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
-def frugal_batch(model: CombModel, rule: GreedyRule, trial_run, grid: IntegerGrid):
-    """Array form of a frugal policy on ``grid``: ``trial_run(instance,
-    engine)`` (``obligatory_run`` or ``hedged_run``) runs the frugal
-    composition of ``rule`` on the grid once per trial column."""
-    run = trial_run(grid.instance, frugal_engine(model_on_grid(model, grid), rule))
+def frugal_batch(model: CombModel, rule: GreedyRule, grid: IntegerGrid):
+    """Array form of a frugal policy on ``grid``: ``frugal_trace`` once per
+    trial column, with that column's labels for a policy that draws coins."""
+    traces = _column_traces(partial(frugal_trace, model_on_grid(model, grid), rule, grid.instance))
 
     def batch(prices, coins):
         if grid.exact and prices.dtype != object:  # exact small ints drawn as float64
             prices = prices.astype(np.int64)
-        return [run(r, c).total_cost for r, c in _column_trials(prices, coins)]
+        return [trace.total_cost for trace in traces(prices, coins)]
 
     return batch
 
@@ -390,12 +392,8 @@ def prepare_comb_policy(
     if policy not in COMB_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     rule = rule_for_model(model) if rule is None else rule
-    hedged = policy == "local-hedging"
-    trial_run = hedged_run if hedged else obligatory_run
-    engine = frugal_engine(model, rule)
-    batch = partial(frugal_batch, model, rule, trial_run)
-    distances = tuple(d for row in model.terminal.distances for d in row)
-    return PreparedPolicy(trial_run(instance, engine), batch, hedged, distances)
+    traces = _column_traces(partial(frugal_trace, model, rule, instance))
+    return PreparedPolicy(traces, partial(frugal_batch, model, rule), policy == "local-hedging", model.grid_numbers)
 
 
 def frugal_oi_policy(

@@ -62,19 +62,22 @@ def compute_indices(item: Item) -> ItemIndices:
 
     When the reservation price is at least the backup price (equivalently,
     at least the mean), inspection is never worthwhile: hedging probability 0
-    and ratio 1.  This also covers the mean-zero degenerate item without
-    dividing by the mean.  Otherwise the hedging probability equalizes the
-    two loss branches of the ratio and the ratio lands in [1, 4/3].
+    and ratio 1.  This also covers, without dividing by zero, the mean-zero
+    degenerate item and an item mixing exact and float numbers whose mean
+    minus reservation price rounds to zero.  Otherwise the hedging
+    probability equalizes the two loss branches of the ratio and the ratio
+    lands in [1, 4/3].
     """
     mu = mean(item.dist)
     u_rsv = reservation_price(item.dist, item.cost)
     u_bkp = backup_price(item.dist, item.cost)
     never = u_rsv >= u_bkp
-    if never or u_rsv >= mu:
+    gap = mu - u_rsv
+    if never or gap <= 0:
         return ItemIndices(mu, u_rsv, u_bkp, 0, 1, never)
-    denom = (mu - u_rsv) + item.cost * u_rsv / mu
-    p = max((mu - u_rsv) / denom, 0)
-    alpha = max((mu - u_rsv + item.cost) / denom, 1)
+    denom = gap + item.cost * u_rsv / mu
+    p = max(gap / denom, 0)
+    alpha = max((gap + item.cost) / denom, 1)
     if alpha > ALPHA_CEILING + ALPHA_TOL:
         raise AssertionError(f"local ratio {alpha} exceeds 4/3")
     return ItemIndices(mu, u_rsv, u_bkp, p, alpha, False)

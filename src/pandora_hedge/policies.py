@@ -1,6 +1,6 @@
 """Executable single-item selection policies and the policy layer shared
-with combinatorial selection: engines, prepared policies, traces and the
-exact and Monte Carlo evaluators.
+with combinatorial selection: prepared policies, traces and the exact and
+Monte Carlo evaluators.
 
 All policies are pure functions of (instance, realization, coins); the Monte
 Carlo evaluator derives realizations and coins from the counter-based
@@ -29,7 +29,7 @@ from .distkit import (
     min_with_constant_expectation,
 )
 from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
@@ -116,46 +116,39 @@ class IntegerGrid:
 class PreparedPolicy:
     """A policy with its trial-independent work done once.
 
-    ``run(realization, coins=None)`` returns one trial's trace on the
-    instance's own numbers.  ``batch(grid)`` builds its array form on the
-    instance's ``IntegerGrid`` over ``grid_numbers``: a function that maps an
-    (items x trials) array of the grid's prices in
-    ``array_dtype(grid.instance)`` (and, for a policy that ``draws_coins``, a
-    label array of the same shape) to the trials' totals on the grid.  Monte
-    Carlo and exact evaluation both run the array form.  Only local hedging
-    draws coins: its labels are drawn afresh each trial.
+    ``traces(prices, coins)`` maps an (items x trials) object array of the
+    instance's own prices (and, for a policy that ``draws_coins``, a label
+    array of the same shape) to the trials' traces; ``run(realization,
+    coins)`` is its one-trial form.  ``batch(grid)`` builds the array form on
+    the instance's ``IntegerGrid`` over ``grid_numbers``: a function that maps
+    an (items x trials) array of the grid's prices in
+    ``array_dtype(grid.instance)`` (and the labels) to the trials' totals on
+    the grid.  Monte Carlo and exact evaluation run the array form; ``--trace``,
+    ``pi_surrogate_bound`` and the argmin check run the traces.  Only local
+    hedging draws coins: its labels are drawn afresh each trial.
     """
 
-    run: Callable[..., PolicyTrace]
+    traces: Callable[[np.ndarray, Optional[np.ndarray]], list]
     batch: Callable[[IntegerGrid], Callable]
     draws_coins: bool = False
     grid_numbers: tuple = ()
 
+    def run(self, realization: Realization, coins: Optional[HedgeCoins] = None) -> PolicyTrace:
+        if self.draws_coins and coins is None:
+            raise ValueError("local-hedging needs hedge coins")
+        labels = np.array([coins.labels], dtype=bool).T if self.draws_coins else None
+        return self.traces(np.array([realization.prices], dtype=object).T, labels)[0]
 
-def reservation_engine(keys: Sequence[Numeric], costs: Sequence[Numeric]):
-    """Weitzman's search on a key/cost view (see ``hedged_view``).
 
-    Sorts once; the returned ``run(prices)`` inspects in ascending key order
-    (ties by id), stops when the best observed price is at most the next key,
-    and selects the cheapest observation (ties by id).  It returns (inspected
-    ids in order, selected ids, cost under the view, terminal cost 0).
-    """
-    order = sorted(range(len(keys)), key=lambda n: (keys[n], n))
+def _column_traces(trace: Callable[..., PolicyTrace]):
+    """Column traces of a one-trial ``trace(prices, labels)``; labels are
+    None for a policy that draws no coins."""
 
-    def run(prices):
-        best_v = None
-        best_id = None
-        inspected = []
-        for n in order:
-            if best_id is not None and best_v <= keys[n]:
-                break
-            inspected.append(n)
-            v = prices[n]
-            if best_id is None or v < best_v or (v == best_v and n < best_id):
-                best_v, best_id = v, n
-        return inspected, (best_id,), sum(costs[n] for n in inspected) + prices[best_id], 0
+    def traces(prices, coins):
+        labels = [None] * prices.shape[1] if coins is None else [tuple(c) for c in coins.T.tolist()]
+        return [trace(row, lab) for row, lab in zip(prices.T.tolist(), labels)]
 
-    return run
+    return traces
 
 
 def array_dtype(instance: Instance):
@@ -175,45 +168,64 @@ def array_dtype(instance: Instance):
 _FIRST_BLOCK = 4  # slots in the first block; most trials stop after a few inspections
 
 
-def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = None):
-    """Array form of ``hedged_trace`` on ``reservation_engine``, with fixed
-    ``labels`` or, if None, per-trial labels; Monte Carlo and exact
-    evaluation run it on the instance's ``IntegerGrid``.
-
-    Item n has two slots: labelled (key u_rsv, its cost and realized price)
-    and unlabelled (key and view price mu, cost 0).  The slots are sorted
-    once by (key, id), so the slots active in a trial come in the order of
-    that trial's own stable sort; fixed labels keep only their active slots.
-    The search walks the slots in blocks that double in size and keeps only
-    the trials still searching.  A trial adds its inspection costs in
-    inspection order (a slot it skips adds an exact zero), then the realized
-    price of the item with the lowest inspected view price.
-
-    Which of several tied items holds that lowest view price never changes a
-    total: an unlabelled item's view price is its key, so it is inspected
-    only below every earlier view price, and tied labelled items have equal
-    realized prices.
-    """
-    dtype = array_dtype(instance)
-    zero = 0 if dtype is object else 0.0
+def _slots(instance: Instance, labels: Optional[Sequence[bool]]):
+    """The sorted (key, id, labelled) slots of ``reservation_batch``."""
     slots = [
         (ix.u_rsv if lab else ix.mu, n, lab)
         for n, ix in enumerate(instance.indices)
         for lab in (True, False)
         if labels is None or labels[n] == lab
     ]
-    slots.sort(key=lambda s: (s[0], s[1]))
-    keys = np.array([s[0] for s in slots], dtype=dtype)[:, None]
+    return sorted(slots, key=lambda s: (s[0], s[1]))
+
+
+def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = None):
+    """Weitzman's search as an array form, the package's one single-item
+    search: Weitzman, commit-enum and local hedging run it with all-true,
+    fixed or (if None) per-trial ``labels``.  The returned ``search(prices,
+    coins)`` takes (items x trials) price and label arrays and returns each
+    trial's inspection costs, the realized price of the item it selects (the
+    two add up to its total) and its stop: how many sorted slots it walked.
+    Monte Carlo and exact evaluation run it on the instance's
+    ``IntegerGrid``, traces on object arrays of the instance's own numbers;
+    the slot arrays take the prices' dtype and are built once per dtype.
+
+    Item n has two slots: labelled (key u_rsv, its cost and realized price)
+    and unlabelled (key and view price mu, cost 0).  The slots are sorted
+    once by (key, id), so the slots active in a trial come in the order of
+    that trial's own stable sort.  A trial stops at its first active slot
+    whose key is at least the lowest view price inspected so far.  The
+    search walks the slots in blocks that double in size and keeps only the
+    trials still searching.  A trial adds its inspection costs in inspection
+    order (a slot it skips adds an exact zero), then the realized price of
+    the item with the lowest inspected view price.
+
+    Which of several tied items holds that lowest view price never changes a
+    total: an unlabelled item's view price is its key, so it is inspected
+    only below every earlier view price, and tied labelled items have equal
+    realized prices.
+    """
+    slots = _slots(instance, labels)
     ids = np.array([s[1] for s in slots], dtype=np.intp)[:, None]
     lab = np.array([s[2] for s in slots])[:, None]
-    costs = np.array([instance.items[n].cost if b else zero for _, n, b in slots], dtype=dtype)[:, None]
-    mus = np.array([instance.indices[n].mu for _, n, _ in slots], dtype=dtype)[:, None]
+    typed = {}  # keys, costs, means and zero per price dtype
 
-    def batch(prices, coins):
+    def slot_arrays(dtype):
+        if dtype not in typed:
+            zero = 0 if dtype == object else 0.0
+            keys = np.array([s[0] for s in slots], dtype=dtype)[:, None]
+            costs = np.array([instance.items[n].cost if b else zero for _, n, b in slots], dtype=dtype)[:, None]
+            mus = np.array([instance.indices[n].mu for _, n, _ in slots], dtype=dtype)[:, None]
+            typed[dtype] = keys, costs, mus, zero
+        return typed[dtype]
+
+    def search(prices, coins):
+        keys, costs, mus, zero = slot_arrays(prices.dtype)
         trials = prices.shape[1]
-        best = np.full(trials, np.inf, dtype=dtype)  # lowest view price inspected
-        chosen = np.full(trials, zero, dtype=dtype)  # realized price of its item
-        spent = np.full(trials, zero, dtype=dtype)
+        best = np.full(trials, np.inf, dtype=prices.dtype)  # lowest view price inspected
+        chosen = np.full(trials, zero, dtype=prices.dtype)  # realized price of its item
+        spent = np.full(trials, zero, dtype=prices.dtype)
+        stops = np.full(trials, len(slots))
         rows = np.arange(trials)  # trials still searching
         s0, width = 0, _FIRST_BLOCK
         while rows.size and s0 < len(slots):
@@ -237,64 +249,44 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
             better = cand[at] < best[rows]
             best[rows[better]] = cand[at][better]
             chosen[rows[better]] = realized[at][better]
+            stops[rows[stopped]] = s0 + first[stopped]
             rows = rows[~stopped]
             s0, width = s0 + width, 2 * width
-        return spent + chosen
+        return spent, chosen, stops
 
-    return batch
-
-
-def obligatory_run(instance: Instance, engine):
-    """One trial of obligatory inspection on ``engine``: every item keeps its
-    reservation price and cost, and the trial is charged the engine's own
-    total."""
-    search = engine(instance.reservation_prices, [item.cost for item in instance.items])
-
-    def run(realization, coins=None):
-        inspected, selected, total, _ = search(realization.prices)
-        return PolicyTrace(
-            inspection_order=tuple(inspected),
-            selected=frozenset(selected),
-            selected_without_inspection=frozenset(),
-            total_cost=total,
-        )
-
-    return run
+    return search
 
 
-def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
-    """One trial of local hedging on any engine.
+def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], keep_labels: bool = True):
+    """``reservation_batch`` as a prepared policy.  A trace inspects the
+    active slots before its trial's stop, charges the labelled ones' costs
+    in slot order (the search's sum), and selects the lowest inspected view
+    price, ties to the lowest id; its total is those costs plus the selected
+    realized price.  ``keep_labels`` records the labels in the trace."""
 
-    The engine searches the ``hedged_view``, where a non-inspection item is a
-    free point mass at its mean; the trace charges the true inspection costs,
-    the realized price of every selected item and the terminal cost.
-    """
-    keys, costs, prices = hedged_view(instance, labels, realization.prices)
-    inspected, selected, _, terminal = engine(keys, costs)(prices)
-    order = tuple(n for n in inspected if labels[n])
-    total = (
-        sum(instance.items[n].cost for n in order)
-        + sum(realization.prices[n] for n in selected)
-        + terminal
-    )
-    return PolicyTrace(
-        inspection_order=order,
-        selected=frozenset(selected),
-        selected_without_inspection=frozenset(n for n in selected if not labels[n]),
-        total_cost=total,
-        labels=labels,
-    )
+    def traces(prices, coins):
+        slots, mus = _slots(instance, labels), [ix.mu for ix in instance.indices]
+        spent, _, stops = reservation_batch(instance, labels)(prices, coins)
+        labelings = [labels] * prices.shape[1] if coins is None else [tuple(c) for c in coins.T.tolist()]
+        out = []
+        for row, labs, cost, stop in zip(prices.T.tolist(), labelings, spent.tolist(), stops.tolist()):
+            walked = [(n, lab) for _, n, lab in slots[:stop] if labs[n] == lab]
+            order = tuple(n for n, lab in walked if lab)
+            sel = min(walked, key=lambda s: (row[s[0]] if s[1] else mus[s[0]], s[0]))[0]
+            uninspected = frozenset() if labs[sel] else frozenset({sel})
+            out.append(PolicyTrace(order, frozenset({sel}), uninspected, cost + row[sel], labs if keep_labels else None))
+        return out
 
+    def batch(grid):
+        on_grid = reservation_batch(grid.instance, labels)
 
-def hedged_run(instance: Instance, engine):
-    """One trial of local hedging on ``engine``, on that trial's own coins."""
+        def totals(prices, coins):
+            spent, chosen, _ = on_grid(prices, coins)
+            return spent + chosen
 
-    def run(realization, coins=None):
-        if coins is None:
-            raise ValueError("local-hedging needs hedge coins")
-        return hedged_trace(instance, engine, realization, coins.labels)
+        return totals
 
-    return run
+    return PreparedPolicy(traces, batch, draws_coins=labels is None)
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -330,37 +322,27 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     (inspect everything, select the cheapest) and ``never-inspect`` (select
     the lowest mean uninspected)."""
     if policy == "weitzman":
-        run = obligatory_run(instance, reservation_engine)
-        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance, (True,) * len(instance)))
+        return _reservation_policy(instance, (True,) * len(instance), keep_labels=False)
     if policy == "local-hedging":
-        run = hedged_run(instance, reservation_engine)
-        return PreparedPolicy(run, lambda grid: reservation_batch(grid.instance), draws_coins=True)
+        return _reservation_policy(instance, None)
     if policy == "commit-enum":
-        labels = commit_enum_labeling(instance).labels
-        keys, costs, _ = hedged_view(instance, labels, instance.reservation_prices)
-        fixed = reservation_engine(keys, costs)  # the labels never change: sort once
-        return PreparedPolicy(
-            lambda realization, coins=None: hedged_trace(instance, lambda *_: fixed, realization, labels),
-            lambda grid: reservation_batch(grid.instance, labels),
-        )
+        return _reservation_policy(instance, commit_enum_labeling(instance).labels)
     ids = tuple(range(len(instance)))
     if policy == "inspect-all":
         inspect_cost = sum(item.cost for item in instance.items)
 
-        def inspect_all(realization, coins=None):
-            prices = realization.prices
+        def inspect_all(prices, labels):
             sel = min(ids, key=lambda n: (prices[n], n))
             return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
 
         return PreparedPolicy(
-            inspect_all, lambda grid: lambda prices, coins: sum(i.cost for i in grid.instance.items) + prices.min(axis=0)
+            _column_traces(inspect_all),
+            lambda grid: lambda prices, coins: sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
         )
     if policy == "never-inspect":
         sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
         return PreparedPolicy(
-            lambda realization, coins=None: PolicyTrace(
-                (), frozenset({sel}), frozenset({sel}), realization.prices[sel]
-            ),
+            _column_traces(lambda prices, labels: PolicyTrace((), frozenset({sel}), frozenset({sel}), prices[sel])),
             lambda grid: lambda prices, coins: prices[sel],
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
@@ -375,7 +357,7 @@ def local_hedging_policy(
     instance: Instance, realization: Realization, coins: HedgeCoins
 ) -> PolicyTrace:
     """Randomized committing policy driven by per-item hedge labels."""
-    return hedged_trace(instance, reservation_engine, realization, coins.labels)
+    return prepare_policy(instance, "local-hedging").run(realization, coins)
 
 
 def _price_rows(
@@ -390,13 +372,6 @@ def _price_rows(
             row[n] = v
             prob = prob * p
         yield prob, row
-
-
-def iter_price_realizations(instance: Instance):
-    """Yield (probability, price row) over the product of all supports."""
-    dists = [item.dist for item in instance.items]
-    for prob, row in _price_rows(dists, range(len(dists)), [None] * len(dists)):
-        yield prob, tuple(row)
 
 
 EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's memory
@@ -471,21 +446,15 @@ def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.nd
     return sample_columns(lanes, seed, COIN_STREAM, start, count, bool)
 
 
-def _column_trials(prices: np.ndarray, coins: Optional[np.ndarray]):
-    """(realization, coins or None) per trial column of (items x trials)
-    price and label arrays."""
-    labels = [None] * prices.shape[1] if coins is None else [HedgeCoins(tuple(c)) for c in coins.T.tolist()]
-    return [(Realization(tuple(r)), c) for r, c in zip(prices.T.tolist(), labels)]
-
-
 def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: int):
-    """Yield (realization, trace) for trials 0..count-1, drawn one chunk at a
-    time; coins are drawn only for a policy that draws them."""
+    """Yield (realization, trace) for trials 0..count-1: the prepared
+    policy's traces, one chunk of drawn columns at a time; coins are drawn
+    only for a policy that draws them."""
     for start, size in trial_chunks(count):
         prices = price_columns(instance, seed, start, size, object)
         coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
-        for realization, c in _column_trials(prices, coins):
-            yield realization, prepared.run(realization, c)
+        realizations = (Realization(tuple(row)) for row in prices.T.tolist())
+        yield from zip(realizations, prepared.traces(prices, coins))
 
 
 def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:

@@ -8,10 +8,13 @@ observed; on exact-rational instances the tolerance drops to zero.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError, check_budget
 from .combinatorial import (
@@ -30,18 +33,18 @@ from .distkit import (
     min_of_independent,
 )
 from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, surrogate_dist
-from .instance import Instance, Realization
+from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
     IntegerGrid,
     evaluate_policy_exact,
-    iter_price_realizations,
     one_item_value,
     prepare_policy,
 )
 
 TOL = 1e-12
 BUDGET_SKIP = "skipped (budget)"
+ARGMIN_CHUNK = 128  # realizations the argmin check traces at once: bounds its memory
 
 
 @dataclass
@@ -110,8 +113,8 @@ class ExactValues:
         return None
 
 
-def _tolerance(instance: Instance) -> float:
-    return 0.0 if IntegerGrid(instance).exact else TOL
+def _tolerance(instance: Instance, model: Optional[CombModel]) -> float:
+    return 0.0 if IntegerGrid(instance, model.grid_numbers if model else ()).exact else TOL
 
 
 def _with_midpoints(points):
@@ -262,16 +265,17 @@ def check_weitzman_trace(values: ExactValues, tol):
     instance = values.instance
     check_budget(instance.support_product(), min(values.budget, 4096), "selection argmin check")
     weitzman = prepare_policy(instance, "weitzman")
+    realizations = itertools.product(*(item.dist.values for item in instance.items))
     worst = 0.0
-    for _, prices in iter_price_realizations(instance):
-        trace = weitzman.run(Realization(prices))
-        inspected = set(trace.inspection_order)
-        views = []
-        for n in range(len(instance)):
-            idx = instance.indices[n]
-            views.append(max(prices[n], idx.u_rsv) if n in inspected else idx.u_rsv)
-        sel = next(iter(trace.selected))
-        worst = max(worst, max(0.0, float(views[sel] - min(views))))
+    while rows := list(itertools.islice(realizations, ARGMIN_CHUNK)):
+        for prices, trace in zip(rows, weitzman.traces(np.array(rows, dtype=object).T, None)):
+            views = list(instance.reservation_prices)
+            for n in trace.inspection_order:
+                views[n] = max(prices[n], views[n])
+            (sel,) = trace.selected
+            low = min(views)
+            if views[sel] > low:
+                worst = max(worst, float(views[sel] - low))
     return worst <= tol, worst
 
 
@@ -340,7 +344,7 @@ def run_checks(
     max violation) or NotApplicable; an exact value over the budget turns it
     into a budget skip."""
     values = ExactValues(instance, model, budget)
-    tol = _tolerance(instance)
+    tol = _tolerance(instance, model)
     results = []
     for name, check in SINGLE_CHECKS if model is None else COMB_CHECKS:
         try:

@@ -11,9 +11,10 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
-from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, Realization
+from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace, Realization, hedged_view
+from pandora_hedge.combinatorial import RuleError, rule_for_model
 from pandora_hedge.indices import compute_indices
-from pandora_hedge.policies import coin_columns, local_hedging_policy, price_columns
+from pandora_hedge.policies import coin_columns, commit_enum_labeling, price_columns
 
 
 def brute_min_atoms(dists):
@@ -32,9 +33,153 @@ def direct_capped_sum(dist: DiscreteDist, r):
     return sum(p * min(v, r) for v, p in dist.atoms)
 
 
+def price_realizations(instance: Instance):
+    """Every price row of the product of the supports."""
+    return itertools.product(*(item.dist.values for item in instance.items))
+
+
+def reservation_engine(keys, costs):
+    """Weitzman's search on a key/cost view (see ``hedged_view``), one trial
+    at a time: the reference for the library's array form.
+
+    Sorts once; the returned ``run(prices)`` inspects in ascending key order
+    (ties by id), stops when the best observed price is at most the next key,
+    and selects the cheapest observation (ties by id).  It returns (inspected
+    ids in order, selected ids, cost under the view, terminal cost 0).
+    """
+    order = sorted(range(len(keys)), key=lambda n: (keys[n], n))
+
+    def run(prices):
+        best_v = None
+        best_id = None
+        inspected = []
+        for n in order:
+            if best_id is not None and best_v <= keys[n]:
+                break
+            inspected.append(n)
+            v = prices[n]
+            if best_id is None or v < best_v or (v == best_v and n < best_id):
+                best_v, best_id = v, n
+        return inspected, (best_id,), sum(costs[n] for n in inspected) + prices[best_id], 0
+
+    return run
+
+
+def frugal_engine(model, rule):
+    """The frugal composition of ``rule`` as an engine on a key/cost view,
+    one trial at a time.
+
+    ``engine(keys, costs)`` returns ``run(prices)``: tentative prices start
+    at the keys; a proposed uninspected item is inspected (its tentative price
+    becomes the view price, floored at its key), a proposed inspected item is
+    selected.  ``run`` returns (inspected ids in order, selected ids, cost
+    under the view including the terminal cost, terminal cost).
+    """
+
+    def engine(keys, costs):
+        def run(prices):
+            tau = list(keys)
+            inspected: set[int] = set()
+            selected: set[int] = set()
+            order: list[int] = []
+            total = 0
+            for _ in range(2 * len(keys) + 1):
+                prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
+                if prop is None:
+                    if not model.is_feasible(frozenset(selected)):
+                        raise RuleError("rule declared completion with an infeasible set")
+                    terminal = model.terminal_cost(frozenset(selected))
+                    return order, selected, total + terminal, terminal
+                if prop in selected:
+                    raise RuleError(f"rule proposed already-selected item {prop}")
+                if prop not in inspected:
+                    inspected.add(prop)
+                    order.append(prop)
+                    total = total + costs[prop]
+                    v = prices[prop]
+                    tau[prop] = v if v > keys[prop] else keys[prop]
+                else:
+                    selected.add(prop)
+                    total = total + prices[prop]
+            raise RuleError("rule failed to terminate")
+
+        return run
+
+    return engine
+
+
+def obligatory_run(instance: Instance, engine):
+    """One trial of obligatory inspection on ``engine``: every item keeps its
+    reservation price and cost, and the trial is charged the engine's own
+    total."""
+    search = engine(instance.reservation_prices, [item.cost for item in instance.items])
+
+    def run(realization, coins=None):
+        inspected, selected, total, _ = search(realization.prices)
+        return PolicyTrace(tuple(inspected), frozenset(selected), frozenset(), total)
+
+    return run
+
+
+def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
+    """One trial of local hedging on any engine: the engine searches the
+    ``hedged_view``; the trace charges the true inspection costs, the
+    realized price of every selected item and the terminal cost."""
+    keys, costs, prices = hedged_view(instance, labels, realization.prices)
+    inspected, selected, _, terminal = engine(keys, costs)(prices)
+    order = tuple(n for n in inspected if labels[n])
+    total = (
+        sum(instance.items[n].cost for n in order)
+        + sum(realization.prices[n] for n in selected)
+        + terminal
+    )
+    return PolicyTrace(
+        inspection_order=order,
+        selected=frozenset(selected),
+        selected_without_inspection=frozenset(n for n in selected if not labels[n]),
+        total_cost=total,
+        labels=labels,
+    )
+
+
+def reference_policy(instance: Instance, policy: str):
+    """One-trial ``run(realization, coins=None)`` of a single-item policy,
+    built on the reference engines (and, for the diagnostics, on their
+    definitions)."""
+    if policy == "weitzman":
+        return obligatory_run(instance, reservation_engine)
+    if policy == "local-hedging":
+        return lambda realization, coins: hedged_trace(instance, reservation_engine, realization, coins.labels)
+    if policy == "commit-enum":
+        labels = commit_enum_labeling(instance).labels
+        return lambda realization, coins=None: hedged_trace(instance, reservation_engine, realization, labels)
+    ids = tuple(range(len(instance)))
+    if policy == "inspect-all":
+
+        def inspect_all(realization, coins=None):
+            prices = realization.prices
+            sel = min(ids, key=lambda n: (prices[n], n))
+            return PolicyTrace(ids, frozenset({sel}), frozenset(), sum(i.cost for i in instance.items) + prices[sel])
+
+        return inspect_all
+    assert policy == "never-inspect"
+    sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
+    return lambda realization, coins=None: PolicyTrace((), frozenset({sel}), frozenset({sel}), realization.prices[sel])
+
+
+def reference_comb_policy(model, instance: Instance, policy: str, rule=None):
+    """One-trial ``run(realization, coins=None)`` of a combinatorial policy
+    on the reference frugal engine."""
+    engine = frugal_engine(model, rule_for_model(model) if rule is None else rule)
+    if policy == "frugal-oi":
+        return obligatory_run(instance, engine)
+    assert policy == "local-hedging"
+    return lambda realization, coins: hedged_trace(instance, engine, realization, coins.labels)
+
+
 def enumerate_lh_cost(instance: Instance):
     """Expected hedged-policy cost by enumerating coins and full price
-    products, charging realized prices through the actual trace path."""
+    products, charging realized prices through the reference trace path."""
     n = len(instance)
     total = 0
     for labels in itertools.product((True, False), repeat=n):
@@ -49,7 +194,7 @@ def enumerate_lh_cost(instance: Instance):
             prob = weight
             for _, q in combo:
                 prob = prob * q
-            trace = local_hedging_policy(instance, Realization(tuple(v for v, _ in combo)), coins)
+            trace = hedged_trace(instance, reservation_engine, Realization(tuple(v for v, _ in combo)), coins.labels)
             total = total + prob * trace.total_cost
     return total
 

@@ -32,7 +32,7 @@ from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import COIN_STREAM, mc_summary, uniforms
 
-from helpers import all_int, big_grid, seeded_trials, wide_grid
+from helpers import all_int, big_grid, reference_policy, seeded_trials, wide_grid
 
 SEED = 7
 
@@ -82,8 +82,8 @@ def _instances(exact):
 
 
 def _reference_totals(instance, policy, count, seed=SEED):
-    """Totals of the per-trial policy (``reservation_engine``) on the seeded draws."""
-    run = prepare_policy(instance, policy).run
+    """Totals of the reference per-trial policy (``reservation_engine``) on the seeded draws."""
+    run = reference_policy(instance, policy)
     realizations, coins = seeded_trials(instance, seed, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 

@@ -30,10 +30,9 @@ from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import RuleError, rule_for_model
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import surrogate_dist
-from pandora_hedge.policies import iter_price_realizations
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
-from helpers import golden_pair, two_point_item
+from helpers import golden_pair, price_realizations, two_point_item
 
 
 def rank_model(k, n):
@@ -198,7 +197,7 @@ class TestFrugalPolicy:
         for _ in range(60):
             inst = random_instance(rng, max_items=5)
             model = rank_model(1, len(inst))
-            for _, prices in iter_price_realizations(inst):
+            for prices in price_realizations(inst):
                 r = Realization(prices)
                 tw = weitzman_policy(inst, r)
                 tf = frugal_oi_policy(model, inst, r)
@@ -250,7 +249,7 @@ class TestCombinatorialHedging:
         inst = golden_pair()
         model = rank_model(1, 2)
         coins = HedgeCoins((True, True))
-        for _, prices in iter_price_realizations(inst):
+        for prices in price_realizations(inst):
             r = Realization(prices)
             a = frugal_oi_policy(model, inst, r)
             b = combinatorial_lh_policy(model, inst, r, coins)

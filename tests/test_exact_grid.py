@@ -1,7 +1,9 @@
 """Exact evaluation runs each policy's array form on the integer grid: its
-value equals a weighted enumeration through the per-trial ``run`` on the
-instance's own numbers, in value and type, and bit for bit in float mode."""
+value equals a weighted enumeration through the reference per-trial engines
+on the instance's own numbers, in value and type, and bit for bit in float
+mode."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -18,10 +20,9 @@ from pandora_hedge import (
     Realization,
     evaluate_comb_policy_exact,
     evaluate_policy_exact,
-    prepare_comb_policy,
 )
 from pandora_hedge import policies
-from pandora_hedge.combinatorial import COMB_POLICIES, frugal_engine, rule_for_model
+from pandora_hedge.combinatorial import COMB_POLICIES, rule_for_model
 from pandora_hedge.instance import hedged_view
 from pandora_hedge.policies import (
     SINGLE_POLICIES,
@@ -34,7 +35,16 @@ from pandora_hedge.policies import (
 )
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
-from helpers import all_int, big_grid, enumerate_lh_cost, seeded_trials, wide_grid
+from helpers import (
+    all_int,
+    big_grid,
+    enumerate_lh_cost,
+    frugal_engine,
+    reference_comb_policy,
+    reference_policy,
+    seeded_trials,
+    wide_grid,
+)
 from test_batch_mc import single_item
 from test_batch_mc import tie_heavy as single_tie_heavy
 from test_grid_mc import _exact_cases as comb_exact_cases
@@ -65,14 +75,16 @@ def _labelled_rows(instance, draws_coins):
             yield prob, tuple(labels), tuple(row)
 
 
-def reference_value(instance, prepared):
-    """Weighted enumeration through ``prepared.run``: label vectors with
-    unlabelled items at their mean for a policy that draws coins,
+def reference_value(instance, policy, model=None):
+    """Weighted enumeration through the reference per-trial policy: label
+    vectors with unlabelled items at their mean for local hedging,
     realizations otherwise."""
+    run = reference_policy(instance, policy) if model is None else reference_comb_policy(model, instance, policy)
+    draws_coins = policy == "local-hedging"
     total = 0
-    for prob, labels, row in _labelled_rows(instance, prepared.draws_coins):
-        coins = HedgeCoins(labels) if prepared.draws_coins else None
-        total = total + prob * prepared.run(Realization(row), coins).total_cost
+    for prob, labels, row in _labelled_rows(instance, draws_coins):
+        coins = HedgeCoins(labels) if draws_coins else None
+        total = total + prob * run(Realization(row), coins).total_cost
     return total
 
 
@@ -105,14 +117,14 @@ class TestExactEqualsReference:
     def test_single_item(self, exact):
         for inst in _single_cases(exact):
             for policy in SINGLE_POLICIES:
-                expected = reference_value(inst, prepare_policy(inst, policy))
+                expected = reference_value(inst, policy)
                 assert type(expected) is (F if exact else float)
                 _assert_same(evaluate_policy_exact(inst, policy), expected)
 
     def test_combinatorial(self, exact):
         for model, inst in _comb_cases(exact):
             for policy in COMB_POLICIES:
-                expected = reference_value(inst, prepare_comb_policy(model, inst, policy))
+                expected = reference_value(inst, policy, model)
                 assert type(expected) is (F if exact else float)
                 _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
 
@@ -150,11 +162,11 @@ def test_all_never_inspect_weights_are_ints():
     rows = list(policies._weighted_columns(IntegerGrid(inst).instance, [ix.p_hedge for ix in inst.indices]))
     assert len(rows) == 1 and type(rows[0][0]) is int
     for policy in SINGLE_POLICIES:
-        expected = reference_value(inst, prepare_policy(inst, policy))
+        expected = reference_value(inst, policy)
         _assert_same(evaluate_policy_exact(inst, policy), expected)
     model = uniform(2, len(inst))
     for policy in COMB_POLICIES:
-        expected = reference_value(inst, prepare_comb_policy(model, inst, policy))
+        expected = reference_value(inst, policy, model)
         _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
 
 
@@ -164,10 +176,9 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
     assert all(ix.p_hedge != 1 for ix in inst.indices) and any(0 < ix.p_hedge < 1 for ix in inst.indices)
     labels = [lab for _, _, lab in policies._weighted_columns(inst, [ix.p_hedge for ix in inst.indices])]
     assert labels[-1] == [False] * len(inst)
-    _assert_same(evaluate_policy_exact(inst, "local-hedging"), reference_value(inst, prepare_policy(inst, "local-hedging")))
+    _assert_same(evaluate_policy_exact(inst, "local-hedging"), reference_value(inst, "local-hedging"))
     model = uniform(1, len(inst))
-    prepared = prepare_comb_policy(model, inst, "local-hedging")
-    _assert_same(evaluate_comb_policy_exact(model, inst, "local-hedging"), reference_value(inst, prepared))
+    _assert_same(evaluate_comb_policy_exact(model, inst, "local-hedging"), reference_value(inst, "local-hedging", model))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -177,10 +188,10 @@ def test_support_product_beyond_one_chunk(exact):
     while inst.support_product() <= policies.EXACT_CHUNK:
         inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
     for policy in SINGLE_POLICIES:
-        _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, prepare_policy(inst, policy)))
+        _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, policy))
     model = uniform(2, len(inst))
     for policy in COMB_POLICIES:
-        expected = reference_value(inst, prepare_comb_policy(model, inst, policy))
+        expected = reference_value(inst, policy, model)
         _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
 
 
@@ -243,11 +254,11 @@ class TestArrayDtypeBound:
         for policy in SINGLE_POLICIES:
             prepared = prepare_policy(inst, policy)
             realizations, coins = seeded_trials(inst, 3, 0, 200)
-            expected = [prepared.run(r, c).total_cost for r, c in zip(realizations, coins)]
+            expected = [reference_policy(inst, policy)(r, c).total_cost for r, c in zip(realizations, coins)]
             prices = price_columns(scaled, 3, 0, 200, np.float64)
             got = prepared.batch(grid)(prices, coin_columns(inst, 3, 0, 200))
             assert got.dtype == np.float64 and [int(t) for t in got] == [t * grid.L for t in expected]
-            _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, prepared))
+            _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, policy))
 
     def test_a_number_at_the_bound_goes_to_object(self):
         scaled = IntegerGrid(self._tall()).instance
@@ -272,6 +283,6 @@ def test_exact_evaluation_runs_the_array_form(monkeypatch):
             calls.append(grid.L)
             return real(grid)
 
-        value = evaluate_exact(inst, policies.PreparedPolicy(prepared.run, batch, prepared.draws_coins))
+        value = evaluate_exact(inst, dataclasses.replace(prepared, batch=batch))
         assert value == evaluate_policy_exact(inst, policy)
     assert calls == [IntegerGrid(inst).L] * len(SINGLE_POLICIES)

@@ -52,7 +52,7 @@ from pandora_hedge.policies import (
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_columns
 
-from helpers import all_int, big_grid, seeded_trials
+from helpers import all_int, big_grid, reference_comb_policy, seeded_trials
 
 SEED = 5
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -133,8 +133,8 @@ def _grid(model, instance):
 
 
 def _reference_totals(model, instance, policy, count, rule=None):
-    """Per-trial totals of ``run`` on the seeded draws: today's numbers."""
-    run = prepare_comb_policy(model, instance, policy, rule).run
+    """Per-trial totals of the reference frugal engine on the seeded draws."""
+    run = reference_comb_policy(model, instance, policy, rule)
     realizations, coins = seeded_trials(instance, SEED, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 

@@ -29,10 +29,10 @@ from pandora_hedge import (
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import compute_indices, surrogate_dist
-from pandora_hedge.policies import commit_enum_labeling, iter_price_realizations, prepare_policy
+from pandora_hedge.policies import commit_enum_labeling, prepare_policy
 from pandora_hedge.randgen import random_instance
 
-from helpers import enumerate_lh_cost, golden_pair, two_point_item
+from helpers import enumerate_lh_cost, golden_pair, price_realizations, two_point_item
 
 
 class TestOneItemSubproblem:
@@ -141,7 +141,7 @@ class TestLocalHedgingTraces:
                 (HedgeCoins.all_obligatory(inst), weitzman_policy),
                 (HedgeCoins((False,) * len(inst)), lambda i, r: prepare_policy(i, "never-inspect").run(r)),
             )
-            for _, prices in iter_price_realizations(inst):
+            for prices in price_realizations(inst):
                 r = Realization(prices)
                 for coins, reference in cases:
                     trace = local_hedging_policy(inst, r, coins)
@@ -301,7 +301,7 @@ class TestTraceArgminConsistency:
         rng = random.Random(17)
         for _ in range(40):
             inst = random_instance(rng, max_items=5)
-            for _, prices in iter_price_realizations(inst):
+            for prices in price_realizations(inst):
                 trace = weitzman_policy(inst, Realization(prices))
                 inspected = set(trace.inspection_order)
                 views = [

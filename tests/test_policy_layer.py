@@ -1,6 +1,6 @@
-"""The shared policy layer: prepared policies, the trial loop and the --trace
-rows agree with the public per-trial functions, and trial-independent work
-runs once per prepared policy."""
+"""The shared policy layer: prepared policies, the trial loop, the --trace
+rows and the public per-trial functions agree with the reference per-trial
+engines, and trial-independent work runs once per prepared policy."""
 
 import json
 import random
@@ -13,16 +13,19 @@ from pandora_hedge import (
     evaluate_comb_policy_mc,
     evaluate_policy_mc,
     frugal_oi_policy,
+    local_hedging_policy,
     pi_surrogate_bound,
+    weitzman_policy,
 )
 from pandora_hedge import policies
 from pandora_hedge.cli import main
+from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.instancefile import LoadedInstance, write_instance
 from pandora_hedge.policies import SINGLE_POLICIES, prepare_policy
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import mc_summary
 
-from helpers import golden_pair, seeded_trials
+from helpers import golden_pair, reference_comb_policy, reference_policy, seeded_trials
 
 GOLDEN = str(Path(__file__).resolve().parent.parent / "corpus" / "golden_two_item.json")
 TRIALS = 60
@@ -30,7 +33,7 @@ SEED = 13
 
 
 def _reference_traces(instance, per_trial, count, seed=SEED):
-    """Traces from the public per-trial function on the seeded draws."""
+    """Traces from the reference per-trial function on the seeded draws."""
     realizations, coins = seeded_trials(instance, seed, 0, count)
     return [per_trial(realizations[t], coins[t]) for t in range(count)]
 
@@ -40,15 +43,28 @@ def _single_cases(exact):
     for _ in range(6):
         inst = random_instance(rng, max_items=5, exact=exact)
         for policy in SINGLE_POLICIES:
-            yield inst, None, policy, lambda r, c, i=inst, p=policy: prepare_policy(i, p).run(r, c)
+            yield inst, None, policy, reference_policy(inst, policy)
 
 
 def _comb_cases(exact):
     rng = random.Random(43 if exact else 42)
     for _ in range(4):
         model, inst = random_comb_instance(rng, max_items=5, exact=exact)
-        yield inst, model, "frugal-oi", lambda r, c, m=model, i=inst: frugal_oi_policy(m, i, r)
-        yield inst, model, "local-hedging", lambda r, c, m=model, i=inst: combinatorial_lh_policy(m, i, r, c)
+        for policy in COMB_POLICIES:
+            yield inst, model, policy, reference_comb_policy(model, inst, policy)
+
+
+def _public(inst, model, policy):
+    """The public per-trial function of a policy, as ``run(realization, coins)``."""
+    if model is not None:
+        if policy == "frugal-oi":
+            return lambda r, c: frugal_oi_policy(model, inst, r)
+        return lambda r, c: combinatorial_lh_policy(model, inst, r, c)
+    if policy == "weitzman":
+        return lambda r, c: weitzman_policy(inst, r)
+    if policy == "local-hedging":
+        return lambda r, c: local_hedging_policy(inst, r, c)
+    return prepare_policy(inst, policy).run
 
 
 def _trace_row(t, trace):
@@ -75,6 +91,14 @@ class TestTrialLoop:
         for inst, model, policy, per_trial in _comb_cases(exact):
             expected = mc_summary(tr.total_cost for tr in _reference_traces(inst, per_trial, TRIALS))
             assert evaluate_comb_policy_mc(model, inst, policy, TRIALS, SEED) == expected
+
+    def test_public_per_trial_functions_equal_the_reference(self, exact):
+        for inst, model, policy, per_trial in [*_single_cases(exact), *_comb_cases(exact)]:
+            realizations, coins = seeded_trials(inst, SEED, 0, 20)
+            public = _public(inst, model, policy)
+            for r, c, expected in zip(realizations, coins, _reference_traces(inst, per_trial, 20)):
+                got = public(r, c)
+                assert got == expected and type(got.total_cost) is type(expected.total_cost)
 
     def test_cli_trace_rows_equal_first_traces(self, exact, tmp_path, capsys):
         cases = list(_single_cases(exact))[:10] + list(_comb_cases(exact))

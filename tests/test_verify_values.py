@@ -7,13 +7,17 @@ call.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from pandora_hedge import CombModel, SurrogateKind, UniformMatroid, ZeroTerminal, verify
-from pandora_hedge.instancefile import load_instance
+from pandora_hedge import CombModel, FacilityLocationTerminal, SurrogateKind, UniformMatroid, ZeroTerminal, verify
+from pandora_hedge.cli import main
+from pandora_hedge.instancefile import LoadedInstance, load_instance, write_instance
+from pandora_hedge.randgen import random_instance
 
 from helpers import golden_pair
 
@@ -68,3 +72,34 @@ def test_budget_skips_and_inapplicable_checks_have_their_status():
         assert by_name[name].status == "n/a"
         assert by_name[name].passed and by_name[name].detail.startswith("skipped (needs ")
     assert by_name["surrogate means"].status == "pass"
+
+
+def _float_distance_cases(count):
+    """Exact items under a uniform matroid whose facility-location distances
+    are JSON numbers: their values come from float arithmetic."""
+    rng = random.Random(0)
+    for _ in range(count):
+        inst = random_instance(rng, max_items=4, max_support=3, exact=True)
+        n = len(inst)
+        rows = tuple(tuple(0 if i == j else rng.choice((0.1, 0.2, 0.3, 0.7, 1.1)) for j in range(n)) for i in range(n))
+        yield CombModel(UniformMatroid(rng.randint(1, n)), FacilityLocationTerminal(rows), n), inst
+
+
+def test_float_distances_are_checked_at_float_tolerance(tmp_path, capsys):
+    cases = list(_float_distance_cases(40))
+    for model, inst in cases:
+        assert verify._tolerance(inst, model) == verify.TOL
+        assert all(r.passed for r in verify.run_checks(inst, model))
+    model, inst = cases[11]  # checked at zero tolerance, it failed the lower bound by 3.55e-15
+    path = tmp_path / "float_distances.json"
+    write_instance(LoadedInstance(instance=inst, model=model), path)
+    assert main(["verify", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_string_distances_keep_zero_tolerance():
+    for model, inst in _float_distance_cases(10):
+        rows = tuple(tuple(F(d).limit_denominator(10) for d in row) for row in model.terminal.distances)
+        exact = CombModel(model.family, FacilityLocationTerminal(rows), model.n_items)
+        assert verify._tolerance(inst, exact) == 0.0
+    assert verify._tolerance(load_instance(CORPUS / "facility_location_pair.json").instance, None) == 0.0
