@@ -213,14 +213,24 @@ def expected_surrogate_cost(
     kind: SurrogateKind,
     budget: int = DEFAULT_BUDGET,
 ) -> Numeric:
-    """E[Z] for the chosen surrogate kind, by product enumeration."""
+    """E[Z] for the chosen surrogate kind, by product enumeration.  On a
+    rational ``IntegerGrid`` the surrogate prices and the model are scaled
+    onto the grid and each weight is an int numerator over the lcm of its
+    surrogate distribution's probability denominators; the sum leaves by
+    ``IntegerGrid.leave``.  Otherwise it runs on the instance's own numbers."""
     dists = _surrogate_dists(instance, kind)
     size = math.prod(len(d) for d in dists)
     check_budget(size, budget, "surrogate cost enumeration")
+    grid = IntegerGrid(instance, model.grid_numbers)
+    if grid.rational:
+        qs, atoms = zip(*map(grid.atoms, dists))
+        on_grid = model_on_grid(model, grid)
+    else:
+        atoms, on_grid = [d.atoms for d in dists], model
     total = 0
-    for prob, prices in _price_rows(dists, range(len(dists)), [None] * len(dists)):
-        total = total + prob * surrogate_cost(model, prices)[0]
-    return total
+    for prob, prices in _price_rows(atoms, range(len(dists)), [None] * len(dists)):
+        total = total + prob * surrogate_cost(on_grid, prices)[0]
+    return grid.leave(total, grid.L * math.prod(qs)) if grid.rational else total
 
 
 def model_on_grid(model: CombModel, grid: IntegerGrid) -> CombModel:

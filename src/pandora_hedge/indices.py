@@ -91,7 +91,11 @@ def alpha_of_p(item: Item, p: Numeric) -> Numeric:
     """
     if not 0 <= p <= 1:
         raise ValueError("hedging probability must lie in [0, 1]")
-    idx = compute_indices(item)
+    return _alpha_of_p(item, compute_indices(item), p)
+
+
+def _alpha_of_p(item: Item, idx: ItemIndices, p: Numeric) -> Numeric:
+    """``alpha_of_p`` from the item's already computed indices."""
     if idx.u_rsv >= idx.u_bkp:
         raise ValueError("ratio curve undefined: reservation price >= backup price")
     if idx.u_rsv == 0 and p < 1:

@@ -84,10 +84,17 @@ class IntegerGrid:
     grid as ``t / L`` in int true division, which rounds correctly.
     Otherwise L is 1 and the grid is the instance itself.  The scaled
     ``instance`` is built on first use, so reading ``exact`` scales nothing.
+
+    A grid is ``rational`` when it is exact and every probability and
+    hedging probability is an int or ``Fraction`` too.  Then exact
+    evaluation and the DP oracles run on ints over one common denominator
+    D = L x Q_1 x ... x Q_N, where Q_n is the lcm of item n's probability
+    denominators, and their totals leave by ``leave``.
     """
 
     def __init__(self, instance: Instance, extra: Sequence[Numeric] = ()):
         self._instance = instance
+        self._extra = tuple(extra)
         numbers = [
             x
             for item, ix in zip(instance.items, instance.indices)
@@ -95,9 +102,33 @@ class IntegerGrid:
         ] + list(extra)
         self.exact = all(map(_is_exact, numbers))
         self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
+        self.rational = self.exact and all(
+            _is_exact(x) for item, ix in zip(instance.items, instance.indices) for x in (*item.dist.probs, ix.p_hedge)
+        )
+        self.Q = tuple(_prob_lcm(item.dist) for item in instance.items) if self.rational else (1,) * len(instance)
+        self.D = self.L * math.prod(self.Q)
 
     def scale(self, x: Numeric) -> Numeric:
         return x.numerator * (self.L // x.denominator) if self.exact else x
+
+    def atoms(self, dist: DiscreteDist) -> tuple[int, tuple]:
+        """``dist`` on a rational grid: the lcm q of its probability
+        denominators and its (scaled value, q x probability) pairs, all ints."""
+        q = _prob_lcm(dist)
+        return q, tuple((self.scale(v), p.numerator * (q // p.denominator)) for v, p in dist.atoms)
+
+    @cached_property
+    def item_atoms(self) -> tuple:
+        """Each item's price ``atoms`` on a rational grid, over its Q_n."""
+        return tuple(self.atoms(item.dist)[1] for item in self._instance.items)
+
+    def leave(self, total: int, denominator: int) -> Numeric:
+        """The value of a rational grid's int ``total`` over ``denominator``:
+        ``Fraction(total, denominator)``, or the int total itself when every
+        cost, support value, probability and extra number is an int."""
+        items = self._instance.items
+        given = [*self._extra, *(x for item in items for x in (item.cost, *item.dist.values, *item.dist.probs))]
+        return total if all(type(x) is int for x in given) else Fraction(total, denominator)
 
     @cached_property
     def instance(self) -> Instance:
@@ -110,6 +141,10 @@ class IntegerGrid:
         ]
         indices = [replace(ix, mu=s(ix.mu), u_rsv=s(ix.u_rsv), u_bkp=s(ix.u_bkp)) for ix in self._instance.indices]
         return Instance(items, indices)
+
+
+def _prob_lcm(dist: DiscreteDist) -> int:
+    return math.lcm(*(p.denominator for p in dist.probs))
 
 
 @dataclass(frozen=True)
@@ -361,14 +396,17 @@ def local_hedging_policy(
 
 
 def _price_rows(
-    dists: Sequence[DiscreteDist], ids: Sequence[int], base: Sequence[Numeric], weight: Numeric = 1
+    atoms: Sequence[Sequence[tuple]], ids: Sequence[int], base: Sequence[Numeric], weight: Numeric = 1
 ):
-    """Yield (probability, price row) over the product of ``dists[n]`` for n
-    in ``ids``; every other entry of the row keeps its ``base`` value."""
-    for atoms in itertools.product(*(dists[n].atoms for n in ids)):
+    """Yield (weight, price row) over the product of ``atoms[n]`` for n in
+    ``ids``, multiplying ``weight`` by each atom's weight in turn; every
+    other entry of the row keeps its ``base`` value.  The package's one
+    weight generator: on a rational grid the weights are int numerators
+    (``IntegerGrid.atoms``), otherwise the atoms' own probabilities."""
+    for combo in itertools.product(*(atoms[n] for n in ids)):
         prob = weight
         row = list(base)
-        for n, (v, p) in zip(ids, atoms):
+        for n, (v, p) in zip(ids, combo):
             row[n] = v
             prob = prob * p
         yield prob, row
@@ -377,22 +415,36 @@ def _price_rows(
 EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's memory
 
 
-def _weighted_columns(instance: Instance, p_hedge: Sequence[Numeric]):
-    """Yield (weight, price row, labels) over the label vectors of
+def _weighted_columns(grid: IntegerGrid, p_hedge: Sequence[Numeric]):
+    """Yield (weight, price row, labels) on ``grid`` over the label vectors of
     ``p_hedge``: items with hedging probability 0 or 1 have a fixed label,
     the others branch both ways.  A vector's rows run over the supports of
     its labelled items; every other item is priced at its mean, exactly the
-    expectation of a price that no trial inspects."""
-    dists = [item.dist for item in instance.items]
+    expectation of a price that no trial inspects.
+
+    On a rational grid a weight is an int numerator over (D / L) x H, where
+    H multiplies the denominators h_n of the branching hedging
+    probabilities: a labelled item contributes its atom's Q_n x probability,
+    an unlabelled one Q_n, and a branching item also its label's share of
+    h_n.  Otherwise a weight is the product of the probabilities."""
+    instance = grid.instance
     mus = [ix.mu for ix in instance.indices]
     varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
+    if grid.rational:
+        atoms = grid.item_atoms
+        base = math.prod(q for q, p in zip(grid.Q, p_hedge) if p == 0)
+        shares = {n: (p_hedge[n].numerator, (p_hedge[n].denominator - p_hedge[n].numerator) * grid.Q[n]) for n in varying}
+    else:
+        atoms = [item.dist.atoms for item in instance.items]
+        base = 1
+        shares = {n: (p_hedge[n], 1 - p_hedge[n]) for n in varying}
     for combo in itertools.product((True, False), repeat=len(varying)):
         labels = [p == 1 for p in p_hedge]
-        weight = 1
+        weight = base
         for n, lab in zip(varying, combo):
             labels[n] = lab
-            weight = weight * (p_hedge[n] if lab else 1 - p_hedge[n])
-        for prob, row in _price_rows(dists, [n for n, lab in enumerate(labels) if lab], mus, weight):
+            weight = weight * shares[n][0 if lab else 1]
+        for prob, row in _price_rows(atoms, [n for n, lab in enumerate(labels) if lab], mus, weight):
             yield prob, row, labels
 
 
@@ -403,9 +455,9 @@ def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = D
     every other policy labels every item, so it enumerates realizations.
     The policy's array form runs on the instance's ``IntegerGrid``,
     ``EXACT_CHUNK`` columns at a time, and weight x total is summed in
-    enumeration order.  An exact value leaves the grid as
-    ``Fraction(total, L)``, or as it is when every cost, support value,
-    probability and grid number is an int; a float-mode value is a float.
+    enumeration order.  On a rational grid the weights and totals are ints
+    and the sum leaves by ``IntegerGrid.leave``; otherwise the weights are
+    the probabilities and a float-mode value is a float.
     """
     p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
     branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(instance.items, p_hedge) if p != 0)
@@ -414,15 +466,16 @@ def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = D
     batch = prepared.batch(grid)
     dtype = array_dtype(grid.instance)
     number = int if grid.exact else float  # a grid total as a Python number
-    columns = _weighted_columns(grid.instance, p_hedge)
+    columns = _weighted_columns(grid, p_hedge)
     total = 0
     while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
         weights, rows, labels = zip(*chunk)
         coins = np.array(labels, dtype=bool).T if prepared.draws_coins else None
         for w, t in zip(weights, batch(np.array(rows, dtype=dtype).T, coins)):
             total = total + w * number(t)
-    numbers = [*prepared.grid_numbers, *(x for i in instance.items for x in (i.cost, *i.dist.values, *i.dist.probs))]
-    return Fraction(total, grid.L) if grid.exact and any(type(x) is not int for x in numbers) else total
+    if grid.rational:
+        return grid.leave(total, grid.D * math.prod(p.denominator for p in p_hedge if 0 < p < 1))
+    return total / grid.L if grid.exact else total  # exact numbers with float probabilities
 
 
 def evaluate_policy_exact(

@@ -32,7 +32,7 @@ from .distkit import (
     mean,
     min_of_independent,
 )
-from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, surrogate_dist
+from .indices import ALPHA_CEILING, SurrogateKind, _alpha_of_p, surrogate_dist
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
@@ -205,13 +205,13 @@ def check_alpha(values: ExactValues, tol):
             ok = False
         if idx.never_inspect or idx.u_rsv >= idx.u_bkp:
             continue
-        gap = alpha_of_p(item, idx.p_hedge) - idx.alpha_local
+        gap = _alpha_of_p(item, idx, idx.p_hedge) - idx.alpha_local
         worst = max(worst, abs(float(gap)))
         for k in range(101):
             p = Fraction(k, 100) if tol == 0 else k / 100
             if idx.u_rsv == 0 and p != 1:
                 continue
-            worst = max(worst, max(0.0, float(idx.alpha_local - alpha_of_p(item, p))))
+            worst = max(worst, max(0.0, float(idx.alpha_local - _alpha_of_p(item, idx, p))))
     return ok and worst <= tol, worst
 
 

@@ -10,11 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
+
+import numpy as np
 
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace, Realization, hedged_view
-from pandora_hedge.combinatorial import RuleError, rule_for_model
-from pandora_hedge.indices import compute_indices
-from pandora_hedge.policies import coin_columns, commit_enum_labeling, price_columns
+from pandora_hedge.combinatorial import RuleError, rule_for_model, surrogate_cost
+from pandora_hedge.indices import compute_indices, surrogate_dist
+from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, price_columns
 
 
 def brute_min_atoms(dists):
@@ -255,3 +258,129 @@ def all_int() -> Instance:
         indices.append(replace(ix, mu=int(ix.mu), u_rsv=int(ix.u_rsv), u_bkp=int(ix.u_bkp)))
         assert (ix.mu, ix.u_rsv, ix.u_bkp) == (indices[-1].mu, indices[-1].u_rsv, indices[-1].u_bkp)
     return Instance(items, indices)
+
+
+def _tmin(a, b):
+    """min with None as the top element."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a <= b else b
+
+
+def reference_opt_value_single(instance: Instance, allow_uninspected: bool):
+    """The single-item DP on the instance's own numbers (``Fraction`` in
+    exact mode): the reference for the library's integer recursion."""
+    items = instance.items
+    indices = instance.indices
+    n = len(items)
+
+    @lru_cache(maxsize=None)
+    def val(mask, best):
+        options = [best] if best is not None else []
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            m = bit.bit_length() - 1
+            rest ^= bit
+            if allow_uninspected:
+                options.append(indices[m].mu)
+            inspect = items[m].cost
+            for v, p in items[m].dist.atoms:
+                inspect = inspect + p * val(mask ^ bit, _tmin(best, v))
+            options.append(inspect)
+        return min(options)
+
+    return val((1 << n) - 1, None)
+
+
+def reference_opt_value_comb_noi(model, instance: Instance):
+    """The combinatorial NOI DP on the instance's own numbers, feasibility
+    and terminal cost recomputed in every state: the reference for the
+    library's integer recursion."""
+    items = instance.items
+    indices = instance.indices
+    n = len(items)
+    UNINSPECTED = 0
+    SELECTED = -1
+
+    @lru_cache(maxsize=None)
+    def val(state):
+        selected = frozenset(m for m in range(n) if state[m] == SELECTED)
+        options = []
+        if model.is_feasible(selected):
+            options.append(model.terminal_cost(selected))
+        for m in range(n):
+            code = state[m]
+            if code == SELECTED:
+                continue
+            if code == UNINSPECTED:
+                inspect = items[m].cost
+                for k, (v, p) in enumerate(items[m].dist.atoms):
+                    inspect = inspect + p * val(state[:m] + (k + 1,) + state[m + 1 :])
+                options.append(inspect)
+                options.append(indices[m].mu + val(state[:m] + (SELECTED,) + state[m + 1 :]))
+            else:
+                v = items[m].dist.atoms[code - 1][0]
+                options.append(v + val(state[:m] + (SELECTED,) + state[m + 1 :]))
+        return min(options)
+
+    return val((UNINSPECTED,) * n)
+
+
+def reference_price_rows(dists, ids, base, weight=1):
+    """(probability, price row) over the product of ``dists[n]`` for n in
+    ``ids``, the probability a chain of products of the atoms' own
+    probabilities; every other entry keeps its ``base`` value."""
+    for atoms in itertools.product(*(dists[n].atoms for n in ids)):
+        prob = weight
+        row = list(base)
+        for n, (v, p) in zip(ids, atoms):
+            row[n] = v
+            prob = prob * p
+        yield prob, row
+
+
+def reference_weighted_columns(instance: Instance, p_hedge):
+    """(weight, price row, labels) over the label vectors of ``p_hedge``,
+    weights as products of the probabilities themselves: the reference for
+    the library's int weight numerators."""
+    dists = [item.dist for item in instance.items]
+    mus = [ix.mu for ix in instance.indices]
+    varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
+    for combo in itertools.product((True, False), repeat=len(varying)):
+        labels = [p == 1 for p in p_hedge]
+        weight = 1
+        for n, lab in zip(varying, combo):
+            labels[n] = lab
+            weight = weight * (p_hedge[n] if lab else 1 - p_hedge[n])
+        for prob, row in reference_price_rows(dists, [n for n, lab in enumerate(labels) if lab], mus, weight):
+            yield prob, row, labels
+
+
+def reference_evaluate_exact(instance: Instance, prepared):
+    """Exact value of a prepared policy: its array form on the grid, summed
+    with the reference weights, leaving as ``Fraction(total, L)`` (or as it
+    is when every cost, support value, probability and grid number is an
+    int)."""
+    p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
+    grid = IntegerGrid(instance, prepared.grid_numbers)
+    batch = prepared.batch(grid)
+    number = int if grid.exact else float
+    total = 0
+    for w, row, labels in reference_weighted_columns(grid.instance, p_hedge):
+        coins = np.array([labels], dtype=bool).T if prepared.draws_coins else None
+        (t,) = batch(np.array([row], dtype=array_dtype(grid.instance)).T, coins)
+        total = total + w * number(t)
+    numbers = [*prepared.grid_numbers, *(x for i in instance.items for x in (i.cost, *i.dist.values, *i.dist.probs))]
+    return F(total, grid.L) if grid.exact and any(type(x) is not int for x in numbers) else total
+
+
+def reference_expected_surrogate_cost(model, instance: Instance, kind):
+    """E[Z] by product enumeration on the instance's own numbers."""
+    dists = [surrogate_dist(item, kind) for item in instance.items]
+    total = 0
+    for prob, prices in reference_price_rows(dists, range(len(dists)), [None] * len(dists)):
+        total = total + prob * surrogate_cost(model, prices)[0]
+    return total

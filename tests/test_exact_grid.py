@@ -159,7 +159,7 @@ def test_all_never_inspect_weights_are_ints():
     1, yet the value is a Fraction, not an int quotient."""
     inst = _costly([(F(1), F(2)), (F(0), F(5, 3)), (F(1, 7), F(3))], F(9))
     assert all(ix.p_hedge == 0 for ix in inst.indices)
-    rows = list(policies._weighted_columns(IntegerGrid(inst).instance, [ix.p_hedge for ix in inst.indices]))
+    rows = list(policies._weighted_columns(IntegerGrid(inst), [ix.p_hedge for ix in inst.indices]))
     assert len(rows) == 1 and type(rows[0][0]) is int
     for policy in SINGLE_POLICIES:
         expected = reference_value(inst, policy)
@@ -174,7 +174,7 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
     items = [tie_heavy().items[k] for k in (0, 4, 5)]
     inst = Instance([Item(n, item.cost, item.dist) for n, item in enumerate(items)])
     assert all(ix.p_hedge != 1 for ix in inst.indices) and any(0 < ix.p_hedge < 1 for ix in inst.indices)
-    labels = [lab for _, _, lab in policies._weighted_columns(inst, [ix.p_hedge for ix in inst.indices])]
+    labels = [lab for _, _, lab in policies._weighted_columns(IntegerGrid(inst), [ix.p_hedge for ix in inst.indices])]
     assert labels[-1] == [False] * len(inst)
     _assert_same(evaluate_policy_exact(inst, "local-hedging"), reference_value(inst, "local-hedging"))
     model = uniform(1, len(inst))

@@ -1,8 +1,10 @@
 """Exact-mode combinatorial Monte Carlo runs on an integer grid: every
 estimate equals the summary of the per-trial ``Fraction`` results, bit for
-bit, float-mode instances keep their own numbers, and only the paths that
-evaluate a policy's expected cost scale onto the grid."""
+bit, float-mode instances keep their own numbers, and every path that
+computes an expected cost or an optimum scales onto the grid, while traces
+do not."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -263,9 +265,9 @@ class TestSurrogateMcOnTheGrid:
 
 
 def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
-    """bounds without --mc, the DP oracles, --trace and pi_surrogate_bound
-    run on the instance's own numbers; simulate --exact, verify and Monte
-    Carlo run on the grid; a float instance's grid is the instance itself."""
+    """--trace and pi_surrogate_bound run on the instance's own numbers;
+    bounds, the DP oracles, simulate --exact, verify and Monte Carlo run on
+    the grid; a float instance's grid is the instance itself."""
 
     def no_scaling(self, x):
         raise AssertionError("a number was scaled onto the grid")
@@ -275,17 +277,18 @@ def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
     for name in ("golden_two_item.json", "matroid_rank2.json"):
         path = str(CORPUS / name)
         loaded = load_instance(path)
-        assert main(["bounds", path]) == 0
-        assert "optimal NOI" in capsys.readouterr().out
         if loaded.model is None:
             prepared = prepare_policy(loaded.instance, "local-hedging")
-            assert opt_value_single_noi(loaded.instance) <= opt_value_single_oi(loaded.instance)
             pi_surrogate_bound(loaded.instance, "local-hedging", 10, SEED)
+            oracles = (opt_value_single_noi, opt_value_single_oi)
         else:
             prepared = prepare_comb_policy(loaded.model, loaded.instance, "local-hedging")
-            opt_value_comb_noi(loaded.model, loaded.instance)
+            oracles = (functools.partial(opt_value_comb_noi, loaded.model),)
         assert len(list(iter_trials(loaded.instance, prepared, SEED, 3))) == 3
-        for argv in (["verify"], ["simulate", "--policy", "local-hedging", "--exact"],
+        for oracle in oracles:
+            with pytest.raises(AssertionError, match="scaled onto the grid"):
+                oracle(loaded.instance)
+        for argv in (["bounds"], ["verify"], ["simulate", "--policy", "local-hedging", "--exact"],
                      ["simulate", "--policy", "local-hedging", "--trials", "10"]):
             with pytest.raises(AssertionError, match="scaled onto the grid"):
                 main([argv[0], path, *argv[1:]])
@@ -294,6 +297,7 @@ def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
     path = str(CORPUS / "float_mode_pair.json")
     inst = load_instance(path).instance
     assert IntegerGrid(inst).instance is inst
+    assert main(["bounds", path]) == 0
     assert main(["verify", path]) == 0
     assert main(["simulate", path, "--policy", "local-hedging", "--exact", "--trace", "3"]) == 0
     assert main(["simulate", path, "--policy", "local-hedging", "--trials", "10"]) == 0
