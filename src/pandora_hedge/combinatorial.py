@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence, Union
 
@@ -162,12 +162,6 @@ class CombModel:
     def terminal_cost(self, selected: frozenset[int]) -> Numeric:
         return self.terminal.cost(selected)
 
-    @property
-    def grid_numbers(self) -> tuple:
-        """The numbers the model adds to the instance's ``IntegerGrid``: its
-        facility-location distances."""
-        return tuple(d for row in self.terminal.distances for d in row)
-
 
 def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
     """One-shot optimum: minimize price sum plus terminal cost over feasible
@@ -213,32 +207,19 @@ def expected_surrogate_cost(
     kind: SurrogateKind,
     budget: int = DEFAULT_BUDGET,
 ) -> Numeric:
-    """E[Z] for the chosen surrogate kind, by product enumeration.  On a
-    rational ``IntegerGrid`` the surrogate prices and the model are scaled
-    onto the grid and each weight is an int numerator over the lcm of its
-    surrogate distribution's probability denominators; the sum leaves by
-    ``IntegerGrid.leave``.  Otherwise it runs on the instance's own numbers."""
+    """E[Z] for the chosen surrogate kind, by product enumeration of the
+    surrogate distributions' ``IntegerGrid.atoms`` (in exact mode int weights
+    over the lcm of each one's probability denominators) against the grid's
+    model; the sum leaves by ``IntegerGrid.leave``."""
     dists = _surrogate_dists(instance, kind)
     size = math.prod(len(d) for d in dists)
     check_budget(size, budget, "surrogate cost enumeration")
-    grid = IntegerGrid(instance, model.grid_numbers)
-    if grid.rational:
-        qs, atoms = zip(*map(grid.atoms, dists))
-        on_grid = model_on_grid(model, grid)
-    else:
-        atoms, on_grid = [d.atoms for d in dists], model
+    grid = IntegerGrid(instance, model)
+    qs, atoms = zip(*map(grid.atoms, dists))
     total = 0
     for prob, prices in _price_rows(atoms, range(len(dists)), [None] * len(dists)):
-        total = total + prob * surrogate_cost(on_grid, prices)[0]
-    return grid.leave(total, grid.L * math.prod(qs)) if grid.rational else total
-
-
-def model_on_grid(model: CombModel, grid: IntegerGrid) -> CombModel:
-    """``model`` with its facility-location distances scaled onto ``grid``."""
-    distances = model.terminal.distances
-    if not grid.exact or not distances:
-        return model
-    return replace(model, terminal=FacilityLocationTerminal(tuple(tuple(map(grid.scale, row)) for row in distances)))
+        total = total + prob * surrogate_cost(grid.model, prices)[0]
+    return grid.leave(total, grid.L * math.prod(qs))
 
 
 def expected_surrogate_cost_mc(
@@ -250,11 +231,10 @@ def expected_surrogate_cost_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
     trials at a time and run on the instance's ``IntegerGrid``."""
-    grid = IntegerGrid(instance, model.grid_numbers)
-    on_grid = model_on_grid(model, grid)
+    grid = IntegerGrid(instance, model)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
     return mc_summary(
-        surrogate_cost(on_grid, row)[0] / grid.L
+        surrogate_cost(grid.model, row)[0] / grid.L
         for start, size in trial_chunks(trials)
         for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
     )
@@ -378,10 +358,10 @@ def frugal_trace(
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
-def frugal_batch(model: CombModel, rule: GreedyRule, grid: IntegerGrid):
-    """Array form of a frugal policy on ``grid``: ``frugal_trace`` once per
-    trial column, with that column's labels for a policy that draws coins."""
-    traces = _column_traces(partial(frugal_trace, model_on_grid(model, grid), rule, grid.instance))
+def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
+    """Array form of a frugal policy on ``grid``: ``frugal_trace`` on the grid's
+    model once per trial column, with the column's labels if it draws coins."""
+    traces = _column_traces(partial(frugal_trace, grid.model, rule, grid.instance))
 
     def batch(prices, coins):
         if grid.exact and prices.dtype != object:  # exact small ints drawn as float64
@@ -403,7 +383,7 @@ def prepare_comb_policy(
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     rule = rule_for_model(model) if rule is None else rule
     traces = _column_traces(partial(frugal_trace, model, rule, instance))
-    return PreparedPolicy(traces, partial(frugal_batch, model, rule), policy == "local-hedging", model.grid_numbers)
+    return PreparedPolicy(traces, partial(frugal_batch, rule), policy == "local-hedging", model)
 
 
 def frugal_oi_policy(

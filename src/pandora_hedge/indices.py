@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price
@@ -42,6 +43,11 @@ class Item:
         if self.cost < 0:
             raise ValueError(f"item {self.id}: inspection cost must be nonnegative")
 
+    # cached in the item's own __dict__, so per object and never by value
+    @cached_property
+    def indices(self) -> ItemIndices:
+        return compute_indices(self)
+
 
 @dataclass(frozen=True)
 class ItemIndices:
@@ -56,9 +62,9 @@ class ItemIndices:
 def compute_indices(item: Item) -> ItemIndices:
     """Derive all per-item indices.
 
-    Not cached: a float item and an exact-rational item can compare equal, so
-    value-keyed caching would leak float results into exact paths.  Instances
-    cache their items' indices eagerly instead.
+    Not cached by value: a float item and an exact-rational item can compare
+    equal, so value-keyed caching would leak float results into exact paths.
+    Each item caches its own indices instead (``Item.indices``).
 
     When the reservation price is at least the backup price (equivalently,
     at least the mean), inspection is never worthwhile: hedging probability 0
@@ -91,11 +97,7 @@ def alpha_of_p(item: Item, p: Numeric) -> Numeric:
     """
     if not 0 <= p <= 1:
         raise ValueError("hedging probability must lie in [0, 1]")
-    return _alpha_of_p(item, compute_indices(item), p)
-
-
-def _alpha_of_p(item: Item, idx: ItemIndices, p: Numeric) -> Numeric:
-    """``alpha_of_p`` from the item's already computed indices."""
+    idx = item.indices
     if idx.u_rsv >= idx.u_bkp:
         raise ValueError("ratio curve undefined: reservation price >= backup price")
     if idx.u_rsv == 0 and p < 1:
@@ -116,7 +118,7 @@ def surrogate_value(
     ``coin`` is the hedge label (True = obligatory-inspection) and is required
     exactly for the LH kind.
     """
-    idx = compute_indices(item)
+    idx = item.indices
     if kind is SurrogateKind.OI:
         return max(v, idx.u_rsv)
     if kind is SurrogateKind.NOI:
@@ -130,7 +132,7 @@ def surrogate_value(
 
 def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
     """Exact pushforward distribution of the surrogate price."""
-    idx = compute_indices(item)
+    idx = item.indices
     if kind is SurrogateKind.OI:
         return DiscreteDist.from_pairs(
             (max(v, idx.u_rsv), p) for v, p in item.dist.atoms

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .distkit import Numeric
-from .indices import Item, ItemIndices, compute_indices
+from .indices import Item, ItemIndices
 
 
 class Instance:
@@ -25,7 +25,7 @@ class Instance:
                 raise ValueError(f"item ids must be 0..N-1 in order; got {item.id} at {pos}")
         self.items = items
         if indices is None:
-            indices = tuple(compute_indices(item) for item in items)
+            indices = tuple(item.indices for item in items)
         else:
             indices = tuple(indices)
             if len(indices) != len(items):

@@ -8,18 +8,20 @@ observation map, since which items remain selectable depends on the feasible
 family.  The best-observed sentinel is an algebraic top element (None), never
 a floating-point infinity.
 
-On a rational ``IntegerGrid`` the recursions run on Python ints over one
-common denominator D = L x Q_1 x ... x Q_N (Q_n: the lcm of item n's
-probability denominators).  Every DP value is a multiple of 1/D, and the
-value of a state whose uninspected items are U is even a multiple of
-1/(L x prod of Q_n over U), so an inspect branch of item m is
+The recursions run on the instance's ``IntegerGrid``.  In exact mode they
+run on Python ints over one common denominator D = L x Q_1 x ... x Q_N
+(Q_n: the lcm of item n's probability denominators).  Every DP value is a
+multiple of 1/D, and the value of a state whose uninspected items are U is
+even a multiple of 1/(L x prod of Q_n over U), so an inspect branch of item
+m is
 
     cost_D + (sum_k Q_m p_k x val_D(child_k)) // Q_m,
 
 computed as (Q_m cost_D + sum_k ...) // Q_m, and the division is exact:
-item m is no longer uninspected in any child.  The optimum leaves by
-``IntegerGrid.leave``.  Off a rational grid the same recursion runs on the
-instance's own numbers with Q_m = 1, in the same order of operations.
+item m is no longer uninspected in any child.  In float mode the grid passes
+the instance's own numbers through with D = Q_m = 1, so the same recursion
+runs in the same order of operations.  The optimum leaves by
+``IntegerGrid.leave``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .combinatorial import CombModel, model_on_grid
+from .combinatorial import CombModel
 from .distkit import Numeric
 from .instance import Instance
 from .policies import IntegerGrid, iter_trials, prepare_policy
@@ -60,24 +62,21 @@ def opt_value_single_oi(instance: Instance, budget: int = DEFAULT_BUDGET) -> Num
     return _opt_value_single(instance, budget, allow_uninspected=False)
 
 
-def _dp_items(grid: IntegerGrid, instance: Instance) -> list[tuple]:
-    """Per item, the DP's (inspect start, atoms, Q_m, mean).  On a rational
-    grid these are ints in units of 1/D: the start is Q_m x cost and the atoms
-    are (value, Q_m x probability) pairs.  Otherwise they are the instance's
-    own cost, atoms and mean, with Q_m = 1."""
-    if not grid.rational:
-        return [(item.cost, item.dist.atoms, 1, ix.mu) for item, ix in zip(instance.items, instance.indices)]
+def _dp_items(grid: IntegerGrid) -> list[tuple]:
+    """Per item, the DP's (inspect start, atoms, Q_m, mean) in units of 1/D:
+    the start is Q_m x cost and the atoms are (value, Q_m x probability)
+    pairs, ints in exact mode and the instance's own numbers in float mode."""
     unit = grid.D // grid.L
     return [
-        (q * unit * grid.scale(item.cost), tuple((v * unit, p) for v, p in atoms), q, unit * grid.scale(ix.mu))
-        for item, ix, q, atoms in zip(instance.items, instance.indices, grid.Q, grid.item_atoms)
+        (q * unit * item.cost, tuple((v * unit, p) for v, p in atoms), q, unit * ix.mu)
+        for item, ix, q, atoms in zip(grid.instance.items, grid.instance.indices, grid.Q, grid.item_atoms)
     ]
 
 
 def _opt_value_single(instance: Instance, budget: int, allow_uninspected: bool) -> Numeric:
     check_budget(_single_dp_cost(instance), budget, "single-item DP")
     grid = IntegerGrid(instance)
-    items = _dp_items(grid, instance)
+    items = _dp_items(grid)
     n = len(items)
 
     @lru_cache(maxsize=None)
@@ -102,7 +101,7 @@ def _opt_value_single(instance: Instance, budget: int, allow_uninspected: bool) 
         opt = val((1 << n) - 1, None)
     finally:
         val.cache_clear()
-    return grid.leave(opt, grid.D) if grid.rational else opt
+    return grid.leave(opt, grid.D)
 
 
 def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
@@ -121,18 +120,18 @@ def opt_value_comb_noi(
     if model.n_items != len(instance):
         raise ValueError("model and instance disagree on the number of items")
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
-    grid = IntegerGrid(instance, model.grid_numbers)
-    items = _dp_items(grid, instance)
+    grid = IntegerGrid(instance, model)
+    items = _dp_items(grid)
     n = len(items)
     UNINSPECTED = 0
     SELECTED = -1
-    on_grid, unit = (model_on_grid(model, grid), grid.D // grid.L) if grid.rational else (model, 1)
+    unit = grid.D // grid.L
     finish: dict[int, Optional[Numeric]] = {}  # selected bitmask -> terminal option, None if infeasible
 
     def terminal(chosen: int) -> Optional[Numeric]:
         if chosen not in finish:
             selected = frozenset(m for m in range(n) if chosen >> m & 1)
-            finish[chosen] = unit * on_grid.terminal_cost(selected) if model.is_feasible(selected) else None
+            finish[chosen] = unit * grid.model.terminal_cost(selected) if model.is_feasible(selected) else None
         return finish[chosen]
 
     @lru_cache(maxsize=None)
@@ -158,7 +157,7 @@ def opt_value_comb_noi(
         opt = val((UNINSPECTED,) * n, 0)
     finally:
         val.cache_clear()
-    return grid.leave(opt, grid.D) if grid.rational else opt
+    return grid.leave(opt, grid.D)
 
 
 def pi_surrogate_bound(

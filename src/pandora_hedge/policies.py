@@ -28,7 +28,7 @@ from .distkit import (
     min_of_independent,
     min_with_constant_expectation,
 )
-from .indices import Item, SurrogateKind, compute_indices, surrogate_dist
+from .indices import Item, SurrogateKind, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
 
@@ -44,7 +44,7 @@ def one_item_optimal_action(item: Item, r: Numeric) -> Action:
 
     Boundary ties resolve toward the non-inspect action.
     """
-    idx = compute_indices(item)
+    idx = item.indices
     if idx.u_rsv >= idx.u_bkp:
         return Action.SELECT_UNINSPECTED
     if r <= idx.u_rsv:
@@ -72,62 +72,73 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
 
 
 class IntegerGrid:
-    """An instance with every number that Monte Carlo compares or adds (each
-    cost, support value, mean, reservation and backup price, plus ``extra``
-    numbers such as a model's facility-location distances) multiplied by L,
-    so that exact-mode Monte Carlo runs on Python ints.
+    """An instance, and optionally its combinatorial ``model``, with every
+    number that the evaluators compare or add (each cost, support value,
+    mean, reservation and backup price, and facility-location distance)
+    multiplied by L, so that exact mode runs on Python ints.
 
-    ``exact`` (every such number is an int or ``Fraction``) is the package's
-    one test of exact mode.  In exact mode L is the lcm of the numbers'
-    denominators: a positive scale keeps every comparison, tie and branch,
-    the probabilities (so the draws) are unchanged, and a total t leaves the
-    grid as ``t / L`` in int true division, which rounds correctly.
-    Otherwise L is 1 and the grid is the instance itself.  The scaled
-    ``instance`` is built on first use, so reading ``exact`` scales nothing.
-
-    A grid is ``rational`` when it is exact and every probability and
-    hedging probability is an int or ``Fraction`` too.  Then exact
-    evaluation and the DP oracles run on ints over one common denominator
-    D = L x Q_1 x ... x Q_N, where Q_n is the lcm of item n's probability
-    denominators, and their totals leave by ``leave``.
+    ``exact`` (each such number, probability and hedging probability is an
+    int or ``Fraction``) is the package's one test of exact mode.  Then L is
+    the lcm of the numbers' denominators: a positive scale keeps every
+    comparison, tie and branch, and the probabilities (so the draws) are
+    unchanged.  A Monte Carlo total t leaves as ``t / L`` in int true
+    division, which rounds correctly; exact values run on ints over D = L x
+    Q_1 x ... x Q_N (Q_n: the lcm of item n's probability denominators) and
+    leave by ``leave``.  In float mode the grid passes the instance's own
+    numbers through with L = D = Q_n = 1, and it never calls ``scale``.
     """
 
-    def __init__(self, instance: Instance, extra: Sequence[Numeric] = ()):
-        self._instance = instance
-        self._extra = tuple(extra)
-        numbers = [
-            x
-            for item, ix in zip(instance.items, instance.indices)
-            for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)
-        ] + list(extra)
-        self.exact = all(map(_is_exact, numbers))
+    def __init__(self, instance: Instance, model=None):
+        self._instance, self._model = instance, model
+        self._distances = [d for row in model.terminal.distances for d in row] if model else []
+        pairs = list(zip(instance.items, instance.indices))
+        numbers = [x for item, ix in pairs for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)]
+        numbers += self._distances
+        probs = [x for item, ix in pairs for x in (*item.dist.probs, ix.p_hedge)]
+        self.exact = all(map(_is_exact, numbers + probs))
         self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
-        self.rational = self.exact and all(
-            _is_exact(x) for item, ix in zip(instance.items, instance.indices) for x in (*item.dist.probs, ix.p_hedge)
-        )
-        self.Q = tuple(_prob_lcm(item.dist) for item in instance.items) if self.rational else (1,) * len(instance)
+        self.Q = tuple(_prob_lcm(item.dist) if self.exact else 1 for item in instance.items)
         self.D = self.L * math.prod(self.Q)
+        self.number = int if self.exact else float  # a grid total as a Python number
 
     def scale(self, x: Numeric) -> Numeric:
         return x.numerator * (self.L // x.denominator) if self.exact else x
 
     def atoms(self, dist: DiscreteDist) -> tuple[int, tuple]:
-        """``dist`` on a rational grid: the lcm q of its probability
-        denominators and its (scaled value, q x probability) pairs, all ints."""
+        """``dist`` on the grid: the lcm q of its probability denominators and
+        its (scaled value, q x probability) pairs, all ints; in float mode 1
+        and its own atoms."""
+        if not self.exact:
+            return 1, dist.atoms
         q = _prob_lcm(dist)
         return q, tuple((self.scale(v), p.numerator * (q // p.denominator)) for v, p in dist.atoms)
 
     @cached_property
     def item_atoms(self) -> tuple:
-        """Each item's price ``atoms`` on a rational grid, over its Q_n."""
+        """Each item's price ``atoms``, over its Q_n."""
         return tuple(self.atoms(item.dist)[1] for item in self._instance.items)
 
-    def leave(self, total: int, denominator: int) -> Numeric:
-        """The value of a rational grid's int ``total`` over ``denominator``:
-        ``Fraction(total, denominator)``, or the int total itself when every
-        cost, support value, probability and extra number is an int."""
+    def label_weights(self, p_hedge: Sequence[Numeric]) -> tuple[list, int]:
+        """Each item's (labelled, unlabelled) weight under its hedging
+        probability p, and the denominator of a sum of grid totals weighted
+        by them and by ``item_atoms``: in exact mode the ints (p h, (1 - p) h
+        Q_n), h being p's denominator and Q_n the weight a labelled item's
+        atoms add, over L x the Q_n h of every item that p may label; in float
+        mode (p, 1 - p) over 1."""
+        if not self.exact:
+            return [(p, 1 - p) for p in p_hedge], 1
+        weights = [(p.numerator, (p.denominator - p.numerator) * q) for p, q in zip(p_hedge, self.Q)]
+        return weights, self.L * math.prod(q * p.denominator for p, q in zip(p_hedge, self.Q) if p != 0)
+
+    def leave(self, total: Numeric, denominator: int) -> Numeric:
+        """The value of ``total`` over ``denominator``: ``Fraction(total,
+        denominator)`` in exact mode, or the int total itself when every cost,
+        support value, probability and distance is an int; in float mode the
+        total itself."""
+        if not self.exact:
+            return total
         items = self._instance.items
-        given = [*self._extra, *(x for item in items for x in (item.cost, *item.dist.values, *item.dist.probs))]
+        given = [*self._distances, *(x for item in items for x in (item.cost, *item.dist.values, *item.dist.probs))]
         return total if all(type(x) is int for x in given) else Fraction(total, denominator)
 
     @cached_property
@@ -142,6 +153,15 @@ class IntegerGrid:
         indices = [replace(ix, mu=s(ix.mu), u_rsv=s(ix.u_rsv), u_bkp=s(ix.u_bkp)) for ix in self._instance.indices]
         return Instance(items, indices)
 
+    @cached_property
+    def model(self):
+        """The model with its facility-location distances on the grid."""
+        if not self.exact or not self._distances:
+            return self._model
+        terminal = self._model.terminal
+        distances = tuple(tuple(map(self.scale, row)) for row in terminal.distances)
+        return replace(self._model, terminal=replace(terminal, distances=distances))
+
 
 def _prob_lcm(dist: DiscreteDist) -> int:
     return math.lcm(*(p.denominator for p in dist.probs))
@@ -155,7 +175,8 @@ class PreparedPolicy:
     instance's own prices (and, for a policy that ``draws_coins``, a label
     array of the same shape) to the trials' traces; ``run(realization,
     coins)`` is its one-trial form.  ``batch(grid)`` builds the array form on
-    the instance's ``IntegerGrid`` over ``grid_numbers``: a function that maps
+    the ``IntegerGrid`` of the instance and ``model`` (the combinatorial
+    model of a combinatorial policy, else None): a function that maps
     an (items x trials) array of the grid's prices in
     ``array_dtype(grid.instance)`` (and the labels) to the trials' totals on
     the grid.  Monte Carlo and exact evaluation run the array form; ``--trace``,
@@ -166,7 +187,7 @@ class PreparedPolicy:
     traces: Callable[[np.ndarray, Optional[np.ndarray]], list]
     batch: Callable[[IntegerGrid], Callable]
     draws_coins: bool = False
-    grid_numbers: tuple = ()
+    model: object = None
 
     def run(self, realization: Realization, coins: Optional[HedgeCoins] = None) -> PolicyTrace:
         if self.draws_coins and coins is None:
@@ -401,8 +422,8 @@ def _price_rows(
     """Yield (weight, price row) over the product of ``atoms[n]`` for n in
     ``ids``, multiplying ``weight`` by each atom's weight in turn; every
     other entry of the row keeps its ``base`` value.  The package's one
-    weight generator: on a rational grid the weights are int numerators
-    (``IntegerGrid.atoms``), otherwise the atoms' own probabilities."""
+    weight generator: in exact mode the weights are int numerators
+    (``IntegerGrid.atoms``), in float mode the atoms' own probabilities."""
     for combo in itertools.product(*(atoms[n] for n in ids)):
         prob = weight
         row = list(base)
@@ -420,31 +441,20 @@ def _weighted_columns(grid: IntegerGrid, p_hedge: Sequence[Numeric]):
     ``p_hedge``: items with hedging probability 0 or 1 have a fixed label,
     the others branch both ways.  A vector's rows run over the supports of
     its labelled items; every other item is priced at its mean, exactly the
-    expectation of a price that no trial inspects.
-
-    On a rational grid a weight is an int numerator over (D / L) x H, where
-    H multiplies the denominators h_n of the branching hedging
-    probabilities: a labelled item contributes its atom's Q_n x probability,
-    an unlabelled one Q_n, and a branching item also its label's share of
-    h_n.  Otherwise a weight is the product of the probabilities."""
-    instance = grid.instance
-    mus = [ix.mu for ix in instance.indices]
+    expectation of a price that no trial inspects.  A weight multiplies the
+    branching items' ``IntegerGrid.label_weights`` and the labelled items'
+    ``item_atoms`` weights: int numerators over the labels' denominator in
+    exact mode, the probabilities themselves in float mode."""
+    mus = [ix.mu for ix in grid.instance.indices]
+    shares, _ = grid.label_weights(p_hedge)
     varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
-    if grid.rational:
-        atoms = grid.item_atoms
-        base = math.prod(q for q, p in zip(grid.Q, p_hedge) if p == 0)
-        shares = {n: (p_hedge[n].numerator, (p_hedge[n].denominator - p_hedge[n].numerator) * grid.Q[n]) for n in varying}
-    else:
-        atoms = [item.dist.atoms for item in instance.items]
-        base = 1
-        shares = {n: (p_hedge[n], 1 - p_hedge[n]) for n in varying}
     for combo in itertools.product((True, False), repeat=len(varying)):
         labels = [p == 1 for p in p_hedge]
-        weight = base
+        weight = 1
         for n, lab in zip(varying, combo):
             labels[n] = lab
             weight = weight * shares[n][0 if lab else 1]
-        for prob, row in _price_rows(atoms, [n for n, lab in enumerate(labels) if lab], mus, weight):
+        for prob, row in _price_rows(grid.item_atoms, [n for n, lab in enumerate(labels) if lab], mus, weight):
             yield prob, row, labels
 
 
@@ -453,29 +463,25 @@ def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = D
 
     Local hedging enumerates its label vectors, as constant coin columns;
     every other policy labels every item, so it enumerates realizations.
-    The policy's array form runs on the instance's ``IntegerGrid``,
-    ``EXACT_CHUNK`` columns at a time, and weight x total is summed in
-    enumeration order.  On a rational grid the weights and totals are ints
-    and the sum leaves by ``IntegerGrid.leave``; otherwise the weights are
-    the probabilities and a float-mode value is a float.
+    The policy's array form runs on the ``IntegerGrid`` of the instance and
+    its model, ``EXACT_CHUNK`` columns at a time; weight x total is summed in
+    enumeration order (ints in exact mode, the probabilities times floats in
+    float mode) and leaves by ``IntegerGrid.leave``.
     """
     p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
     branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(instance.items, p_hedge) if p != 0)
     check_budget(branches, budget, "hedged policy evaluation" if prepared.draws_coins else "policy evaluation")
-    grid = IntegerGrid(instance, prepared.grid_numbers)
+    grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)
     dtype = array_dtype(grid.instance)
-    number = int if grid.exact else float  # a grid total as a Python number
     columns = _weighted_columns(grid, p_hedge)
     total = 0
     while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
         weights, rows, labels = zip(*chunk)
         coins = np.array(labels, dtype=bool).T if prepared.draws_coins else None
         for w, t in zip(weights, batch(np.array(rows, dtype=dtype).T, coins)):
-            total = total + w * number(t)
-    if grid.rational:
-        return grid.leave(total, grid.D * math.prod(p.denominator for p in p_hedge if 0 < p < 1))
-    return total / grid.L if grid.exact else total  # exact numbers with float probabilities
+            total = total + w * grid.number(t)
+    return grid.leave(total, grid.label_weights(p_hedge)[1])
 
 
 def evaluate_policy_exact(
@@ -516,7 +522,7 @@ def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed:
     The trials run one chunk at a time through the policy's array form on the
     instance's ``IntegerGrid``: prices are drawn from the grid's supports,
     and totals leave the grid as floats."""
-    grid = IntegerGrid(instance, prepared.grid_numbers)
+    grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)
     dtype = array_dtype(grid.instance)
     totals = []

@@ -32,7 +32,7 @@ from .distkit import (
     mean,
     min_of_independent,
 )
-from .indices import ALPHA_CEILING, SurrogateKind, _alpha_of_p, surrogate_dist
+from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, surrogate_dist
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
@@ -114,7 +114,7 @@ class ExactValues:
 
 
 def _tolerance(instance: Instance, model: Optional[CombModel]) -> float:
-    return 0.0 if IntegerGrid(instance, model.grid_numbers if model else ()).exact else TOL
+    return 0.0 if IntegerGrid(instance, model).exact else TOL
 
 
 def _with_midpoints(points):
@@ -205,13 +205,13 @@ def check_alpha(values: ExactValues, tol):
             ok = False
         if idx.never_inspect or idx.u_rsv >= idx.u_bkp:
             continue
-        gap = _alpha_of_p(item, idx, idx.p_hedge) - idx.alpha_local
+        gap = alpha_of_p(item, idx.p_hedge) - idx.alpha_local
         worst = max(worst, abs(float(gap)))
         for k in range(101):
             p = Fraction(k, 100) if tol == 0 else k / 100
             if idx.u_rsv == 0 and p != 1:
                 continue
-            worst = max(worst, max(0.0, float(idx.alpha_local - _alpha_of_p(item, idx, p))))
+            worst = max(worst, max(0.0, float(idx.alpha_local - alpha_of_p(item, p))))
     return ok and worst <= tol, worst
 
 
@@ -262,7 +262,10 @@ def check_noi_sandwich(values: ExactValues, tol):
 
 
 def check_weitzman_trace(values: ExactValues, tol):
-    instance = values.instance
+    """Weitzman's search selects the lowest view price, traced on the
+    instance's ``IntegerGrid``; a gap leaves the grid as ``gap / L``."""
+    grid = IntegerGrid(values.instance)
+    instance = grid.instance
     check_budget(instance.support_product(), min(values.budget, 4096), "selection argmin check")
     weitzman = prepare_policy(instance, "weitzman")
     realizations = itertools.product(*(item.dist.values for item in instance.items))
@@ -275,7 +278,7 @@ def check_weitzman_trace(values: ExactValues, tol):
             (sel,) = trace.selected
             low = min(views)
             if views[sel] > low:
-                worst = max(worst, float(views[sel] - low))
+                worst = max(worst, (views[sel] - low) / grid.L)
     return worst <= tol, worst
 
 

@@ -365,7 +365,7 @@ def reference_evaluate_exact(instance: Instance, prepared):
     is when every cost, support value, probability and grid number is an
     int)."""
     p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
-    grid = IntegerGrid(instance, prepared.grid_numbers)
+    grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)
     number = int if grid.exact else float
     total = 0
@@ -373,7 +373,8 @@ def reference_evaluate_exact(instance: Instance, prepared):
         coins = np.array([labels], dtype=bool).T if prepared.draws_coins else None
         (t,) = batch(np.array([row], dtype=array_dtype(grid.instance)).T, coins)
         total = total + w * number(t)
-    numbers = [*prepared.grid_numbers, *(x for i in instance.items for x in (i.cost, *i.dist.values, *i.dist.probs))]
+    distances = [d for row in prepared.model.terminal.distances for d in row] if prepared.model else []
+    numbers = [*distances, *(x for i in instance.items for x in (i.cost, *i.dist.values, *i.dist.probs))]
     return F(total, grid.L) if grid.exact and any(type(x) is not int for x in numbers) else total
 
 

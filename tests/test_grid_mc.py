@@ -39,7 +39,6 @@ from pandora_hedge.combinatorial import (
     GraphicMatroidRule,
     RuleError,
     UniformMatroidRule,
-    model_on_grid,
 )
 from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.instancefile import load_instance
@@ -131,7 +130,7 @@ def _exact_cases():
 
 def _grid(model, instance):
     """The instance's grid over the model's distances, as Monte Carlo builds it."""
-    return IntegerGrid(instance, [d for row in model.terminal.distances for d in row])
+    return IntegerGrid(instance, model)
 
 
 def _reference_totals(model, instance, policy, count, rule=None):
@@ -170,7 +169,7 @@ def test_grid_numbers_are_ints_and_scale_exactly():
                         (on_grid.cost, *on_grid.dist.values, ix_grid.mu, ix_grid.u_rsv, ix_grid.u_bkp)):
             assert type(g) is int and g == x * grid.L
         assert on_grid.dist.probs == item.dist.probs and ix_grid.p_hedge == ix.p_hedge
-    for row, row_grid in zip(model.terminal.distances, model_on_grid(model, grid).terminal.distances):
+    for row, row_grid in zip(model.terminal.distances, grid.model.terminal.distances):
         assert [d * grid.L for d in row] == list(row_grid)
 
 
@@ -182,7 +181,7 @@ class TestPoliciesOnTheGrid:
             expected = _reference_totals(model, inst, policy, count)
             assert all(isinstance(t, (F, int)) for t in expected)
             prepared = prepare_comb_policy(model, inst, policy)
-            grid = IntegerGrid(inst, prepared.grid_numbers)
+            grid = IntegerGrid(inst, prepared.model)
             prices = price_columns(grid.instance, SEED, 0, count, array_dtype(grid.instance))
             coins = coin_columns(inst, SEED, 0, count) if prepared.draws_coins else None
             totals = prepared.batch(grid)(prices, coins)
@@ -204,7 +203,7 @@ class TestPoliciesOnTheGrid:
     def test_float_mode_keeps_its_numbers(self, policy):
         for model, inst in _random_models(False):
             grid = _grid(model, inst)
-            assert not grid.exact and grid.L == 1 and grid.instance is inst and model_on_grid(model, grid) is model
+            assert not grid.exact and grid.L == 1 and grid.instance is inst and grid.model is model
             expected = mc_summary(_reference_totals(model, inst, policy, 60))
             assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
 

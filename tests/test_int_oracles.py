@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pandora_hedge import (
@@ -28,7 +28,7 @@ from pandora_hedge import (
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import COMB_POLICIES, prepare_comb_policy
 from pandora_hedge.indices import SurrogateKind
-from pandora_hedge.instancefile import load_instance
+from pandora_hedge.instancefile import load_instance, parse_document
 from pandora_hedge.policies import SINGLE_POLICIES, IntegerGrid, evaluate_exact, prepare_policy
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
@@ -65,8 +65,8 @@ def _exit_type(reference, inst, model=None):
     The Fraction references can return an int where they select an int-typed
     number, and the one-shot reference a Fraction where a reservation price
     is one; either way the value must be the same."""
-    extra = model.grid_numbers if model else ()
-    if not IntegerGrid(inst, extra).rational:
+    extra = [d for row in model.terminal.distances for d in row] if model else []
+    if not IntegerGrid(inst, model).exact:
         return reference
     numbers = [*extra, *(x for item in inst.items for x in (item.cost, *item.dist.values, *item.dist.probs))]
     typed = int(reference) if all(type(x) is int for x in numbers) else F(reference)
@@ -128,7 +128,7 @@ def _comb_cases():
 
 def test_int_point_masses_leave_as_ints():
     inst = int_point_masses()
-    assert IntegerGrid(inst).rational
+    assert IntegerGrid(inst).exact
     assert type(opt_value_single_noi(inst)) is int and type(evaluate_policy_exact(inst, "weitzman")) is int
 
 
@@ -142,7 +142,7 @@ def test_mixed_types_leave_as_fractions():
 
 def test_float_probabilities_stay_off_the_rational_grid():
     grid = IntegerGrid(float_probabilities())
-    assert not grid.rational and grid.D == grid.L == 1
+    assert not grid.exact and grid.D == grid.L == 1
 
 
 def test_single_item_dps_equal_the_reference():
@@ -219,6 +219,81 @@ def test_int_oracles_equal_the_reference_on_small_instances(inst, k):
         _assert_same(evaluate_exact(inst, prepared), reference_evaluate_exact(inst, prepared))
     expected = _exit_type(reference_expected_surrogate_cost(model, inst, SurrogateKind.LH), inst, model)
     _assert_same(expected_surrogate_cost(model, inst, SurrogateKind.LH), expected)
+
+
+def _write(kind, whole, part):
+    """The number whole + part as a document holds it: an int (the whole part
+    alone), a rational string or a float."""
+    return whole if kind == "int" else str(whole + part) if kind == "rational" else float(whole + part)
+
+
+_parts = st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2)))
+
+
+@st.composite
+def _mixed_documents(draw):
+    """A document with a facility-location model whose costs, values,
+    probabilities and distances are each an int, a rational string or a
+    float (half the documents hold no float).  A value or cost is an int w or
+    w plus a part below 1, so the values stay strictly increasing; a
+    probability is an int only as the whole mass of a point mass."""
+    allowed = draw(st.sampled_from((("int", "rational"), ("int", "rational", "float"))))
+    kinds = st.sampled_from(allowed)
+    n = draw(st.integers(1, 3))
+    items = []
+    for _ in range(n):
+        wholes = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=3)))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(wholes), max_size=len(wholes)))
+        dist = []
+        for w, weight in zip(wholes, weights):
+            prob = F(weight, sum(weights))
+            prob_kind = draw(kinds if prob == 1 else st.sampled_from(allowed[1:]))
+            value = _write(draw(kinds), w, draw(_parts))
+            dist.append({"value": value, "prob": _write(prob_kind, int(prob), prob - int(prob))})
+        items.append({"cost": _write(draw(kinds), draw(st.integers(0, 4)), draw(_parts)), "dist": dist})
+    distances = [[_write(draw(kinds), draw(st.integers(0, 6)), draw(_parts)) for _ in range(n)] for _ in range(n)]
+    model = {
+        "family": {"kind": "uniform_matroid", "k": draw(st.integers(1, n))},
+        "terminal": {"kind": "facility_location", "distances": distances},
+    }
+    return {"version": "1", "items": items, "model": model}
+
+
+def _document_numbers(doc):
+    yield from (d for row in doc["model"]["terminal"]["distances"] for d in row)
+    for item in doc["items"]:
+        yield item["cost"]
+        yield from (x for atom in item["dist"] for x in (atom["value"], atom["prob"]))
+
+
+# A free item whose first probability is exact and second a float: its
+# reservation and backup prices are exact, its mean and hedging probability
+# floats.
+_EXACT_PRICES_FLOAT_MEAN = {
+    "version": "1",
+    "items": [{"cost": "0", "dist": [{"value": "0", "prob": "1/2"}, {"value": "2", "prob": 0.5}]}],
+    "model": {
+        "family": {"kind": "uniform_matroid", "k": 1},
+        "terminal": {"kind": "facility_location", "distances": [["1/3"]]},
+    },
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_documents())
+@example(_EXACT_PRICES_FLOAT_MEAN)
+def test_exact_mode_holds_exactly_when_every_input_number_is_exact(doc):
+    loaded = parse_document(doc)
+    inst, model = loaded.instance, loaded.model
+    exact = all(not isinstance(x, float) for x in _document_numbers(doc))
+    assert IntegerGrid(inst, model).exact == exact
+    if exact:
+        values = (
+            opt_value_single_noi(inst),
+            evaluate_policy_exact(inst, "local-hedging"),
+            expected_surrogate_cost(model, inst, SurrogateKind.LH),
+        )
+        assert all(type(v) in (int, F) for v in values)
 
 
 # Branch counts of each corpus file at budget 1, from the Fraction-based
