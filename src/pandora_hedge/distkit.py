@@ -180,6 +180,23 @@ def min_with_constant_expectation(d: DiscreteDist, r: Numeric) -> Numeric:
     return mean(d) - expected_excess(d, r)
 
 
+def _tails(d: DiscreteDist, grid: Sequence[Numeric]) -> list:
+    """tail[j] = P(V >= grid[j]) over an ascending grid, accumulated from the
+    top atom down: each entry is the same sum, in the same order, on any grid
+    that holds the support."""
+    tail = []
+    acc = 0
+    atoms = d.atoms
+    j = len(atoms) - 1
+    for g in reversed(grid):
+        while j >= 0 and atoms[j][0] >= g:
+            acc = acc + atoms[j][1]
+            j -= 1
+        tail.append(acc)
+    tail.reverse()
+    return tail
+
+
 def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     """Exact distribution of the minimum of independent draws.
 
@@ -188,20 +205,7 @@ def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     if not dists:
         raise ValueError("need at least one distribution")
     grid = sorted({v for d in dists for v in d.values})
-    # tail[i][j] = P(V_i >= grid[j])
-    tails = []
-    for d in dists:
-        tail = []
-        acc = 0
-        atoms = list(d.atoms)
-        j = len(atoms) - 1
-        for g in reversed(grid):
-            while j >= 0 and atoms[j][0] >= g:
-                acc = acc + atoms[j][1]
-                j -= 1
-            tail.append(acc)
-        tail.reverse()
-        tails.append(tail)
+    tails = [_tails(d, grid) for d in dists]
     pairs = []
     prev = None
     for j in range(len(grid)):
@@ -213,3 +217,69 @@ def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
         prev = ge
     pairs.append((grid[-1], prev))
     return DiscreteDist.from_pairs(pairs)
+
+
+def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> list[Numeric]:
+    """E[min_i X_i] and, for each n, E[min(min_{i != n} X_i, caps[n])].
+
+    Returns N + 1 values, the uncapped one first.  Value k equals
+    ``mean(min_of_independent(parts))`` bit for bit, where ``parts`` is
+    ``dists`` with item k - 1 (if any) replaced by a point mass at its cap:
+
+    - one (N+1) x G matrix over the merged grid of every support value and
+      cap holds each candidate's survival product.  Every row is multiplied
+      by the item tails in item order, one array op per item that skips the
+      row of the item it replaces; multiplying by the point mass's factor 1
+      is exact, and its factor 0 zeroes the columns above the cap;
+    - a grid point that a candidate's own grid lacks has the tails of the
+      next point that it has, so it carries mass 0, and zero masses are
+      dropped as ``DiscreteDist.from_pairs`` drops them;
+    - each row is reduced like ``mean``, a Python ``sum`` of value x mass in
+      grid order, each value taken from the candidate's first part that
+      holds it (the representative ``min_of_independent``'s grid keeps).
+
+    float64 holds the products when every probability and cap is a float;
+    otherwise an object array does the same Python operations.  Every
+    candidate keeps all but at most one item, so its survival product is 0
+    above the second smallest maximum support, and the grid stops there.
+    """
+    from bisect import bisect_right
+
+    import numpy as np
+
+    n_items = len(dists)
+    if not n_items or len(caps) != n_items:
+        raise ValueError("need at least one distribution and one cap per distribution")
+    # occurrences of each value as (item, is_cap, value), in item order
+    holders: dict = {}
+    for n, (d, cap) in enumerate(zip(dists, caps)):
+        for v in d.values:
+            holders.setdefault(v, []).append((n, False, v))
+        holders.setdefault(cap, []).append((n, True, cap))
+    grid = sorted(holders)
+    if n_items > 1:
+        second_max = sorted(d.max_support for d in dists)[1]
+        grid = grid[: bisect_right(grid, second_max)]
+    floats = all(type(x) is float for x in caps) and all(type(p) is float for d in dists for p in d.probs)
+    dtype = np.float64 if floats else object
+    prods = np.ones((n_items + 1, len(grid)), dtype=dtype)
+    for n, d in enumerate(dists):
+        keep = prods[n + 1].copy()
+        prods *= np.array(_tails(d, grid), dtype=dtype)
+        prods[n + 1] = keep
+    for n, cap in enumerate(caps):
+        prods[n + 1, bisect_right(grid, cap) :] *= 0
+    masses = prods.copy()
+    masses[:, :-1] -= prods[:, 1:]
+    means = []
+    for skip, row in enumerate(masses, start=-1):
+        cols = np.flatnonzero(row)
+        terms = zip((grid[j] for j in cols.tolist()), row[cols].tolist())
+        means.append(sum(_first_holder(holders[g], skip) * m for g, m in terms))
+    return means
+
+
+def _first_holder(holders: list, skip: int) -> Numeric:
+    """The value as the candidate that replaces item ``skip`` by its cap
+    (-1: none) first holds it."""
+    return next(v for n, is_cap, v in holders if (n == skip) == is_cap)

@@ -48,6 +48,20 @@ class Item:
     def indices(self) -> ItemIndices:
         return compute_indices(self)
 
+    def surrogate(self, kind: SurrogateKind) -> DiscreteDist:
+        """``surrogate_dist(self, kind)``, built once per item object and kind.
+
+        Per object like ``indices``; for callers that ask repeatedly, since
+        the cache lives as long as the item."""
+        cache = self._surrogates
+        if kind not in cache:
+            cache[kind] = surrogate_dist(self, kind)
+        return cache[kind]
+
+    @cached_property
+    def _surrogates(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class ItemIndices:
@@ -131,7 +145,8 @@ def surrogate_value(
 
 
 def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
-    """Exact pushforward distribution of the surrogate price."""
+    """Exact pushforward distribution of the surrogate price (``Item.surrogate``
+    caches it)."""
     idx = item.indices
     if kind is SurrogateKind.OI:
         return DiscreteDist.from_pairs(

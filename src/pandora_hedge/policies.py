@@ -24,8 +24,8 @@ from .distkit import (
     DiscreteDist,
     Numeric,
     _is_exact,
+    capped_min_means,
     mean,
-    min_of_independent,
     min_with_constant_expectation,
 )
 from .indices import Item, SurrogateKind, surrogate_dist
@@ -348,24 +348,21 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
     """Best committing labeling among all-obligatory and the N single
     non-inspection choices, by exact expected cost; ties prefer all-obligatory
-    then the lowest non-inspection id."""
-    oi_dists = [surrogate_dist(item, SurrogateKind.OI) for item in instance.items]
+    then the lowest non-inspection id.
 
-    def value(skip: Optional[int]) -> Numeric:
-        parts = [
-            DiscreteDist.point_mass(instance.indices[n].mu) if n == skip else d
-            for n, d in enumerate(oi_dists)
-        ]
-        return mean(min_of_independent(parts))
-
-    best_skip = None
-    best_value = value(None)
-    for n in range(len(instance)):
-        v = value(n)
-        if v < best_value:
-            best_value, best_skip = v, n
-    labels = tuple(n != best_skip for n in range(len(instance)))
-    return HedgeCoins(labels)
+    Skipping item n's inspection makes it a point mass at its mean, so the
+    N + 1 values are the obligatory surrogates' expected minimum and the same
+    minimum with item n capped at its mean.  ``capped_min_means`` computes
+    them in one pass: N array ops over an (N+1) x G product matrix (G the
+    merged grid), each value bit-identical to the mean of its own
+    ``min_of_independent``, so the labeling is too.
+    """
+    values = capped_min_means(
+        [surrogate_dist(item, SurrogateKind.OI) for item in instance.items],
+        [idx.mu for idx in instance.indices],
+    )
+    best = min(range(len(values)), key=values.__getitem__)
+    return HedgeCoins(tuple(n + 1 != best for n in range(len(instance))))
 
 
 SINGLE_POLICIES = ("weitzman", "local-hedging", "commit-enum", "inspect-all", "never-inspect")

@@ -32,7 +32,7 @@ from .distkit import (
     mean,
     min_of_independent,
 )
-from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, surrogate_dist
+from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import (
@@ -93,7 +93,7 @@ class ExactValues:
 
     def _one_shot(self, kind: SurrogateKind):
         if self.model is None:
-            return mean(min_of_independent([surrogate_dist(item, kind) for item in self.instance.items]))
+            return mean(min_of_independent([item.surrogate(kind) for item in self.instance.items]))
         return expected_surrogate_cost(self.model, self.instance, kind, self.budget)
 
     def _policy(self, name: str):
@@ -130,9 +130,9 @@ def _breakpoints(instance: Instance, n: int, scale=None):
     pts = {0, idx.mu, idx.u_rsv, idx.u_bkp}
     pts.update(instance.items[n].dist.values)
     for kind in SurrogateKind:
-        pts.update(surrogate_dist(instance.items[n], kind).values)
+        pts.update(instance.items[n].surrogate(kind).values)
     if scale is not None:
-        pts.update(scale * v for v in surrogate_dist(instance.items[n], SurrogateKind.NOI).values)
+        pts.update(scale * v for v in instance.items[n].surrogate(SurrogateKind.NOI).values)
     pts.add(max(pts) + 1)
     return _with_midpoints(pts)
 
@@ -155,9 +155,9 @@ def check_surrogate_means(values: ExactValues, tol):
     worst = 0.0
     for item, idx in zip(values.instance.items, values.instance.indices):
         gaps = (
-            mean(surrogate_dist(item, SurrogateKind.OI)) - (idx.mu + item.cost),
-            mean(surrogate_dist(item, SurrogateKind.NOI)) - idx.mu,
-            mean(surrogate_dist(item, SurrogateKind.LH)) - (idx.mu + idx.p_hedge * item.cost),
+            mean(item.surrogate(SurrogateKind.OI)) - (idx.mu + item.cost),
+            mean(item.surrogate(SurrogateKind.NOI)) - idx.mu,
+            mean(item.surrogate(SurrogateKind.LH)) - (idx.mu + idx.p_hedge * item.cost),
         )
         worst = max(worst, max(abs(float(g)) for g in gaps))
     return worst <= tol, worst
@@ -167,8 +167,8 @@ def check_one_item_identities(values: ExactValues, tol):
     instance = values.instance
     worst = 0.0
     for n, item in enumerate(instance.items):
-        oi = surrogate_dist(item, SurrogateKind.OI)
-        noi = surrogate_dist(item, SurrogateKind.NOI)
+        oi = item.surrogate(SurrogateKind.OI)
+        noi = item.surrogate(SurrogateKind.NOI)
         for r in _breakpoints(instance, n):
             gap_oi = _capped(oi.atoms, r) - one_item_value(item, r, SurrogateKind.OI)
             gap_noi = _capped(noi.atoms, r) - one_item_value(item, r, SurrogateKind.NOI)
@@ -181,8 +181,8 @@ def check_local_approximation(values: ExactValues, tol):
     worst = 0.0
     for n, item in enumerate(instance.items):
         idx = instance.indices[n]
-        lh = surrogate_dist(item, SurrogateKind.LH)
-        noi = surrogate_dist(item, SurrogateKind.NOI)
+        lh = item.surrogate(SurrogateKind.LH)
+        noi = item.surrogate(SurrogateKind.NOI)
         scaled = [(idx.alpha_local * v, p) for v, p in noi.atoms]
         for r in _breakpoints(instance, n, scale=idx.alpha_local):
             worst = max(worst, max(0.0, float(_capped(lh.atoms, r) - _capped(scaled, r))))

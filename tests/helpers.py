@@ -16,7 +16,8 @@ import numpy as np
 
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace, Realization, hedged_view
 from pandora_hedge.combinatorial import RuleError, rule_for_model, surrogate_cost
-from pandora_hedge.indices import compute_indices, surrogate_dist
+from pandora_hedge.distkit import mean, min_of_independent
+from pandora_hedge.indices import SurrogateKind, compute_indices, surrogate_dist
 from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, price_columns
 
 
@@ -30,6 +31,32 @@ def brute_min_atoms(dists):
         v = min(v for v, _ in combo)
         atoms[v] = atoms.get(v, 0) + p
     return {v: p for v, p in atoms.items() if p != 0}
+
+
+def reference_commit_enum(instance: Instance):
+    """Commit-enum by one full ``min_of_independent`` convolution per
+    candidate: the N + 1 values (all-obligatory first, then item n as a point
+    mass at its mean) and the labels, with ties to all-obligatory, then to
+    the lowest id."""
+    oi_dists = [surrogate_dist(item, SurrogateKind.OI) for item in instance.items]
+
+    def value(skip):
+        parts = [
+            DiscreteDist.point_mass(instance.indices[n].mu) if n == skip else d
+            for n, d in enumerate(oi_dists)
+        ]
+        return mean(min_of_independent(parts))
+
+    best_skip = None
+    best_value = value(None)
+    values = [best_value]
+    for n in range(len(instance)):
+        v = value(n)
+        values.append(v)
+        if v < best_value:
+            best_value, best_skip = v, n
+    labels = tuple(n != best_skip for n in range(len(instance)))
+    return values, labels
 
 
 def direct_capped_sum(dist: DiscreteDist, r):

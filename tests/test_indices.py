@@ -133,6 +133,24 @@ class TestSurrogates:
             (F(10), F(5, 26)),
         )
 
+    def test_item_builds_each_dist_once(self):
+        item = two_point_item()
+        for kind in SurrogateKind:
+            assert item.surrogate(kind) is item.surrogate(kind)
+            assert item.surrogate(kind) == surrogate_dist(item, kind)
+        assert two_point_item().surrogate(SurrogateKind.OI) is not item.surrogate(SurrogateKind.OI)
+
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_equal_float_and_exact_items_never_share_dists(self, exact_first):
+        exact, floats = two_point_item(True), two_point_item(False)
+        assert exact == floats and hash(exact) == hash(floats)
+        order = (exact, floats) if exact_first else (floats, exact)
+        for kind in SurrogateKind:
+            for item in order:
+                item.surrogate(kind)
+            assert all(type(p) is F for p in exact.surrogate(kind).probs), kind
+            assert all(type(p) is float for p in floats.surrogate(kind).probs), kind
+
     @given(random_items())
     def test_surrogate_means(self, item):
         ix = compute_indices(item)
