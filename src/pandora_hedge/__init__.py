@@ -11,7 +11,6 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .distkit import (
     DiscreteDist,
     backup_price,
-    capped_min_means,
     expected_excess,
     expected_shortfall,
     mean,

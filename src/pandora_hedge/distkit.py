@@ -274,8 +274,8 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
     means = []
     for skip, row in enumerate(masses, start=-1):
         cols = np.flatnonzero(row)
-        terms = zip((grid[j] for j in cols.tolist()), row[cols].tolist())
-        means.append(sum(_first_holder(holders[g], skip) * m for g, m in terms))
+        terms = zip(cols.tolist(), row[cols].tolist())
+        means.append(sum(_first_holder(holders[grid[j]], skip) * m for j, m in terms))
     return means
 
 

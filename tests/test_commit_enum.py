@@ -50,7 +50,7 @@ def instance_of(*items: Item) -> Instance:
 
 
 def _float_item(rng: random.Random, item_id: int) -> Item:
-    """Off-grid float values and probabilities, cost inside the support."""
+    """Off-grid float values, probabilities and cost."""
     size = rng.randint(1, 6)
     values = sorted(rng.sample(range(1, 400), size))
     weights = [rng.random() + 0.05 for _ in values]
