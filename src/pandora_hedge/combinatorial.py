@@ -22,7 +22,16 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind, surrogate_dist
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
-from .policies import IntegerGrid, PreparedPolicy, _column_traces, _price_rows, evaluate_exact, evaluate_mc
+from .policies import (
+    IntegerGrid,
+    PreparedPolicy,
+    _column_traces,
+    _price_rows,
+    _slots,
+    evaluate_exact,
+    evaluate_mc,
+    plain_dtype,
+)
 from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
@@ -230,14 +239,35 @@ def expected_surrogate_cost_mc(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
-    trials at a time and run on the instance's ``IntegerGrid``."""
+    trials at a time and run on the instance's ``IntegerGrid``.
+
+    For a uniform or graphic matroid with a zero terminal each chunk runs
+    ``_greedy_select`` with every item pooled at its surrogate price: Kruskal
+    in (price, id) order, summed in selection order, which is
+    ``surrogate_cost`` exactly.  Any other model runs ``surrogate_cost`` once
+    per trial."""
     grid = IntegerGrid(instance, model)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
-    return mc_summary(
-        surrogate_cost(grid.model, row)[0] / grid.L
-        for start, size in trial_chunks(trials)
-        for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
-    )
+    if type(model.family) not in (UniformMatroid, GraphicMatroid) or type(model.terminal) is not ZeroTerminal:
+        return mc_summary(
+            surrogate_cost(grid.model, row)[0] / grid.L
+            for start, size in trial_chunks(trials)
+            for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
+        )
+    dtype = _kernel_dtype(grid, plain_dtype([v for values, _ in lanes for v in values], len(lanes)))
+
+    def totals(start, size):
+        prices = sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype)
+        spent = np.zeros(size, dtype=dtype)
+        pool = prices.copy() if dtype == object else prices.astype(np.float64)
+
+        def take(ns, rows):
+            spent[rows] += prices[ns, rows]
+
+        _greedy_select(_Bases(model.family, size), pool, None, take)
+        return spent.tolist()
+
+    return mc_summary(t / grid.L for start, size in trial_chunks(trials) for t in totals(start, size))
 
 
 class GreedyRule:
@@ -253,6 +283,11 @@ class GreedyRule:
     by a positive constant (see ``IntegerGrid``), so a rule may only compare
     and add them; a rule that uses their size otherwise can give Monte Carlo
     results and exact values that differ from its traces.
+
+    Monte Carlo and exact evaluation of the shipped rules (exactly
+    ``UniformMatroidRule`` or ``GraphicMatroidRule`` on its own family) run
+    the array kernel of ``frugal_batch`` and call no ``propose``; a plugin or
+    a subclass runs ``frugal_trace`` one trial at a time.
     """
 
     def propose(
@@ -295,6 +330,9 @@ class GraphicMatroidRule(GreedyRule):
         if not candidates:
             raise RuleError("no edge can extend the selected forest")
         return min(candidates, key=lambda n: _proposal_key(tau, inspected, n))
+
+
+_KERNEL_FAMILIES = {UniformMatroidRule: UniformMatroid, GraphicMatroidRule: GraphicMatroid}
 
 
 def rule_for_model(model: CombModel) -> GreedyRule:
@@ -358,15 +396,156 @@ def frugal_trace(
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
-def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
-    """Array form of a frugal policy on ``grid``: ``frugal_trace`` on the grid's
-    model once per trial column, with the column's labels if it draws coins."""
-    traces = _column_traces(partial(frugal_trace, grid.model, rule, grid.instance))
+class _Bases:
+    """The greedy state of each trial in a chunk, for a shipped matroid: how
+    many items it selected (``count``) and which, in selection order
+    (``picked``, rank x trials); for a graphic matroid also each vertex's
+    component label (``labels``, trials x vertices)."""
+
+    def __init__(self, family: Union[UniformMatroid, GraphicMatroid], trials: int):
+        self.ends = None
+        if type(family) is GraphicMatroid:
+            index = {v: i for i, v in enumerate(sorted(family.vertices))}
+            self.ends = np.array([[index[a] for a, _ in family.edges], [index[b] for _, b in family.edges]])
+            self.labels = np.tile(np.arange(len(index)), (trials, 1))
+            self.rank = len(index) - 1
+        else:
+            self.rank = family.k
+        self.count = np.zeros(trials, dtype=np.intp)
+        self.picked = np.zeros((self.rank, trials), dtype=np.intp)
+
+    def open(self) -> np.ndarray:
+        """Trials whose basis is not complete."""
+        return self.count < self.rank
+
+    def joins(self, ns, rows) -> np.ndarray:
+        """Whether item ``ns[i]`` (or the one item ``ns``) extends trial
+        ``rows[i]``'s selection: always for a uniform matroid, when its edge
+        joins two components for a graphic one."""
+        if self.ends is None:
+            return np.ones(len(rows), dtype=bool)
+        a, b = self.ends[:, ns]
+        return self.labels[rows, a] != self.labels[rows, b]
+
+    def add(self, ns, rows) -> None:
+        """Select item ``ns[i]`` in trial ``rows[i]`` (distinct trials)."""
+        self.picked[self.count[rows], rows] = ns
+        self.count[rows] += 1
+        if self.ends is not None:
+            a, b = self.ends[:, ns]
+            old, new = self.labels[rows, b][:, None], self.labels[rows, a][:, None]
+            sub = self.labels[rows]
+            self.labels[rows] = np.where(sub == old, new, sub)
+
+
+def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, take) -> None:
+    """The greedy selection step over a chunk of trials: while a trial's
+    basis is open, take its pooled entry of lowest (tentative price, id) if
+    that price is at most ``threshold`` (None: any).  ``pool`` is an (items x
+    trials) array of tentative prices, inf where an item is not pooled; a
+    taken entry leaves it, and is selected unless it no longer extends the
+    basis (a graphic edge that closes a cycle never will).  ``take(ns,
+    rows)`` charges the selections, at most one per trial per round."""
+    cols = np.arange(pool.shape[1])
+    while True:
+        at = pool.argmin(axis=0)
+        low = pool[at, cols]
+        due = (low < np.inf) & bases.open()
+        if threshold is not None:
+            due &= low <= threshold
+        if not due.any():
+            return
+        ns, rows = at[due], cols[due]
+        pool[ns, rows] = np.inf
+        fit = bases.joins(ns, rows)
+        ns, rows = ns[fit], rows[fit]
+        bases.add(ns, rows)
+        take(ns, rows)
+
+
+def _kernel_dtype(grid: IntegerGrid, dtype):
+    """The kernel's price dtype: exact small ints (drawn as float64 by
+    ``array_dtype``) run as int64, so that totals leave as Python ints."""
+    return np.int64 if grid.exact and dtype != object else dtype
+
+
+def _frugal_kernel(grid: IntegerGrid):
+    """Array form of the frugal composition of a shipped matroid rule on
+    ``grid``, bit for bit ``frugal_trace``'s totals.
+
+    The rule proposes the lowest (tentative price, inspected first, id) item
+    that extends the selection, and an uninspected item's tentative price is
+    its key.  So the kernel walks the sorted (key, id, labelled) slots of
+    ``reservation_batch`` (frugal-oi: every slot labelled; local hedging:
+    the slots its coins make active).  Before each slot it selects, by
+    ``_greedy_select``, every pooled (inspected) item whose tentative price
+    is at most the slot's key; then it inspects the slot where it is active
+    and still extends the selection, pooling the item at max(view price,
+    key).  After the last slot it selects with no threshold.
+
+    Frugal-oi adds its costs and prices in event order; local hedging adds
+    its labelled costs in inspection order, then the realized prices of the
+    selected set (a Python ``sum`` over the set that ``frugal_trace`` builds),
+    then the terminal cost of the selected set, unless it is a
+    ``ZeroTerminal``.  Exact-mode totals are Python ints."""
+    instance, model = grid.instance, grid.model
+    costs = [item.cost for item in instance.items]
 
     def batch(prices, coins):
-        if grid.exact and prices.dtype != object:  # exact small ints drawn as float64
-            prices = prices.astype(np.int64)
-        return [trace.total_cost for trace in traces(prices, coins)]
+        hedged = coins is not None
+        slots = _slots(instance, None if hedged else (True,) * len(instance))
+        trials = prices.shape[1]
+        cols = np.arange(trials)
+        bases = _Bases(model.family, trials)
+        pool = np.full(prices.shape, np.inf, dtype=object if prices.dtype == object else np.float64)
+        spent = np.zeros(trials, dtype=prices.dtype)
+
+        def take(ns, rows):
+            if not hedged:
+                spent[rows] += prices[ns, rows]
+
+        for key, n, lab in slots:
+            _greedy_select(bases, pool, key, take)
+            go = bases.open() & bases.joins(n, cols)
+            if hedged:
+                go &= coins[n] == lab
+            if lab:
+                spent[go] += costs[n]
+                seen = prices[n, go]
+                pool[n, go] = np.where(seen > key, seen, key)
+            else:  # view price and key are the mean
+                pool[n, go] = key
+        _greedy_select(bases, pool, None, take)
+        totals = spent.tolist()
+        if hedged or type(model.terminal) is not ZeroTerminal:
+            rows = prices.T.tolist()
+            for t, picked in enumerate(bases.picked.T.tolist()):
+                selected = set(picked)
+                if hedged:
+                    totals[t] = totals[t] + sum(rows[t][n] for n in selected)
+                if type(model.terminal) is not ZeroTerminal:
+                    totals[t] = totals[t] + model.terminal_cost(frozenset(selected))
+        return totals
+
+    return batch
+
+
+def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
+    """Array form of a frugal policy on ``grid``: for a shipped rule on its
+    own family (``type(rule)`` exactly ``UniformMatroidRule`` or
+    ``GraphicMatroidRule``) the array kernel ``_frugal_kernel``; for a plugin
+    or a subclass, ``frugal_trace`` on the grid's model once per trial column,
+    with the column's labels if it draws coins."""
+    if _KERNEL_FAMILIES.get(type(rule)) is type(grid.model.family):
+        run = _frugal_kernel(grid)
+    else:
+        traces = _column_traces(partial(frugal_trace, grid.model, rule, grid.instance))
+
+        def run(prices, coins):
+            return [trace.total_cost for trace in traces(prices, coins)]
+
+    def batch(prices, coins):
+        return run(prices.astype(_kernel_dtype(grid, prices.dtype), copy=False), coins)
 
     return batch
 

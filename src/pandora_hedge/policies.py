@@ -208,16 +208,22 @@ def _column_traces(trace: Callable[..., PolicyTrace]):
 
 
 def array_dtype(instance: Instance):
-    """float64 when every cost, support value and index of the instance is a
-    Python float or an int below 2^53 / (N + 1), which keeps every float64
-    the kernels form (at most N costs and one price) exactly Python's;
-    otherwise object arrays that run Python's own."""
+    """``plain_dtype`` of every cost, support value and index of the
+    instance."""
     numbers = [
         x
         for item, ix in zip(instance.items, instance.indices)
         for x in (item.cost, ix.mu, ix.u_rsv, *item.dist.values)
     ]
-    plain = all(type(x) is float or (type(x) is int and abs(x) < 2**53 // (len(instance) + 1)) for x in numbers)
+    return plain_dtype(numbers, len(instance))
+
+
+def plain_dtype(numbers: Sequence[Numeric], n_items: int):
+    """float64 when every number is a Python float or an int below 2^53 /
+    (N + 1), which keeps every float64 the kernels form (at most N costs and
+    one price) exactly Python's; otherwise object arrays that run Python's
+    own."""
+    plain = all(type(x) is float or (type(x) is int and abs(x) < 2**53 // (n_items + 1)) for x in numbers)
     return np.float64 if plain else object
 
 
