@@ -172,6 +172,16 @@ class CombModel:
         return self.terminal.cost(selected)
 
 
+def _running_sum(values) -> Numeric:
+    """``values`` added left to right from 0, the order in which the array
+    kernel adds them in float64 (``sum`` compensates float rounding from
+    Python 3.12 on, so it could differ in the last bits)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
     """One-shot optimum: minimize price sum plus terminal cost over feasible
     sets.  Ties resolve to the lexicographically smallest sorted id tuple.
@@ -181,11 +191,11 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
     family = model.family
     if isinstance(family, UniformMatroid) and isinstance(model.terminal, ZeroTerminal):
         chosen = sorted(range(model.n_items), key=lambda n: (prices[n], n))[: family.k]
-        return sum(prices[n] for n in chosen), frozenset(chosen)
+        return _running_sum(prices[n] for n in chosen), frozenset(chosen)
     if isinstance(family, GraphicMatroid) and isinstance(model.terminal, ZeroTerminal):
         by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
         tree, _ = _spanning_forest(family.edges, family.vertices, by_price)
-        return sum(prices[n] for n in tree), frozenset(tree)
+        return _running_sum(prices[n] for n in tree), frozenset(tree)
     # generic desk-scale path: enumerate subsets
     if model.n_items > 22:
         raise ValueError("explicit subset enumeration is limited to 22 items")
@@ -248,7 +258,7 @@ def expected_surrogate_cost_mc(
     per trial."""
     grid = IntegerGrid(instance, model)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
-    if type(model.family) not in (UniformMatroid, GraphicMatroid) or type(model.terminal) is not ZeroTerminal:
+    if type(model.family) not in _KERNEL_FAMILIES.values() or type(model.terminal) is not ZeroTerminal:
         return mc_summary(
             surrogate_cost(grid.model, row)[0] / grid.L
             for start, size in trial_chunks(trials)
@@ -356,7 +366,8 @@ def frugal_trace(
     charged its running total in event order, then the terminal cost.  With
     labels (local hedging) it runs on the ``hedged_view`` and is charged the
     labelled costs in inspection order, the selected realized prices, then
-    the terminal cost."""
+    the terminal cost.  Costs and prices add left to right, as the array
+    kernel adds them."""
     if labels is None:
         keys, costs, seen = instance.reservation_prices, [item.cost for item in instance.items], prices
     else:
@@ -389,7 +400,7 @@ def frugal_trace(
     if labels is None:
         return PolicyTrace(tuple(order), frozenset(selected), frozenset(), total + terminal)
     order = tuple(n for n in order if labels[n])
-    total = sum(instance.items[n].cost for n in order) + sum(prices[n] for n in selected) + terminal
+    total = _running_sum(instance.items[n].cost for n in order) + _running_sum(prices[n] for n in selected) + terminal
     return PolicyTrace(order, frozenset(selected), frozenset(n for n in selected if not labels[n]), total, labels)
 
 
@@ -485,7 +496,7 @@ def _frugal_kernel(grid: IntegerGrid):
 
     Frugal-oi adds its costs and prices in event order; local hedging adds
     its labelled costs in inspection order, then the realized prices of the
-    selected set (a Python ``sum`` over the set that ``frugal_trace`` builds),
+    selected set (added in the order of the set that ``frugal_trace`` builds),
     then the terminal cost of the selected set, unless it is a
     ``ZeroTerminal``.  Exact-mode totals are Python ints."""
     instance, model = grid.instance, grid.model
@@ -522,7 +533,7 @@ def _frugal_kernel(grid: IntegerGrid):
             for t, picked in enumerate(bases.picked.T.tolist()):
                 selected = set(picked)
                 if hedged:
-                    totals[t] = totals[t] + sum(rows[t][n] for n in selected)
+                    totals[t] = totals[t] + _running_sum(rows[t][n] for n in selected)
                 if type(model.terminal) is not ZeroTerminal:
                     totals[t] = totals[t] + model.terminal_cost(frozenset(selected))
         return totals

@@ -239,14 +239,9 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
       holds it (the representative ``min_of_independent``'s grid keeps).
 
     float64 holds the products when every probability and cap is a float;
-    otherwise an object array does the same Python operations.  When every
-    probability and cap is exact (int or ``Fraction``), the order of the
-    products cannot change a value or its type (a product is a ``Fraction``
-    iff a factor is), so row n + 1 is the prefix product of the tails before
-    item n times the suffix product after it: O(N) array ops over one grid
-    row instead of N over the matrix.  Every candidate keeps all but at most
-    one item, so its survival product is 0 above the second smallest maximum
-    support, and the grid stops there.
+    otherwise an object array does the same Python operations.  Every
+    candidate keeps all but at most one item, so its survival product is 0
+    above the second smallest maximum support, and the grid stops there.
     """
     from bisect import bisect_right
 
@@ -265,25 +260,13 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
     if n_items > 1:
         second_max = sorted(d.max_support for d in dists)[1]
         grid = grid[: bisect_right(grid, second_max)]
-    probs = [p for d in dists for p in d.probs]
-    floats = all(type(x) is float for x in caps) and all(type(p) is float for p in probs)
+    floats = all(type(x) is float for x in caps) and all(type(p) is float for d in dists for p in d.probs)
     dtype = np.float64 if floats else object
-    tails = [np.array(_tails(d, grid), dtype=dtype) for d in dists]
-    if all(map(_is_exact, [*caps, *probs])):
-        before = [np.ones(len(grid), dtype=object)]  # before[n]: the tails of items 0..n-1
-        for tail in tails:
-            before.append(before[-1] * tail)
-        after = before[:1]  # after[n]: the tails of items n+1..N-1, built from the last
-        for tail in reversed(tails[1:]):
-            after.append(tail * after[-1])
-        after.reverse()
-        prods = np.array([before[-1]] + [b * a for b, a in zip(before, after)])
-    else:
-        prods = np.ones((n_items + 1, len(grid)), dtype=dtype)
-        for n, tail in enumerate(tails):
-            keep = prods[n + 1].copy()
-            prods *= tail
-            prods[n + 1] = keep
+    prods = np.ones((n_items + 1, len(grid)), dtype=dtype)
+    for n, d in enumerate(dists):
+        keep = prods[n + 1].copy()
+        prods *= np.array(_tails(d, grid), dtype=dtype)
+        prods[n + 1] = keep
     for n, cap in enumerate(caps):
         prods[n + 1, bisect_right(grid, cap) :] *= 0
     masses = prods.copy()

@@ -151,6 +151,15 @@ def obligatory_run(instance: Instance, engine):
     return run
 
 
+def added(values):
+    """``values`` added left to right from 0 (``sum`` compensates float
+    rounding from Python 3.12 on; the policies add in order)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
     """One trial of local hedging on any engine: the engine searches the
     ``hedged_view``; the trace charges the true inspection costs, the
@@ -158,11 +167,7 @@ def hedged_trace(instance: Instance, engine, realization: Realization, labels) -
     keys, costs, prices = hedged_view(instance, labels, realization.prices)
     inspected, selected, _, terminal = engine(keys, costs)(prices)
     order = tuple(n for n in inspected if labels[n])
-    total = (
-        sum(instance.items[n].cost for n in order)
-        + sum(realization.prices[n] for n in selected)
-        + terminal
-    )
+    total = added(instance.items[n].cost for n in order) + added(realization.prices[n] for n in selected) + terminal
     return PolicyTrace(
         inspection_order=order,
         selected=frozenset(selected),

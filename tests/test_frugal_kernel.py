@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +137,22 @@ class TestKernelEqualsEngine:
                 realizations, coins = seeded_trials(inst, SEED, 0, count)
                 expected = mc_summary(run(r, c).total_cost for r, c in zip(realizations, coins))
                 assert evaluate_comb_policy_mc(model, inst, policy, count, SEED) == expected
+
+
+def test_float_sums_add_left_to_right():
+    """The kernel, a hedged trace and the one-shot surrogate add float costs
+    and prices left to right; a compensated sum (``sum`` from Python 3.12 on)
+    would give 0.6 and part them in the last bit."""
+    three = 0.1 + 0.2 + 0.3
+    assert three != 0.6
+    inst = Instance([Item(n, c, DiscreteDist.point_mass(0.0)) for n, c in enumerate((0.1, 0.2, 0.3))])
+    model = CombModel(UniformMatroid(3), ZeroTerminal(), 3)
+    labels = HedgeCoins((True,) * 3)
+    trace = combinatorial.combinatorial_lh_policy(model, inst, Realization((0.0,) * 3), labels)
+    assert trace.inspection_order == (0, 1, 2) and trace.total_cost == three
+    batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
+    assert batch(np.zeros((3, 1)), np.ones((3, 1), dtype=bool)) == [three]
+    assert combinatorial.surrogate_cost(model, [0.3, 0.1, 0.2])[0] == three
 
 
 def test_cases_reach_the_inspected_first_tie(monkeypatch):
