@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -232,10 +233,16 @@ def cmd_verify(args, budget) -> int:
     return EXIT_VERIFY_FAIL if any(row["status"] == "fail" for row in checks) else EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call; parsing
+    leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     budget = args.budget

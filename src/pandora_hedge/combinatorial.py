@@ -20,7 +20,7 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
-from .indices import SurrogateKind, surrogate_dist
+from .indices import SurrogateKind
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
 from .policies import (
     IntegerGrid,
@@ -217,7 +217,7 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
 
 
 def _surrogate_dists(instance: Instance, kind: SurrogateKind):
-    return [surrogate_dist(item, kind) for item in instance.items]
+    return [item.surrogate(kind) for item in instance.items]
 
 
 def expected_surrogate_cost(
@@ -258,7 +258,7 @@ def expected_surrogate_cost_mc(
     per trial."""
     grid = IntegerGrid(instance, model)
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
-    if type(model.family) not in _KERNEL_FAMILIES.values() or type(model.terminal) is not ZeroTerminal:
+    if not _greedy_is_surrogate_cost(model):
         return mc_summary(
             surrogate_cost(grid.model, row)[0] / grid.L
             for start, size in trial_chunks(trials)
@@ -268,14 +268,7 @@ def expected_surrogate_cost_mc(
 
     def totals(start, size):
         prices = sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype)
-        spent = np.zeros(size, dtype=dtype)
-        pool = prices.copy() if dtype == object else prices.astype(np.float64)
-
-        def take(ns, rows):
-            spent[rows] += prices[ns, rows]
-
-        _greedy_select(_Bases(model.family, size), pool, None, take)
-        return spent.tolist()
+        return _greedy_sums(model.family, prices, prices.copy() if dtype == object else prices.astype(np.float64))
 
     return mc_summary(t / grid.L for start, size in trial_chunks(trials) for t in totals(start, size))
 
@@ -472,6 +465,27 @@ def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, take) -> None:
         ns, rows = ns[fit], rows[fit]
         bases.add(ns, rows)
         take(ns, rows)
+
+
+def _greedy_is_surrogate_cost(model: CombModel) -> bool:
+    """Whether ``_greedy_sums`` gives ``surrogate_cost``: a uniform or
+    graphic matroid with a zero terminal."""
+    return type(model.family) in _KERNEL_FAMILIES.values() and type(model.terminal) is ZeroTerminal
+
+
+def _greedy_sums(family: Union[UniformMatroid, GraphicMatroid], prices: np.ndarray, pool: np.ndarray) -> list:
+    """``surrogate_cost`` of each column of ``prices`` (items x columns) on
+    ``family`` with a zero terminal: ``_greedy_select`` with every item in
+    ``pool`` (a copy of ``prices``, or their float64 copy where that orders
+    them exactly), summing the selected prices in selection order in
+    ``prices.dtype``."""
+    spent = np.zeros(prices.shape[1], dtype=prices.dtype)
+
+    def take(ns, cols):
+        spent[cols] += prices[ns, cols]
+
+    _greedy_select(_Bases(family, prices.shape[1]), pool, None, take)
+    return spent.tolist()
 
 
 def _kernel_dtype(grid: IntegerGrid, dtype):

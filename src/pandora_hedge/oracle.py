@@ -3,12 +3,14 @@ policy-dependent Monte Carlo lower bound.
 
 The single-item recursions compress the observation history to the best
 observed price, which is sufficient because only the cheapest inspected item
-is ever worth selecting; the combinatorial recursion keeps the full
-observation map, since which items remain selectable depends on the feasible
-family.  The best-observed sentinel is an algebraic top element (None), never
-a floating-point infinity.
+is ever worth selecting.  The best-observed sentinel is an algebraic top
+element (None), never a floating-point infinity.  The combinatorial DP
+defers every selection to the stop: selecting reveals nothing and costs the
+same whenever it happens, so a state is only each item's observation
+(uninspected, or observed at one support value), prod (s_m + 1) states, and
+its stop value is the one-shot optimum over its prices.
 
-The recursions run on the instance's ``IntegerGrid``.  In exact mode they
+The DPs run on the instance's ``IntegerGrid``.  In exact mode they
 run on Python ints over one common denominator D = L x Q_1 x ... x Q_N
 (Q_n: the lcm of item n's probability denominators).  Every DP value is a
 multiple of 1/D, and the value of a state whose uninspected items are U is
@@ -19,22 +21,26 @@ m is
 
 computed as (Q_m cost_D + sum_k ...) // Q_m, and the division is exact:
 item m is no longer uninspected in any child.  In float mode the grid passes
-the instance's own numbers through with D = Q_m = 1, so the same recursion
-runs in the same order of operations.  The optimum leaves by
+the instance's own numbers through with D = Q_m = 1, so the same DP runs
+in the same order of operations.  The optimum leaves by
 ``IntegerGrid.leave``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .budget import DEFAULT_BUDGET, check_budget
-from .combinatorial import CombModel
+from .combinatorial import CombModel, _greedy_is_surrogate_cost, _greedy_sums
 from .distkit import Numeric
 from .instance import Instance
-from .policies import IntegerGrid, iter_trials, prepare_policy
-from .sampling import mc_summary
+from .policies import IntegerGrid, iter_trials, plain_dtype, prepare_policy
+from .sampling import mc_summary, trial_chunks
 
 
 def _tmin(a, b):
@@ -111,53 +117,72 @@ def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
     return states * len(instance) * (max(len(item.dist) for item in instance.items) + 2)
 
 
+def _stop_values(grid: IntegerGrid, rows: list[tuple], strides: list[int], size: int) -> list:
+    """The stop value of each observation state 0..size-1: the one-shot
+    optimum (``surrogate_cost``) over its prices, ``rows[m][code]`` being
+    item m's price at the state's code ``state // strides[m] % len(rows[m])``.
+
+    A uniform or graphic matroid with a zero terminal runs ``_greedy_select``
+    with the states as columns, one ``trial_chunks`` chunk at a time: Kruskal
+    in (price, id) order, summed in selection order.  The pool is an object
+    array in exact mode, where prices in units of 1/D can pass 2^53.  Any
+    other model enumerates its feasible sets and their terminal costs once
+    and takes each state's minimum over them."""
+    model, n = grid.model, len(rows)
+    if _greedy_is_surrogate_cost(model):
+        float_pool = not grid.exact and plain_dtype([x for row in rows for x in row], n) is np.float64
+        lookup = [np.array(row, dtype=object) for row in rows]
+        stops = []
+        for start, count in trial_chunks(size):
+            states = np.arange(start, start + count)
+            prices = np.array([row[states // stride % len(row)] for row, stride in zip(lookup, strides)])
+            stops += _greedy_sums(model.family, prices, prices.astype(np.float64) if float_pool else prices.copy())
+        return stops
+    unit = grid.D // grid.L
+    sets = [
+        (s, unit * model.terminal_cost(s))
+        for s in (frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size))
+        if model.is_feasible(s)
+    ]
+    # item 0's code varies fastest, as in the state index
+    return [
+        min(sum(prices[m] for m in s) + t for s, t in sets)
+        for prices in (combo[::-1] for combo in itertools.product(*reversed(rows)))
+    ]
+
+
 def opt_value_comb_noi(
     model: CombModel, instance: Instance, budget: int = DEFAULT_BUDGET
 ) -> Numeric:
     """Optimal expected cost of combinatorial selection with nonobligatory
-    inspection, over full observation states.  Feasibility and the terminal
-    cost are computed once per selected set."""
+    inspection.  Selecting reveals nothing and costs the same whenever it
+    happens, so every selection is deferred to the stop: a state is each
+    item's code (uninspected, or observed at its k-th support value), and
+    its stop value is the one-shot optimum over its prices, an item's price
+    being its observed value, or its mean while uninspected
+    (``_stop_values``).  An inspect branch leads to states of larger index,
+    so one backward sweep over the indices solves the DP."""
     if model.n_items != len(instance):
         raise ValueError("model and instance disagree on the number of items")
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
     grid = IntegerGrid(instance, model)
     items = _dp_items(grid)
-    n = len(items)
-    UNINSPECTED = 0
-    SELECTED = -1
-    unit = grid.D // grid.L
-    finish: dict[int, Optional[Numeric]] = {}  # selected bitmask -> terminal option, None if infeasible
-
-    def terminal(chosen: int) -> Optional[Numeric]:
-        if chosen not in finish:
-            selected = frozenset(m for m in range(n) if chosen >> m & 1)
-            finish[chosen] = unit * grid.model.terminal_cost(selected) if model.is_feasible(selected) else None
-        return finish[chosen]
-
-    @lru_cache(maxsize=None)
-    def val(state: tuple[int, ...], chosen: int) -> Numeric:
-        done = terminal(chosen)
-        options = [] if done is None else [done]
-        for m in range(n):
-            code = state[m]
-            if code == SELECTED:
-                continue
-            inspect, atoms, q, mu = items[m]
-            select = state[:m] + (SELECTED,) + state[m + 1 :]
-            if code == UNINSPECTED:
-                for k, (v, p) in enumerate(atoms):
-                    inspect = inspect + p * val(state[:m] + (k + 1,) + state[m + 1 :], chosen)
-                options.append(inspect if q == 1 else inspect // q)
-                options.append(mu + val(select, chosen | 1 << m))
-            else:
-                options.append(atoms[code - 1][0] + val(select, chosen | 1 << m))
-        return min(options)
-
-    try:
-        opt = val((UNINSPECTED,) * n, 0)
-    finally:
-        val.cache_clear()
-    return grid.leave(opt, grid.D)
+    rows = [(mu, *(v for v, _ in atoms)) for _, atoms, _, mu in items]
+    strides = [math.prod(len(row) for row in rows[:m]) for m in range(len(rows))]
+    size = math.prod(len(row) for row in rows)
+    val = _stop_values(grid, rows, strides, size)
+    for state in reversed(range(size)):
+        best = val[state]
+        for (inspect, atoms, q, _), stride, row in zip(items, strides, rows):
+            if state // stride % len(row):
+                continue  # observed
+            for k, (_, p) in enumerate(atoms, 1):
+                inspect = inspect + p * val[state + k * stride]
+            inspect = inspect if q == 1 else inspect // q
+            if inspect < best:
+                best = inspect
+        val[state] = best
+    return grid.leave(val[0], grid.D)
 
 
 def pi_surrogate_bound(

@@ -18,6 +18,7 @@ from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace,
 from pandora_hedge.combinatorial import RuleError, rule_for_model, surrogate_cost
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import SurrogateKind, compute_indices, surrogate_dist
+from pandora_hedge.oracle import _dp_items
 from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, price_columns
 
 
@@ -327,38 +328,71 @@ def reference_opt_value_single(instance: Instance, allow_uninspected: bool):
     return val((1 << n) - 1, None)
 
 
-def reference_opt_value_comb_noi(model, instance: Instance):
-    """The combinatorial NOI DP on the instance's own numbers, feasibility
-    and terminal cost recomputed in every state: the reference for the
-    library's integer recursion."""
-    items = instance.items
-    indices = instance.indices
+def recursive_opt_value_comb_noi(model, instance: Instance):
+    """The combinatorial NOI DP as a recursion over full observation states,
+    where a selection is an action of its own: each item uninspected,
+    observed at its k-th support value or selected, with the bitmask of the
+    selected set.  It runs on the ``IntegerGrid`` as ``opt_value_comb_noi``
+    does, with feasibility and the terminal cost computed once per selected
+    set: the reference for deferring every selection to the stop."""
+    grid = IntegerGrid(instance, model)
+    items = _dp_items(grid)
     n = len(items)
     UNINSPECTED = 0
     SELECTED = -1
+    unit = grid.D // grid.L
+    finish = {}  # selected bitmask -> terminal option, None if infeasible
+
+    def terminal(chosen):
+        if chosen not in finish:
+            selected = frozenset(m for m in range(n) if chosen >> m & 1)
+            finish[chosen] = unit * grid.model.terminal_cost(selected) if model.is_feasible(selected) else None
+        return finish[chosen]
 
     @lru_cache(maxsize=None)
-    def val(state):
-        selected = frozenset(m for m in range(n) if state[m] == SELECTED)
-        options = []
-        if model.is_feasible(selected):
-            options.append(model.terminal_cost(selected))
+    def val(state, chosen):
+        done = terminal(chosen)
+        options = [] if done is None else [done]
         for m in range(n):
             code = state[m]
             if code == SELECTED:
                 continue
+            inspect, atoms, q, mu = items[m]
+            select = state[:m] + (SELECTED,) + state[m + 1 :]
             if code == UNINSPECTED:
-                inspect = items[m].cost
-                for k, (v, p) in enumerate(items[m].dist.atoms):
-                    inspect = inspect + p * val(state[:m] + (k + 1,) + state[m + 1 :])
-                options.append(inspect)
-                options.append(indices[m].mu + val(state[:m] + (SELECTED,) + state[m + 1 :]))
+                for k, (v, p) in enumerate(atoms):
+                    inspect = inspect + p * val(state[:m] + (k + 1,) + state[m + 1 :], chosen)
+                options.append(inspect if q == 1 else inspect // q)
+                options.append(mu + val(select, chosen | 1 << m))
             else:
-                v = items[m].dist.atoms[code - 1][0]
-                options.append(v + val(state[:m] + (SELECTED,) + state[m + 1 :]))
+                options.append(atoms[code - 1][0] + val(select, chosen | 1 << m))
         return min(options)
 
-    return val((UNINSPECTED,) * n)
+    return grid.leave(val((UNINSPECTED,) * n, 0), grid.D)
+
+
+def reference_opt_value_comb_noi(model, instance: Instance):
+    """The combinatorial NOI DP with every selection deferred to the stop,
+    on the instance's own numbers: a state holds each item's observed price,
+    or None while it is uninspected, and its stop value is ``surrogate_cost``
+    with every uninspected item at its mean.  The reference for the
+    library's integer sweep."""
+    items = instance.items
+    mus = [ix.mu for ix in instance.indices]
+    n = len(items)
+
+    @lru_cache(maxsize=None)
+    def val(seen):
+        options = [surrogate_cost(model, [mu if v is None else v for v, mu in zip(seen, mus)])[0]]
+        for m in range(n):
+            if seen[m] is None:
+                inspect = items[m].cost
+                for v, p in items[m].dist.atoms:
+                    inspect = inspect + p * val(seen[:m] + (v,) + seen[m + 1 :])
+                options.append(inspect)
+        return min(options)
+
+    return val((None,) * n)
 
 
 def reference_price_rows(dists, ids, base, weight=1):

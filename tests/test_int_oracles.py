@@ -19,6 +19,7 @@ from pandora_hedge import (
     Item,
     UniformMatroid,
     ZeroTerminal,
+    combinatorial,
     evaluate_policy_exact,
     expected_surrogate_cost,
     opt_value_comb_noi,
@@ -31,6 +32,7 @@ from pandora_hedge.indices import SurrogateKind
 from pandora_hedge.instancefile import load_instance, parse_document
 from pandora_hedge.policies import SINGLE_POLICIES, IntegerGrid, evaluate_exact, prepare_policy
 from pandora_hedge.randgen import random_comb_instance, random_instance
+from pandora_hedge.verify import TOL
 
 from helpers import (
     all_int,
@@ -40,6 +42,7 @@ from helpers import (
     reference_expected_surrogate_cost,
     reference_opt_value_comb_noi,
     reference_opt_value_single,
+    recursive_opt_value_comb_noi,
     wide_grid,
 )
 from test_batch_mc import tie_heavy as single_tie_heavy
@@ -163,6 +166,19 @@ def test_comb_dp_equals_the_reference():
         _assert_same(opt_value_comb_noi(model, inst), _exit_type(reference_opt_value_comb_noi(model, inst), inst, model))
 
 
+def test_comb_dp_equals_the_recursion():
+    """Deferring every selection to the stop is exact: the same value and
+    type as the recursion that selects as it goes, on every exact case.  In
+    float mode a stop adds its prices in selection order where the recursion
+    nests them, so the two may part in the last bits."""
+    for model, inst in _comb_cases():
+        got, expected = opt_value_comb_noi(model, inst), recursive_opt_value_comb_noi(model, inst)
+        if IntegerGrid(inst, model).exact:
+            _assert_same(got, expected)
+        else:
+            assert type(got) is type(expected) and abs(got - expected) <= TOL * abs(expected)
+
+
 def test_comb_exact_values_equal_the_reference():
     for model, inst in _comb_cases():
         for policy in COMB_POLICIES:
@@ -180,6 +196,10 @@ def test_surrogate_costs_equal_the_reference():
 
 
 def test_comb_dp_tests_feasibility_once_per_selected_set(monkeypatch):
+    """An explicit family or a facility-location terminal enumerates the
+    feasible sets once, one ``is_feasible`` call per set; a uniform or
+    graphic matroid with a zero terminal takes every stop value from the
+    greedy kernel, with no ``is_feasible`` and no ``surrogate_cost`` call."""
     seen = []
     real = CombModel.is_feasible
 
@@ -187,11 +207,26 @@ def test_comb_dp_tests_feasibility_once_per_selected_set(monkeypatch):
         seen.append(selected)
         return real(self, selected)
 
+    def refuse(*args):
+        raise AssertionError("surrogate_cost called")
+
     monkeypatch.setattr(CombModel, "is_feasible", spy)
-    for model, inst in (next(_comb_cases()), (square_with_diagonals(4), big_grid())):
+    monkeypatch.setattr(combinatorial, "surrogate_cost", refuse)
+    inst = comb_tie_heavy()
+    small = Instance(inst.items[:4])
+    enumerated = (
+        (facility(len(inst)), inst),
+        (facility(len(small), all_nonempty(len(small))), small),
+        (CombModel(all_nonempty(3), ZeroTerminal(), 3), Instance(inst.items[:3])),
+    )
+    for model, case in enumerated:
         seen.clear()
-        opt_value_comb_noi(model, inst)
-        assert seen and len(seen) == len(set(seen)) <= 2 ** len(inst)
+        opt_value_comb_noi(model, case)
+        assert len(seen) == len(set(seen)) == 2 ** len(case)
+    for model, case in ((uniform(2, len(inst)), inst), (square_with_diagonals(4), big_grid())):
+        seen.clear()
+        opt_value_comb_noi(model, case)
+        assert not seen
 
 
 _values = st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True)
