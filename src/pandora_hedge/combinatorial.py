@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import policies
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind
@@ -196,28 +197,75 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
         by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
         tree, _ = _spanning_forest(family.edges, family.vertices, by_price)
         return _running_sum(prices[n] for n in tree), frozenset(tree)
-    # generic desk-scale path: enumerate subsets
-    if model.n_items > 22:
-        raise ValueError("explicit subset enumeration is limited to 22 items")
+    # generic desk-scale path: enumerate subsets, ties to the first
     best = None
-    best_key = None
-    best_set = None
-    for size in range(model.n_items + 1):
-        for combo in itertools.combinations(range(model.n_items), size):
-            s = frozenset(combo)
-            if not model.is_feasible(s):
-                continue
-            value = sum(prices[n] for n in s) + model.terminal_cost(s)
-            key = tuple(sorted(s))
-            if best is None or value < best or (value == best and key < best_key):
-                best, best_key, best_set = value, key, s
+    for s, terminal in _feasible_sets(model):
+        value = _running_sum(prices[n] for n in s) + terminal
+        if best is None or value < best[0]:
+            best = value, s
     if best is None:
         raise ValueError("model has no feasible set")
-    return best, best_set
+    return best
 
 
-def _surrogate_dists(instance: Instance, kind: SurrogateKind):
-    return [item.surrogate(kind) for item in instance.items]
+def _feasible_sets(model: CombModel):
+    """An iterator over the feasible sets and their terminal costs in the
+    lexicographic order of sorted ids: one ``is_feasible`` call per subset."""
+    if model.n_items > 22:
+        raise ValueError("explicit subset enumeration is limited to 22 items")
+
+    def extend(head):
+        s = frozenset(head)
+        if model.is_feasible(s):
+            yield s, model.terminal_cost(s)
+        for n in range(head[-1] + 1 if head else 0, model.n_items):
+            yield from extend(head + (n,))
+
+    return extend(())
+
+
+def _surrogate_dtypes(model: CombModel, values: Sequence[Sequence[Numeric]]):
+    """The dtypes of ``surrogate_costs`` price columns drawn from ``values[n]``
+    for item n and of its pool: the pool is ``plain_dtype`` of every price and
+    distance, float64 where that orders them exactly.  The columns keep the
+    value and type that ``surrogate_cost`` gives: int64 or float64 when every
+    number is an int or every one a float within that bound, else object."""
+    numbers = [x for row in values for x in row] + [d for row in model.terminal.distances for d in row]
+    kinds, pool = set(map(type, numbers)), plain_dtype(numbers, model.n_items)
+    columns = object if len(kinds) > 1 or pool is object else np.int64 if kinds == {int} else np.float64
+    return columns, pool
+
+
+def surrogate_costs(model: CombModel, pool):
+    """The package's one batch of one-shot optima: ``costs(prices)`` is the
+    ``surrogate_cost`` value of each column of an (items x columns) price
+    array (in ``_surrogate_dtypes``), summed in its dtype.  A uniform or
+    graphic matroid with a zero terminal runs ``_greedy_select`` with every
+    item in a ``pool``-dtype copy, which is Kruskal in (price, id) order; any
+    other model takes each column's minimum over its ``_feasible_sets``,
+    enumerated once per call."""
+    if type(model.family) in _KERNEL_FAMILIES.values() and type(model.terminal) is ZeroTerminal:
+
+        def greedy(prices):
+            spent = np.zeros(prices.shape[1], dtype=prices.dtype)
+
+            def take(ns, cols):
+                spent[cols] += prices[ns, cols]
+
+            _greedy_select(_Bases(model.family, prices.shape[1]), prices.astype(pool), None, take)
+            return spent.tolist()
+
+        return greedy
+    sets = list(_feasible_sets(model))
+
+    def enumerated(prices):
+        best = None
+        for s, terminal in sets:  # a tie keeps the earlier set, as in surrogate_cost
+            value = _running_sum(prices[n] for n in s) + terminal
+            best = value if best is None else np.where(value < best, value, best)
+        return best.tolist()
+
+    return enumerated
 
 
 def expected_surrogate_cost(
@@ -229,15 +277,20 @@ def expected_surrogate_cost(
     """E[Z] for the chosen surrogate kind, by product enumeration of the
     surrogate distributions' ``IntegerGrid.atoms`` (in exact mode int weights
     over the lcm of each one's probability denominators) against the grid's
-    model; the sum leaves by ``IntegerGrid.leave``."""
-    dists = _surrogate_dists(instance, kind)
+    model, ``EXACT_CHUNK`` rows at a time through ``surrogate_costs``; the sum
+    leaves by ``IntegerGrid.leave``."""
+    dists = [item.surrogate(kind) for item in instance.items]
     size = math.prod(len(d) for d in dists)
     check_budget(size, budget, "surrogate cost enumeration")
     grid = IntegerGrid(instance, model)
     qs, atoms = zip(*map(grid.atoms, dists))
-    total = 0
-    for prob, prices in _price_rows(atoms, range(len(dists)), [None] * len(dists)):
-        total = total + prob * surrogate_cost(grid.model, prices)[0]
+    dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in a] for a in atoms])
+    costs = surrogate_costs(grid.model, pool)
+    rows, total = _price_rows(atoms, range(len(dists)), [None] * len(dists)), 0
+    while chunk := list(itertools.islice(rows, policies.EXACT_CHUNK)):
+        probs, prices = zip(*chunk)
+        for prob, cost in zip(probs, costs(np.array(prices, dtype=dtype).T)):
+            total = total + prob * cost
     return grid.leave(total, grid.L * math.prod(qs))
 
 
@@ -248,29 +301,20 @@ def expected_surrogate_cost_mc(
     trials: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E[Z] with standard error, drawn one chunk of
-    trials at a time and run on the instance's ``IntegerGrid``.
-
-    For a uniform or graphic matroid with a zero terminal each chunk runs
-    ``_greedy_select`` with every item pooled at its surrogate price: Kruskal
-    in (price, id) order, summed in selection order, which is
-    ``surrogate_cost`` exactly.  Any other model runs ``surrogate_cost`` once
-    per trial."""
+    """Monte Carlo estimate of E[Z] with standard error: one chunk of trials
+    at a time drawn on the instance's ``IntegerGrid`` and run through
+    ``surrogate_costs``.  Only a float leaves, so float mode draws in the pool's
+    ``plain_dtype`` even where int and float prices mix."""
     grid = IntegerGrid(instance, model)
-    lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in _surrogate_dists(instance, kind)]
-    if not _greedy_is_surrogate_cost(model):
-        return mc_summary(
-            surrogate_cost(grid.model, row)[0] / grid.L
-            for start, size in trial_chunks(trials)
-            for row in zip(*sample_columns(lanes, seed, SURROGATE_STREAM, start, size).tolist())
-        )
-    dtype = _kernel_dtype(grid, plain_dtype([v for values, _ in lanes for v in values], len(lanes)))
-
-    def totals(start, size):
-        prices = sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype)
-        return _greedy_sums(model.family, prices, prices.copy() if dtype == object else prices.astype(np.float64))
-
-    return mc_summary(t / grid.L for start, size in trial_chunks(trials) for t in totals(start, size))
+    dists = [item.surrogate(kind) for item in instance.items]
+    lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in dists]
+    columns, pool = _surrogate_dtypes(grid.model, [values for values, _ in lanes])
+    costs, dtype = surrogate_costs(grid.model, pool), columns if grid.exact else pool
+    return mc_summary(
+        t / grid.L
+        for start, size in trial_chunks(trials)
+        for t in costs(sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype))
+    )
 
 
 class GreedyRule:
@@ -467,33 +511,6 @@ def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, take) -> None:
         take(ns, rows)
 
 
-def _greedy_is_surrogate_cost(model: CombModel) -> bool:
-    """Whether ``_greedy_sums`` gives ``surrogate_cost``: a uniform or
-    graphic matroid with a zero terminal."""
-    return type(model.family) in _KERNEL_FAMILIES.values() and type(model.terminal) is ZeroTerminal
-
-
-def _greedy_sums(family: Union[UniformMatroid, GraphicMatroid], prices: np.ndarray, pool: np.ndarray) -> list:
-    """``surrogate_cost`` of each column of ``prices`` (items x columns) on
-    ``family`` with a zero terminal: ``_greedy_select`` with every item in
-    ``pool`` (a copy of ``prices``, or their float64 copy where that orders
-    them exactly), summing the selected prices in selection order in
-    ``prices.dtype``."""
-    spent = np.zeros(prices.shape[1], dtype=prices.dtype)
-
-    def take(ns, cols):
-        spent[cols] += prices[ns, cols]
-
-    _greedy_select(_Bases(family, prices.shape[1]), pool, None, take)
-    return spent.tolist()
-
-
-def _kernel_dtype(grid: IntegerGrid, dtype):
-    """The kernel's price dtype: exact small ints (drawn as float64 by
-    ``array_dtype``) run as int64, so that totals leave as Python ints."""
-    return np.int64 if grid.exact and dtype != object else dtype
-
-
 def _frugal_kernel(grid: IntegerGrid):
     """Array form of the frugal composition of a shipped matroid rule on
     ``grid``, bit for bit ``frugal_trace``'s totals.
@@ -569,8 +586,8 @@ def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
         def run(prices, coins):
             return [trace.total_cost for trace in traces(prices, coins)]
 
-    def batch(prices, coins):
-        return run(prices.astype(_kernel_dtype(grid, prices.dtype), copy=False), coins)
+    def batch(prices, coins):  # exact small ints (drawn as float64) run as int64: totals leave as Python ints
+        return run(prices.astype(np.int64 if grid.exact and prices.dtype != object else prices.dtype, copy=False), coins)
 
     return batch
 

@@ -8,7 +8,8 @@ element (None), never a floating-point infinity.  The combinatorial DP
 defers every selection to the stop: selecting reveals nothing and costs the
 same whenever it happens, so a state is only each item's observation
 (uninspected, or observed at one support value), prod (s_m + 1) states, and
-its stop value is the one-shot optimum over its prices.
+its stop value is the one-shot optimum over its prices, which
+``combinatorial.surrogate_costs`` gives for a batch of states at once.
 
 The DPs run on the instance's ``IntegerGrid``.  In exact mode they
 run on Python ints over one common denominator D = L x Q_1 x ... x Q_N
@@ -28,7 +29,6 @@ in the same order of operations.  The optimum leaves by
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Optional
@@ -36,10 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .combinatorial import CombModel, _greedy_is_surrogate_cost, _greedy_sums
+from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
 from .distkit import Numeric
 from .instance import Instance
-from .policies import IntegerGrid, iter_trials, plain_dtype, prepare_policy
+from .policies import IntegerGrid, iter_trials, prepare_policy
 from .sampling import mc_summary, trial_chunks
 
 
@@ -118,37 +118,19 @@ def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
 
 
 def _stop_values(grid: IntegerGrid, rows: list[tuple], strides: list[int], size: int) -> list:
-    """The stop value of each observation state 0..size-1: the one-shot
-    optimum (``surrogate_cost``) over its prices, ``rows[m][code]`` being
-    item m's price at the state's code ``state // strides[m] % len(rows[m])``.
-
-    A uniform or graphic matroid with a zero terminal runs ``_greedy_select``
-    with the states as columns, one ``trial_chunks`` chunk at a time: Kruskal
-    in (price, id) order, summed in selection order.  The pool is an object
-    array in exact mode, where prices in units of 1/D can pass 2^53.  Any
-    other model enumerates its feasible sets and their terminal costs once
-    and takes each state's minimum over them."""
-    model, n = grid.model, len(rows)
-    if _greedy_is_surrogate_cost(model):
-        float_pool = not grid.exact and plain_dtype([x for row in rows for x in row], n) is np.float64
-        lookup = [np.array(row, dtype=object) for row in rows]
-        stops = []
-        for start, count in trial_chunks(size):
-            states = np.arange(start, start + count)
-            prices = np.array([row[states // stride % len(row)] for row, stride in zip(lookup, strides)])
-            stops += _greedy_sums(model.family, prices, prices.astype(np.float64) if float_pool else prices.copy())
-        return stops
-    unit = grid.D // grid.L
-    sets = [
-        (s, unit * model.terminal_cost(s))
-        for s in (frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(n), size))
-        if model.is_feasible(s)
-    ]
-    # item 0's code varies fastest, as in the state index
-    return [
-        min(sum(prices[m] for m in s) + t for s, t in sets)
-        for prices in (combo[::-1] for combo in itertools.product(*reversed(rows)))
-    ]
+    """The stop value of each observation state 0..size-1 in units of 1/D:
+    ``surrogate_costs`` on the states as columns, one ``trial_chunks`` chunk
+    at a time, item m's price (in units of 1/L) being ``rows[m][state //
+    strides[m] % len(rows[m])]``, times D/L (exact on ints, 1 in float mode)."""
+    dtype, pool = _surrogate_dtypes(grid.model, rows)
+    lookup = [np.array(row, dtype=dtype) for row in rows]
+    costs, unit = surrogate_costs(grid.model, pool), grid.D // grid.L
+    stops = []
+    for start, count in trial_chunks(size):
+        states = np.arange(start, start + count)
+        prices = np.array([row[states // stride % len(row)] for row, stride in zip(lookup, strides)], dtype=dtype)
+        stops += [unit * c for c in costs(prices)]
+    return stops
 
 
 def opt_value_comb_noi(
@@ -167,7 +149,7 @@ def opt_value_comb_noi(
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
     grid = IntegerGrid(instance, model)
     items = _dp_items(grid)
-    rows = [(mu, *(v for v, _ in atoms)) for _, atoms, _, mu in items]
+    rows = [(ix.mu, *(v for v, _ in atoms)) for ix, atoms in zip(grid.instance.indices, grid.item_atoms)]
     strides = [math.prod(len(row) for row in rows[:m]) for m in range(len(rows))]
     size = math.prod(len(row) for row in rows)
     val = _stop_values(grid, rows, strides, size)

@@ -325,10 +325,11 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
     in slot order (the search's sum), and selects the lowest inspected view
     price, ties to the lowest id; its total is those costs plus the selected
     realized price.  ``keep_labels`` records the labels in the trace."""
+    slots, mus = _slots(instance, labels), [ix.mu for ix in instance.indices]
+    search = reservation_batch(instance, labels)
 
     def traces(prices, coins):
-        slots, mus = _slots(instance, labels), [ix.mu for ix in instance.indices]
-        spent, _, stops = reservation_batch(instance, labels)(prices, coins)
+        spent, _, stops = search(prices, coins)
         labelings = [labels] * prices.shape[1] if coins is None else [tuple(c) for c in coins.T.tolist()]
         out = []
         for row, labs, cost, stop in zip(prices.T.tolist(), labelings, spent.tolist(), stops.tolist()):

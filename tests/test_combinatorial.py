@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pandora_hedge import (
@@ -16,6 +17,7 @@ from pandora_hedge import (
     SurrogateKind,
     UniformMatroid,
     ZeroTerminal,
+    combinatorial,
     combinatorial_lh_policy,
     evaluate_comb_policy_exact,
     evaluate_comb_policy_mc,
@@ -149,6 +151,16 @@ class TestSurrogateCost:
         model = CombModel(family, FacilityLocationTerminal(d), 3)
         value, chosen = surrogate_cost(model, [10, 3, 10])
         assert chosen == frozenset({1}) and value == 3 + 2
+
+    def test_batch_keeps_the_type_of_the_tied_set(self):
+        """An int-priced and a float-priced set tie: the batch returns the
+        value of the lexicographically first, as ``surrogate_cost`` does."""
+        model = CombModel(ExplicitFamily(tuple(frozenset(s) for s in _powerset(2) if s)), ZeroTerminal(), 2)
+        columns = [[2, 2.0], [2.0, 2], [1, 1.5]]
+        expected = [surrogate_cost(model, column)[0] for column in columns]
+        assert surrogate_cost(model, columns[0]) == (2, frozenset({0}))
+        got = combinatorial.surrogate_costs(model, np.float64)(np.array(columns, dtype=object).T)
+        assert got == expected and list(map(type, got)) == [int, float, int]
 
 
 def _powerset(n):

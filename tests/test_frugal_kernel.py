@@ -3,7 +3,8 @@
 per-trial reference engine (``helpers.frugal_engine``), equal in value and
 type, on tie-heavy uniform and graphic models, exact, float and object price
 arrays, a facility-location terminal and across a chunk boundary; and Monte
-Carlo with a shipped rule calls no ``propose`` and no ``surrogate_cost``."""
+Carlo with a shipped rule calls no ``propose``, and no E[Z] on a shipped
+matroid calls ``surrogate_cost``."""
 
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from pandora_hedge import (
     combinatorial,
     evaluate_comb_policy_exact,
     evaluate_comb_policy_mc,
+    expected_surrogate_cost,
     expected_surrogate_cost_mc,
     sampling,
 )
@@ -245,6 +247,7 @@ def test_shipped_rules_call_no_propose(calls, capsys):
             evaluate_comb_policy_exact(model, inst, policy)
         for kind in SurrogateKind:
             expected_surrogate_cost_mc(model, inst, kind, 50, SEED)
+            expected_surrogate_cost(model, inst, kind)
     for name in ("matroid_rank2.json", "graphic_triangle.json"):
         path = str(CORPUS / name)
         assert main(["simulate", path, "--policy", "local-hedging", "--trials", "50"]) == 0

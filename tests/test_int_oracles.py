@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from pandora_hedge import (
     CombModel,
     DiscreteDist,
     ExplicitFamily,
+    GraphicMatroid,
     Instance,
     Item,
     UniformMatroid,
@@ -22,9 +24,12 @@ from pandora_hedge import (
     combinatorial,
     evaluate_policy_exact,
     expected_surrogate_cost,
+    expected_surrogate_cost_mc,
     opt_value_comb_noi,
     opt_value_single_noi,
     opt_value_single_oi,
+    policies,
+    sampling,
 )
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import COMB_POLICIES, prepare_comb_policy
@@ -32,6 +37,7 @@ from pandora_hedge.indices import SurrogateKind
 from pandora_hedge.instancefile import load_instance, parse_document
 from pandora_hedge.policies import SINGLE_POLICIES, IntegerGrid, evaluate_exact, prepare_policy
 from pandora_hedge.randgen import random_comb_instance, random_instance
+from pandora_hedge.sampling import mc_summary
 from pandora_hedge.verify import TOL
 
 from helpers import (
@@ -46,6 +52,8 @@ from helpers import (
     wide_grid,
 )
 from test_batch_mc import tie_heavy as single_tie_heavy
+from test_grid_mc import SEED as MC_SEED
+from test_grid_mc import _reference_surrogate as reference_mc
 from test_grid_mc import all_nonempty, facility, square_with_diagonals, uniform
 from test_grid_mc import tie_heavy as comb_tie_heavy
 
@@ -227,6 +235,90 @@ def test_comb_dp_tests_feasibility_once_per_selected_set(monkeypatch):
         seen.clear()
         opt_value_comb_noi(model, case)
         assert not seen
+
+
+def test_int_prices_keep_their_type_in_float_mode():
+    """Int point masses at a float cost are off the rational grid, yet their
+    NOI and LH surrogate prices are the int means: E[Z] and the DP give the
+    references' int 7 (the OI prices are float reservation prices), never a
+    float 7.0."""
+    inst = Instance([Item(n, 0.5, DiscreteDist.point_mass(v)) for n, v in enumerate((3, 4, 5))])
+    assert not IntegerGrid(inst).exact
+    pairs = ExplicitFamily(tuple(frozenset(s) for s in ((0, 1), (0, 2), (1, 2), (0, 1, 2))))
+    for family in (UniformMatroid(2), GraphicMatroid(((0, 1), (1, 2), (0, 2))), pairs):
+        model = CombModel(family, ZeroTerminal(), len(inst))
+        for kind in SurrogateKind:
+            _assert_same(expected_surrogate_cost(model, inst, kind), reference_expected_surrogate_cost(model, inst, kind))
+        _assert_same(expected_surrogate_cost(model, inst, SurrogateKind.NOI), 7)
+        _assert_same(opt_value_comb_noi(model, inst), reference_opt_value_comb_noi(model, inst))
+        _assert_same(opt_value_comb_noi(model, inst), 7)
+
+
+def test_mixed_int_and_float_prices_pool_in_float64(monkeypatch):
+    """Int support values at float costs and means mix ints and floats in
+    float mode: E[Z] and the DP keep object columns (for the exit type) but
+    order them in a float64 pool, and the Monte Carlo estimate, a float
+    either way, draws float64 columns; every value equals its reference."""
+    inst = Instance([Item(n, 0.5, DiscreteDist(((v, 0.5), (v + 2.5, 0.5)))) for n, v in enumerate((3, 4, 5, 3))])
+    pools, draws = [], []
+    real_select, real_sample = combinatorial._greedy_select, combinatorial.sample_columns
+
+    def select(bases, pool, threshold, take):
+        pools.append(pool.dtype)
+        return real_select(bases, pool, threshold, take)
+
+    def sample(*args):
+        draws.append(args[-1])
+        return real_sample(*args)
+
+    monkeypatch.setattr(combinatorial, "_greedy_select", select)
+    monkeypatch.setattr(combinatorial, "sample_columns", sample)
+    for model in (uniform(2, len(inst)), square_with_diagonals(len(inst))):
+        _assert_same(opt_value_comb_noi(model, inst), reference_opt_value_comb_noi(model, inst))
+        for kind in SurrogateKind:
+            _assert_same(expected_surrogate_cost(model, inst, kind), reference_expected_surrogate_cost(model, inst, kind))
+            got = expected_surrogate_cost_mc(model, inst, kind, 50, MC_SEED)
+            _assert_same(got, mc_summary(reference_mc(model, inst, kind, 50)))
+    assert pools and set(pools) == {np.dtype(np.float64)}
+    assert draws and set(draws) == {np.float64}
+
+
+def test_one_shot_optima_straddle_chunk_boundaries(monkeypatch):
+    """With 7-column chunks, exact E[Z], its Monte Carlo estimate and the DP
+    equal their references on every kind of model, and a model without the
+    greedy kernel tests each of the 2^N sets for feasibility once per call."""
+    monkeypatch.setattr(sampling, "MC_CHUNK", 7)
+    monkeypatch.setattr(policies, "EXACT_CHUNK", 7)
+    inst = comb_tie_heavy()
+    small = Instance(inst.items[:4])
+    cases = (
+        (uniform(2, len(inst)), inst),
+        (square_with_diagonals(len(inst)), inst),
+        (CombModel(all_nonempty(len(small)), ZeroTerminal(), len(small)), small),
+        (facility(len(inst)), inst),
+        (facility(len(small), all_nonempty(len(small))), small),
+    )
+    seen = []
+    real = CombModel.is_feasible
+
+    def spy(self, selected):
+        seen.append(selected)
+        return real(self, selected)
+
+    for model, case in cases:
+        runs = [(lambda: opt_value_comb_noi(model, case), _exit_type(reference_opt_value_comb_noi(model, case), case, model))]
+        for kind in SurrogateKind:
+            expected = _exit_type(reference_expected_surrogate_cost(model, case, kind), case, model)
+            runs.append((lambda kind=kind: expected_surrogate_cost(model, case, kind), expected))
+            expected = mc_summary(reference_mc(model, case, kind, 22))
+            runs.append((lambda kind=kind: expected_surrogate_cost_mc(model, case, kind, 22, MC_SEED), expected))
+        kernel = not isinstance(model.family, ExplicitFamily) and isinstance(model.terminal, ZeroTerminal)
+        monkeypatch.setattr(CombModel, "is_feasible", spy)
+        for run, expected in runs:
+            seen.clear()
+            _assert_same(run(), expected)
+            assert len(seen) == len(set(seen)) == (0 if kernel else 2 ** len(case))
+        monkeypatch.setattr(CombModel, "is_feasible", real)
 
 
 _values = st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True)

@@ -17,7 +17,7 @@ from pandora_hedge import (
     pi_surrogate_bound,
     weitzman_policy,
 )
-from pandora_hedge import policies
+from pandora_hedge import policies, sampling
 from pandora_hedge.cli import main
 from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.instancefile import LoadedInstance, write_instance
@@ -135,3 +135,25 @@ class TestPreparedOnce:
         code = main(["simulate", GOLDEN, "--policy", "commit-enum", "--trials", "40", "--trace", "3"])
         assert code == 0 and "trace[2]" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_traces_sort_the_slots_once(self, monkeypatch):
+        """A reservation policy's traces reuse one slot list and one
+        ``reservation_batch`` search in every chunk of trials."""
+        built = []
+
+        def counting(real):
+            def counted(*args):
+                built.append(real.__name__)
+                return real(*args)
+
+            return counted
+
+        for name in ("_slots", "reservation_batch"):
+            monkeypatch.setattr(policies, name, counting(getattr(policies, name)))
+        monkeypatch.setattr(sampling, "MC_CHUNK", 7)
+        inst = golden_pair(exact=False)
+        for policy in ("weitzman", "local-hedging", "commit-enum"):
+            prepared = prepare_policy(inst, policy)
+            built.clear()
+            assert len(list(policies.iter_trials(inst, prepared, SEED, 22))) == 22
+            assert not built
