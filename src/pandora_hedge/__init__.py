@@ -1,10 +1,13 @@
 """Search with nonobligatory inspection via local hedging.
 
 Library surface: discrete distribution arithmetic (distkit), per-item indices
-and surrogate prices (indices), single-item and combinatorial policies with
-exact and Monte Carlo evaluators (policies, combinatorial), dynamic
-programming oracles (oracle), instance files (instancefile), and the
-verification suite (verify).
+and surrogate prices (indices), single-item and combinatorial policies
+(policies, combinatorial), dynamic programming oracles (oracle), instance
+files (instancefile), and the verification suite (verify).
+
+A policy runs one way: ``prepare_policy`` or ``prepare_comb_policy`` gives a
+``PreparedPolicy`` on its instance, which ``run`` traces one trial of and
+``evaluate_exact`` and ``evaluate_mc`` take alone.
 """
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError
@@ -32,13 +35,11 @@ from .indices import (
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
 from .policies import (
     Action,
-    evaluate_policy_exact,
-    evaluate_policy_mc,
-    local_hedging_policy,
+    evaluate_exact,
+    evaluate_mc,
     one_item_optimal_action,
     one_item_value,
     prepare_policy,
-    weitzman_policy,
 )
 from .combinatorial import (
     CombModel,
@@ -48,12 +49,8 @@ from .combinatorial import (
     GreedyRule,
     UniformMatroid,
     ZeroTerminal,
-    combinatorial_lh_policy,
-    evaluate_comb_policy_exact,
-    evaluate_comb_policy_mc,
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
-    frugal_oi_policy,
     prepare_comb_policy,
     surrogate_cost,
 )

@@ -149,9 +149,9 @@ def cmd_bounds(args, budget) -> int:
     return EXIT_OK if report.ratio_ok() else EXIT_VERIFY_FAIL
 
 
-def _trace_rows(instance, prepared, seed, count):
+def _trace_rows(prepared, seed, count):
     out = []
-    for t, (_, trace) in enumerate(iter_trials(instance, prepared, seed, count)):
+    for t, (_, trace) in enumerate(iter_trials(prepared, seed, count)):
         row = {
             "trial": t,
             "inspection_order": list(trace.inspection_order),
@@ -174,12 +174,12 @@ def cmd_simulate(args, budget) -> int:
         prepared = prepare_comb_policy(loaded.model, instance, args.policy)
     policy_block = {"name": args.policy}
     if args.exact:
-        policy_block["exact_value"] = _num(evaluate_exact(instance, prepared, budget))
+        policy_block["exact_value"] = _num(evaluate_exact(prepared, budget))
     else:
-        est, err = evaluate_mc(instance, prepared, args.trials, args.seed)
+        est, err = evaluate_mc(prepared, args.trials, args.seed)
         policy_block.update({"mean": est, "stderr": err, "trials": args.trials, "seed": args.seed})
     if args.trace > 0:
-        policy_block["traces"] = _trace_rows(instance, prepared, args.seed, args.trace)
+        policy_block["traces"] = _trace_rows(prepared, args.seed, args.trace)
     report = Report(items=items_block(instance), policy=policy_block)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return EXIT_OK

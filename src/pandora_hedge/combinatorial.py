@@ -22,17 +22,8 @@ from . import policies
 from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import Numeric
 from .indices import SurrogateKind
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
-from .policies import (
-    IntegerGrid,
-    PreparedPolicy,
-    _column_traces,
-    _price_rows,
-    _slots,
-    evaluate_exact,
-    evaluate_mc,
-    plain_dtype,
-)
+from .instance import Instance, PolicyTrace, hedged_view
+from .policies import IntegerGrid, PreparedPolicy, _column_traces, _price_rows, _slots, plain_dtype
 from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
@@ -604,47 +595,5 @@ def prepare_comb_policy(
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     rule = rule_for_model(model) if rule is None else rule
     traces = _column_traces(partial(frugal_trace, model, rule, instance))
-    return PreparedPolicy(traces, partial(frugal_batch, rule), policy == "local-hedging", model)
+    return PreparedPolicy(instance, traces, partial(frugal_batch, rule), policy == "local-hedging", model)
 
-
-def frugal_oi_policy(
-    model: CombModel,
-    instance: Instance,
-    realization: Realization,
-    rule: Optional[GreedyRule] = None,
-) -> PolicyTrace:
-    """Adaptive obligatory-inspection composition."""
-    return prepare_comb_policy(model, instance, "frugal-oi", rule).run(realization)
-
-
-def combinatorial_lh_policy(
-    model: CombModel,
-    instance: Instance,
-    realization: Realization,
-    coins: HedgeCoins,
-    rule: Optional[GreedyRule] = None,
-) -> PolicyTrace:
-    """Two-stage hedged policy on the frugal composition."""
-    return prepare_comb_policy(model, instance, "local-hedging", rule).run(realization, coins)
-
-
-def evaluate_comb_policy_exact(
-    model: CombModel,
-    instance: Instance,
-    policy: str,
-    rule: Optional[GreedyRule] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Numeric:
-    """Exact expected total cost of a combinatorial policy."""
-    return evaluate_exact(instance, prepare_comb_policy(model, instance, policy, rule), budget)
-
-
-def evaluate_comb_policy_mc(
-    model: CombModel,
-    instance: Instance,
-    policy: str,
-    trials: int,
-    seed: int,
-    rule: Optional[GreedyRule] = None,
-) -> tuple[float, float]:
-    return evaluate_mc(instance, prepare_comb_policy(model, instance, policy, rule), trials, seed)

@@ -171,7 +171,7 @@ def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
 
 def capped_expectation(item: Item, kind: SurrogateKind, r: Numeric) -> Numeric:
     """E[min{W, r}] for the item's surrogate price W."""
-    d = surrogate_dist(item, kind)
+    d = item.surrogate(kind)
     return sum(p * min(v, r) for v, p in d.atoms)
 
 

@@ -111,10 +111,10 @@ def _opt_value_single(instance: Instance, budget: int, allow_uninspected: bool) 
 
 
 def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
-    states = 1
-    for item in instance.items:
-        states *= len(item.dist) + 2
-    return states * len(instance) * (max(len(item.dist) for item in instance.items) + 2)
+    """The deferred DP's work: prod (s_m + 1) observation states, each with at
+    most sum s_m inspect-branch terms."""
+    sizes = [len(item.dist) for item in instance.items]
+    return math.prod(s + 1 for s in sizes) * sum(sizes)
 
 
 def _stop_values(grid: IntegerGrid, rows: list[tuple], strides: list[int], size: int) -> list:
@@ -190,5 +190,5 @@ def pi_surrogate_bound(
             w = _tmin(w, contrib)
         return w
 
-    trials_run = iter_trials(instance, prepare_policy(instance, policy), seed, trials)
+    trials_run = iter_trials(prepare_policy(instance, policy), seed, trials)
     return mc_summary(bound(realization, trace) for realization, trace in trials_run)

@@ -20,15 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import (
-    DiscreteDist,
-    Numeric,
-    _is_exact,
-    capped_min_means,
-    mean,
-    min_with_constant_expectation,
-)
-from .indices import Item, SurrogateKind, surrogate_dist
+from .distkit import DiscreteDist, Numeric, _is_exact, capped_min_means, expected_excess
+from .indices import Item, SurrogateKind
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
 
@@ -59,12 +52,12 @@ def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> N
     outside option (an infinite sentinel)."""
     if regime is SurrogateKind.LH:
         raise ValueError("one-item value is defined for the OI and NOI regimes")
-    mu = mean(item.dist)
+    mu = item.indices.mu
     if r is None:
         inspect_branch = item.cost + mu
         candidates = [inspect_branch]
     else:
-        inspect_branch = item.cost + min_with_constant_expectation(item.dist, r)
+        inspect_branch = item.cost + (mu - expected_excess(item.dist, r))
         candidates = [inspect_branch, r]
     if regime is SurrogateKind.NOI:
         candidates.append(mu)
@@ -169,7 +162,9 @@ def _prob_lcm(dist: DiscreteDist) -> int:
 
 @dataclass(frozen=True)
 class PreparedPolicy:
-    """A policy with its trial-independent work done once.
+    """A policy prepared on its ``instance``, with its trial-independent work
+    done once: the package's one way to run, trace or evaluate a policy.
+    ``evaluate_exact``, ``evaluate_mc`` and ``iter_trials`` take it alone.
 
     ``traces(prices, coins)`` maps an (items x trials) object array of the
     instance's own prices (and, for a policy that ``draws_coins``, a label
@@ -184,6 +179,7 @@ class PreparedPolicy:
     hedging draws coins: its labels are drawn afresh each trial.
     """
 
+    instance: Instance
     traces: Callable[[np.ndarray, Optional[np.ndarray]], list]
     batch: Callable[[IntegerGrid], Callable]
     draws_coins: bool = False
@@ -349,7 +345,7 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
 
         return totals
 
-    return PreparedPolicy(traces, batch, draws_coins=labels is None)
+    return PreparedPolicy(instance, traces, batch, draws_coins=labels is None)
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -365,7 +361,7 @@ def commit_enum_labeling(instance: Instance) -> HedgeCoins:
     ``min_of_independent``, so the labeling is too.
     """
     values = capped_min_means(
-        [surrogate_dist(item, SurrogateKind.OI) for item in instance.items],
+        [item.surrogate(SurrogateKind.OI) for item in instance.items],
         [idx.mu for idx in instance.indices],
     )
     best = min(range(len(values)), key=values.__getitem__)
@@ -396,28 +392,18 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
             return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
 
         return PreparedPolicy(
+            instance,
             _column_traces(inspect_all),
             lambda grid: lambda prices, coins: sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
         )
     if policy == "never-inspect":
         sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
         return PreparedPolicy(
+            instance,
             _column_traces(lambda prices, labels: PolicyTrace((), frozenset({sel}), frozenset({sel}), prices[sel])),
             lambda grid: lambda prices, coins: prices[sel],
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
-
-
-def weitzman_policy(instance: Instance, realization: Realization) -> PolicyTrace:
-    """Obligatory-inspection reservation-price policy."""
-    return prepare_policy(instance, "weitzman").run(realization)
-
-
-def local_hedging_policy(
-    instance: Instance, realization: Realization, coins: HedgeCoins
-) -> PolicyTrace:
-    """Randomized committing policy driven by per-item hedge labels."""
-    return prepare_policy(instance, "local-hedging").run(realization, coins)
 
 
 def _price_rows(
@@ -462,8 +448,8 @@ def _weighted_columns(grid: IntegerGrid, p_hedge: Sequence[Numeric]):
             yield prob, row, labels
 
 
-def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
-    """Exact expected total cost of a prepared policy.
+def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
+    """Exact expected total cost of a prepared policy on its instance.
 
     Local hedging enumerates its label vectors, as constant coin columns;
     every other policy labels every item, so it enumerates realizations.
@@ -472,6 +458,7 @@ def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = D
     enumeration order (ints in exact mode, the probabilities times floats in
     float mode) and leaves by ``IntegerGrid.leave``.
     """
+    instance = prepared.instance
     p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
     branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(instance.items, p_hedge) if p != 0)
     check_budget(branches, budget, "hedged policy evaluation" if prepared.draws_coins else "policy evaluation")
@@ -488,13 +475,6 @@ def evaluate_exact(instance: Instance, prepared: PreparedPolicy, budget: int = D
     return grid.leave(total, grid.label_weights(p_hedge)[1])
 
 
-def evaluate_policy_exact(
-    instance: Instance, policy: str, budget: int = DEFAULT_BUDGET
-) -> Numeric:
-    """Exact expected total cost of a single-item policy by enumeration."""
-    return evaluate_exact(instance, prepare_policy(instance, policy), budget)
-
-
 def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:
     """Prices of trials start..start+count-1 as an (items x trials) array of
     ``dtype``."""
@@ -509,23 +489,24 @@ def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.nd
     return sample_columns(lanes, seed, COIN_STREAM, start, count, bool)
 
 
-def iter_trials(instance: Instance, prepared: PreparedPolicy, seed: int, count: int):
-    """Yield (realization, trace) for trials 0..count-1: the prepared
-    policy's traces, one chunk of drawn columns at a time; coins are drawn
-    only for a policy that draws them."""
+def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
+    """Yield (realization, trace) for trials 0..count-1 on the prepared
+    policy's instance: its traces, one chunk of drawn columns at a time;
+    coins are drawn only for a policy that draws them."""
     for start, size in trial_chunks(count):
-        prices = price_columns(instance, seed, start, size, object)
-        coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
+        prices = price_columns(prepared.instance, seed, start, size, object)
+        coins = coin_columns(prepared.instance, seed, start, size) if prepared.draws_coins else None
         realizations = (Realization(tuple(row)) for row in prices.T.tolist())
         yield from zip(realizations, prepared.traces(prices, coins))
 
 
-def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
+def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of a prepared policy's total cost.
 
     The trials run one chunk at a time through the policy's array form on the
-    instance's ``IntegerGrid``: prices are drawn from the grid's supports,
-    and totals leave the grid as floats."""
+    ``IntegerGrid`` of its instance: prices are drawn from the grid's
+    supports, and totals leave the grid as floats."""
+    instance = prepared.instance
     grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)
     dtype = array_dtype(grid.instance)
@@ -536,10 +517,3 @@ def evaluate_mc(instance: Instance, prepared: PreparedPolicy, trials: int, seed:
         t = batch(prices, coins)
         totals.append(np.array([int(x) / grid.L for x in t]) if grid.exact else np.asarray(t, dtype=np.float64))
     return mc_summary(np.concatenate(totals))
-
-
-def evaluate_policy_mc(
-    instance: Instance, policy: str, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of a policy's total cost."""
-    return evaluate_mc(instance, prepare_policy(instance, policy), trials, seed)

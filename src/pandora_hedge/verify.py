@@ -22,8 +22,8 @@ from .combinatorial import (
     GraphicMatroid,
     UniformMatroid,
     ZeroTerminal,
-    evaluate_comb_policy_exact,
     expected_surrogate_cost,
+    prepare_comb_policy,
     surrogate_cost,
 )
 from .distkit import (
@@ -35,12 +35,7 @@ from .distkit import (
 from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
-from .policies import (
-    IntegerGrid,
-    evaluate_policy_exact,
-    one_item_value,
-    prepare_policy,
-)
+from .policies import IntegerGrid, evaluate_exact, one_item_value, prepare_policy
 
 TOL = 1e-12
 BUDGET_SKIP = "skipped (budget)"
@@ -98,8 +93,10 @@ class ExactValues:
 
     def _policy(self, name: str):
         if self.model is None:
-            return evaluate_policy_exact(self.instance, name, self.budget)
-        return evaluate_comb_policy_exact(self.model, self.instance, name, budget=self.budget)
+            prepared = prepare_policy(self.instance, name)
+        else:
+            prepared = prepare_comb_policy(self.model, self.instance, name)
+        return evaluate_exact(prepared, self.budget)
 
     def _optimum(self, kind: SurrogateKind):
         """The optimal policy's value when uninspected items may (NOI) or may
@@ -146,7 +143,7 @@ def check_parity(values: ExactValues, tol):
     worst = 0.0
     for n, item in enumerate(instance.items):
         for u in _breakpoints(instance, n):
-            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - mean(item.dist))
+            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - item.indices.mu)
             worst = max(worst, abs(float(gap)))
     return worst <= tol, worst
 

@@ -425,11 +425,12 @@ def reference_weighted_columns(instance: Instance, p_hedge):
             yield prob, row, labels
 
 
-def reference_evaluate_exact(instance: Instance, prepared):
-    """Exact value of a prepared policy: its array form on the grid, summed
-    with the reference weights, leaving as ``Fraction(total, L)`` (or as it
+def reference_evaluate_exact(prepared):
+    """Exact value of a prepared policy on its instance: its array form on
+    the grid, summed with the reference weights, leaving as ``Fraction(total, L)`` (or as it
     is when every cost, support value, probability and grid number is an
     int)."""
+    instance = prepared.instance
     p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
     grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)

@@ -15,16 +15,17 @@ import pytest
 from pandora_hedge import (
     SurrogateKind,
     compute_indices,
-    evaluate_policy_exact,
+    evaluate_exact,
     expected_surrogate_cost,
     make_worst_case_item,
     opt_value_comb_noi,
     opt_value_single_noi,
     opt_value_single_oi,
+    prepare_comb_policy,
+    prepare_policy,
     surrogate_dist,
 )
 from pandora_hedge.cli import main
-from pandora_hedge.combinatorial import evaluate_comb_policy_exact
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import ALPHA_CEILING
 from pandora_hedge.policies import price_columns
@@ -86,7 +87,7 @@ def test_01_reservation_policy_equals_one_shot_optimum(corpus_200):
     worst = 0.0
     for inst in corpus_200:
         one_shot = _min_w(inst, SurrogateKind.OI)
-        worst = max(worst, abs(float(evaluate_policy_exact(inst, "weitzman") - one_shot)))
+        worst = max(worst, abs(float(evaluate_exact(prepare_policy(inst, "weitzman")) - one_shot)))
         worst = max(worst, abs(float(opt_value_single_oi(inst) - one_shot)))
     elapsed = time.time() - t0
     _report(
@@ -100,7 +101,7 @@ def test_01_reservation_policy_equals_one_shot_optimum(corpus_200):
 def test_02_hedged_policy_equality_and_ratio_bound(corpus_200):
     worst_eq = worst_ineq = 0.0
     for inst in corpus_200:
-        lh = evaluate_policy_exact(inst, "local-hedging")
+        lh = evaluate_exact(prepare_policy(inst, "local-hedging"))
         worst_eq = max(worst_eq, abs(float(lh - _min_w(inst, SurrogateKind.LH))))
         noi = _min_w(inst, SurrogateKind.NOI)
         worst_ineq = max(worst_ineq, float(lh - inst.max_alpha * noi))
@@ -119,7 +120,7 @@ def test_03_lower_bound_sandwich(corpus_oracle):
     for inst in corpus_oracle:
         noi_bound = _min_w(inst, SurrogateKind.NOI)
         opt = opt_value_single_noi(inst)
-        lh = evaluate_policy_exact(inst, "local-hedging")
+        lh = evaluate_exact(prepare_policy(inst, "local-hedging"))
         worst = max(worst, float(noi_bound - opt), float(opt - lh))
     elapsed = time.time() - t0
     _report(
@@ -186,7 +187,7 @@ def test_06_local_approximation_sweep(items_500):
 def test_07_frugal_matroid_equality(matroid_corpus):
     worst = 0.0
     for model, inst in matroid_corpus:
-        frugal = evaluate_comb_policy_exact(model, inst, "frugal-oi")
+        frugal = evaluate_exact(prepare_comb_policy(model, inst, "frugal-oi"))
         z_oi = expected_surrogate_cost(model, inst, SurrogateKind.OI)
         worst = max(worst, abs(float(frugal - z_oi)))
     _report(7, worst <= TOL, f"frugal composition equals one-shot surrogate cost on 100 matroids (max dev {worst:.2e})")
@@ -197,7 +198,7 @@ def test_08_combinatorial_hedging_chain(matroid_corpus):
     worst_lb = 0.0
     n_dp = 0
     for model, inst in matroid_corpus:
-        clh = evaluate_comb_policy_exact(model, inst, "local-hedging")
+        clh = evaluate_exact(prepare_comb_policy(model, inst, "local-hedging"))
         z_noi = expected_surrogate_cost(model, inst, SurrogateKind.NOI)
         worst_chain = max(worst_chain, float(clh - inst.max_alpha * z_noi))
         worst_chain = max(worst_chain, float(clh - F(4, 3) * z_noi))
@@ -216,7 +217,7 @@ def test_09_golden_instance():
     inst = golden_pair()
     opt = opt_value_single_noi(inst)
     bound = _min_w(inst, SurrogateKind.NOI)
-    lh = evaluate_policy_exact(inst, "local-hedging")
+    lh = evaluate_exact(prepare_policy(inst, "local-hedging"))
     ratio = lh / bound
     ok = (
         opt == F(9, 2)

@@ -13,10 +13,10 @@ from pandora_hedge import (
     DiscreteDist,
     Instance,
     Item,
-    evaluate_comb_policy_mc,
-    evaluate_policy_mc,
+    evaluate_mc,
     expected_surrogate_cost_mc,
     pi_surrogate_bound,
+    prepare_comb_policy,
 )
 from pandora_hedge import sampling
 from pandora_hedge.indices import SurrogateKind
@@ -133,14 +133,14 @@ class TestBatchEqualsLoop:
         for inst in _instances(exact):
             for count in (1, 60):
                 expected = mc_summary(_reference_totals(inst, policy, count))
-                assert evaluate_policy_mc(inst, policy, count, SEED) == expected
+                assert evaluate_mc(prepare_policy(inst, policy), count, SEED) == expected
 
     def test_straddles_a_chunk_boundary(self, exact, policy, monkeypatch):
         monkeypatch.setattr(sampling, "MC_CHUNK", 7)
         for inst in _instances(exact):
             for count in (6, 7, 8, 22):
                 expected = mc_summary(_reference_totals(inst, policy, count))
-                assert evaluate_policy_mc(inst, policy, count, SEED) == expected
+                assert evaluate_mc(prepare_policy(inst, policy), count, SEED) == expected
 
 
 @pytest.mark.parametrize("policy", SINGLE_POLICIES)
@@ -153,7 +153,7 @@ def test_grid_totals_leave_as_float_of_fraction_totals(policy, case):
     got, L = _batch_totals(inst, policy, 200)
     assert all(isinstance(t, (F, int)) for t in expected)
     assert [int(t) / L for t in got] == [float(t) for t in expected]
-    assert evaluate_policy_mc(inst, policy, 200, SEED) == mc_summary(expected)
+    assert evaluate_mc(prepare_policy(inst, policy), 200, SEED) == mc_summary(expected)
 
 
 def test_wide_grid_needs_exact_division():
@@ -166,7 +166,7 @@ def test_wide_grid_needs_exact_division():
     got, L = _batch_totals(inst, "weitzman", 4000, seed=5)
     assert [int(t) / L for t in got] == [float(t) for t in expected]
     assert sum(t / float(L) != float(e) for t, e in zip(got, expected)) > 1000
-    assert evaluate_policy_mc(inst, "weitzman", 4000, 5) == mc_summary(expected)
+    assert evaluate_mc(prepare_policy(inst, "weitzman"), 4000, 5) == mc_summary(expected)
 
 
 def test_default_chunk_boundary():
@@ -174,18 +174,18 @@ def test_default_chunk_boundary():
     count = sampling.MC_CHUNK + 1
     for policy in SINGLE_POLICIES:
         expected = mc_summary(_reference_totals(inst, policy, count))
-        assert evaluate_policy_mc(inst, policy, count, SEED) == expected
+        assert evaluate_mc(prepare_policy(inst, policy), count, SEED) == expected
 
 
 def _every_mc_estimate(exact):
     out = []
     for inst in (tie_heavy("exact" if exact else "float"), *_instances(exact)):
-        out += [evaluate_policy_mc(inst, policy, 60, SEED) for policy in SINGLE_POLICIES]
+        out += [evaluate_mc(prepare_policy(inst, policy), 60, SEED) for policy in SINGLE_POLICIES]
         out += [pi_surrogate_bound(inst, policy, 30, SEED) for policy in ("weitzman", "local-hedging")]
     rng = random.Random(53 if exact else 52)
     for _ in range(3):
         model, inst = random_comb_instance(rng, max_items=5, exact=exact)
-        out += [evaluate_comb_policy_mc(model, inst, policy, 60, SEED) for policy in COMB_POLICIES]
+        out += [evaluate_mc(prepare_comb_policy(model, inst, policy), 60, SEED) for policy in COMB_POLICIES]
         out += [expected_surrogate_cost_mc(model, inst, kind, 60, SEED) for kind in SurrogateKind]
     return out
 
@@ -207,7 +207,7 @@ def test_mc_memory_is_bounded_by_the_chunk():
     inst = Instance(items)
     tracemalloc.start()
     try:
-        evaluate_policy_mc(inst, "weitzman", 100_000, 0)
+        evaluate_mc(prepare_policy(inst, "weitzman"), 100_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,15 +18,13 @@ from pandora_hedge import (
     UniformMatroid,
     ZeroTerminal,
     combinatorial,
-    combinatorial_lh_policy,
-    evaluate_comb_policy_exact,
-    evaluate_comb_policy_mc,
-    evaluate_policy_exact,
+    evaluate_exact,
+    evaluate_mc,
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
-    frugal_oi_policy,
+    prepare_comb_policy,
+    prepare_policy,
     surrogate_cost,
-    weitzman_policy,
 )
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import RuleError, rule_for_model
@@ -209,36 +207,38 @@ class TestFrugalPolicy:
         for _ in range(60):
             inst = random_instance(rng, max_items=5)
             model = rank_model(1, len(inst))
+            weitzman = prepare_policy(inst, "weitzman")
+            frugal = prepare_comb_policy(model, inst, "frugal-oi")
             for prices in price_realizations(inst):
                 r = Realization(prices)
-                tw = weitzman_policy(inst, r)
-                tf = frugal_oi_policy(model, inst, r)
+                tw = weitzman.run(r)
+                tf = frugal.run(r)
                 assert tw.inspection_order == tf.inspection_order
                 assert tw.selected == tf.selected
                 assert tw.total_cost == tf.total_cost
 
     def test_deterministic_rank2(self):
         inst = three_deterministic_items()
-        trace = frugal_oi_policy(rank_model(2, 3), inst, Realization((F(1), F(2), F(3))))
+        trace = prepare_comb_policy(rank_model(2, 3), inst, "frugal-oi").run(Realization((F(1), F(2), F(3))))
         assert trace.selected == frozenset({0, 1})
         assert trace.total_cost == 3
 
     def test_rank1_two_iid_expected_cost(self):
         inst = Instance([two_point_item(item_id=0), two_point_item(item_id=1)])
-        value = evaluate_comb_policy_exact(rank_model(1, 2), inst, "frugal-oi")
+        value = evaluate_exact(prepare_comb_policy(rank_model(1, 2), inst, "frugal-oi"))
         assert value == F(11, 2)
 
     def test_beta_one_equality_random(self):
         rng = random.Random(31)
         for _ in range(40):
             model, inst = random_comb_instance(rng, max_items=5)
-            frugal = evaluate_comb_policy_exact(model, inst, "frugal-oi")
+            frugal = evaluate_exact(prepare_comb_policy(model, inst, "frugal-oi"))
             z_oi = expected_surrogate_cost(model, inst, SurrogateKind.OI)
             assert abs(float(frugal - z_oi)) <= 1e-12
 
     def test_spanning_tree_trace(self):
         inst = three_deterministic_items()
-        trace = frugal_oi_policy(triangle_model(), inst, Realization((F(1), F(2), F(3))))
+        trace = prepare_comb_policy(triangle_model(), inst, "frugal-oi").run(Realization((F(1), F(2), F(3))))
         assert trace.selected == frozenset({0, 1})
 
     def test_rule_error_on_bad_plugin(self):
@@ -248,7 +248,7 @@ class TestFrugalPolicy:
 
         inst = three_deterministic_items()
         with pytest.raises(RuleError, match="already-selected"):
-            frugal_oi_policy(rank_model(1, 3), inst, Realization((F(1), F(2), F(3))), rule=BadRule())
+            prepare_comb_policy(rank_model(1, 3), inst, "frugal-oi", rule=BadRule()).run(Realization((F(1), F(2), F(3))))
 
     def test_no_rule_for_explicit_family(self):
         model = CombModel(ExplicitFamily((frozenset({0}), frozenset({0, 1}), frozenset({1}))), ZeroTerminal(), 2)
@@ -261,10 +261,12 @@ class TestCombinatorialHedging:
         inst = golden_pair()
         model = rank_model(1, 2)
         coins = HedgeCoins((True, True))
+        frugal = prepare_comb_policy(model, inst, "frugal-oi")
+        hedged = prepare_comb_policy(model, inst, "local-hedging")
         for prices in price_realizations(inst):
             r = Realization(prices)
-            a = frugal_oi_policy(model, inst, r)
-            b = combinatorial_lh_policy(model, inst, r, coins)
+            a = frugal.run(r)
+            b = hedged.run(r, coins)
             assert (a.inspection_order, a.selected, a.total_cost) == (
                 b.inspection_order,
                 b.selected,
@@ -274,7 +276,7 @@ class TestCombinatorialHedging:
     def test_all_non_inspection_selects_cheapest_means(self):
         inst = Instance([two_point_item(item_id=0), two_point_item(item_id=1)])
         coins = HedgeCoins((False, False))
-        trace = combinatorial_lh_policy(rank_model(1, 2), inst, Realization((F(10), F(0))), coins)
+        trace = prepare_comb_policy(rank_model(1, 2), inst, "local-hedging").run(Realization((F(10), F(0))), coins)
         assert trace.selected == frozenset({0})  # means tie at 5, id 0 wins
         assert trace.selected_without_inspection == frozenset({0})
         assert trace.total_cost == 10  # realized price of the selected item
@@ -284,23 +286,23 @@ class TestCombinatorialHedging:
         for _ in range(15):
             inst = random_instance(rng, max_items=4)
             model = rank_model(1, len(inst))
-            a = evaluate_comb_policy_exact(model, inst, "local-hedging")
-            b = evaluate_policy_exact(inst, "local-hedging")
+            a = evaluate_exact(prepare_comb_policy(model, inst, "local-hedging"))
+            b = evaluate_exact(prepare_policy(inst, "local-hedging"))
             assert abs(float(a - b)) <= 1e-12
 
     def test_mixture_identity_random(self):
         rng = random.Random(43)
         for _ in range(25):
             model, inst = random_comb_instance(rng, max_items=4)
-            lh = evaluate_comb_policy_exact(model, inst, "local-hedging")
+            lh = evaluate_exact(prepare_comb_policy(model, inst, "local-hedging"))
             z_lh = expected_surrogate_cost(model, inst, SurrogateKind.LH)
             assert abs(float(lh - z_lh)) <= 1e-12
 
     def test_mc_matches_exact_within_band(self):
         inst = Instance([two_point_item(exact=False, item_id=0), two_point_item(exact=False, item_id=1)])
         model = rank_model(1, 2)
-        exact = float(evaluate_comb_policy_exact(model, inst, "local-hedging"))
-        est, err = evaluate_comb_policy_mc(model, inst, "local-hedging", 50_000, seed=5)
+        exact = float(evaluate_exact(prepare_comb_policy(model, inst, "local-hedging")))
+        est, err = evaluate_mc(prepare_comb_policy(model, inst, "local-hedging"), 50_000, seed=5)
         assert abs(est - exact) <= 3 * err + 1e-9
 
     def test_exact_rational_end_to_end(self):
@@ -311,9 +313,9 @@ class TestCombinatorialHedging:
         ]
         inst = Instance(items)
         model = rank_model(2, 3)
-        assert evaluate_comb_policy_exact(model, inst, "frugal-oi") == expected_surrogate_cost(
+        assert evaluate_exact(prepare_comb_policy(model, inst, "frugal-oi")) == expected_surrogate_cost(
             model, inst, SurrogateKind.OI
         )
-        assert evaluate_comb_policy_exact(model, inst, "local-hedging") == expected_surrogate_cost(
+        assert evaluate_exact(prepare_comb_policy(model, inst, "local-hedging")) == expected_surrogate_cost(
             model, inst, SurrogateKind.LH
         )

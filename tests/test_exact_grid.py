@@ -18,8 +18,7 @@ from pandora_hedge import (
     Instance,
     Item,
     Realization,
-    evaluate_comb_policy_exact,
-    evaluate_policy_exact,
+    prepare_comb_policy,
 )
 from pandora_hedge import policies
 from pandora_hedge.combinatorial import COMB_POLICIES, rule_for_model
@@ -119,14 +118,14 @@ class TestExactEqualsReference:
             for policy in SINGLE_POLICIES:
                 expected = reference_value(inst, policy)
                 assert type(expected) is (F if exact else float)
-                _assert_same(evaluate_policy_exact(inst, policy), expected)
+                _assert_same(evaluate_exact(prepare_policy(inst, policy)), expected)
 
     def test_combinatorial(self, exact):
         for model, inst in _comb_cases(exact):
             for policy in COMB_POLICIES:
                 expected = reference_value(inst, policy, model)
                 assert type(expected) is (F if exact else float)
-                _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
+                _assert_same(evaluate_exact(prepare_comb_policy(model, inst, policy)), expected)
 
     def test_chunking_changes_no_value(self, exact, monkeypatch):
         cases = [(None, inst) for inst in itertools.islice(_single_cases(exact), 20)]
@@ -138,15 +137,15 @@ class TestExactEqualsReference:
 
 def _values(model, inst):
     if model is None:
-        return [evaluate_policy_exact(inst, policy) for policy in SINGLE_POLICIES]
-    return [evaluate_comb_policy_exact(model, inst, policy) for policy in COMB_POLICIES]
+        return [evaluate_exact(prepare_policy(inst, policy)) for policy in SINGLE_POLICIES]
+    return [evaluate_exact(prepare_comb_policy(model, inst, policy)) for policy in COMB_POLICIES]
 
 
 def test_hedged_value_equals_the_full_coin_enumeration():
     rng = random.Random(75)
     for _ in range(20):
         inst = random_instance(rng, max_items=4, max_support=3, exact=True)
-        _assert_same(evaluate_policy_exact(inst, "local-hedging"), enumerate_lh_cost(inst))
+        _assert_same(evaluate_exact(prepare_policy(inst, "local-hedging")), enumerate_lh_cost(inst))
 
 
 def _costly(values, cost):
@@ -163,11 +162,11 @@ def test_all_never_inspect_weights_are_ints():
     assert len(rows) == 1 and type(rows[0][0]) is int
     for policy in SINGLE_POLICIES:
         expected = reference_value(inst, policy)
-        _assert_same(evaluate_policy_exact(inst, policy), expected)
+        _assert_same(evaluate_exact(prepare_policy(inst, policy)), expected)
     model = uniform(2, len(inst))
     for policy in COMB_POLICIES:
         expected = reference_value(inst, policy, model)
-        _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
+        _assert_same(evaluate_exact(prepare_comb_policy(model, inst, policy)), expected)
 
 
 def test_hedged_enumeration_includes_the_all_unlabelled_vector():
@@ -176,9 +175,9 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
     assert all(ix.p_hedge != 1 for ix in inst.indices) and any(0 < ix.p_hedge < 1 for ix in inst.indices)
     labels = [lab for _, _, lab in policies._weighted_columns(IntegerGrid(inst), [ix.p_hedge for ix in inst.indices])]
     assert labels[-1] == [False] * len(inst)
-    _assert_same(evaluate_policy_exact(inst, "local-hedging"), reference_value(inst, "local-hedging"))
+    _assert_same(evaluate_exact(prepare_policy(inst, "local-hedging")), reference_value(inst, "local-hedging"))
     model = uniform(1, len(inst))
-    _assert_same(evaluate_comb_policy_exact(model, inst, "local-hedging"), reference_value(inst, "local-hedging", model))
+    _assert_same(evaluate_exact(prepare_comb_policy(model, inst, "local-hedging")), reference_value(inst, "local-hedging", model))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -188,11 +187,11 @@ def test_support_product_beyond_one_chunk(exact):
     while inst.support_product() <= policies.EXACT_CHUNK:
         inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
     for policy in SINGLE_POLICIES:
-        _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, policy))
+        _assert_same(evaluate_exact(prepare_policy(inst, policy)), reference_value(inst, policy))
     model = uniform(2, len(inst))
     for policy in COMB_POLICIES:
         expected = reference_value(inst, policy, model)
-        _assert_same(evaluate_comb_policy_exact(model, inst, policy), expected)
+        _assert_same(evaluate_exact(prepare_comb_policy(model, inst, policy)), expected)
 
 
 def _view_order_value(model, inst):
@@ -214,7 +213,7 @@ def test_float_comb_hedging_moves_by_a_few_ulps_at_most():
     moved = 0
     for _ in range(160):
         model, inst = random_comb_instance(rng, max_items=5)
-        got = evaluate_comb_policy_exact(model, inst, "local-hedging")
+        got = evaluate_exact(prepare_comb_policy(model, inst, "local-hedging"))
         before = _view_order_value(model, inst)
         assert type(got) is float and abs(got - before) <= 4 * math.ulp(before)
         moved += got != before
@@ -229,7 +228,7 @@ def test_point_masses_with_int_probabilities(kind):
     cost = {"int": 2, "float-cost": 2.5}[kind]
     inst = Instance([Item(0, cost, DiscreteDist(((7, 1),))), Item(1, 0, DiscreteDist(((9, 1),)))])
     for policy in ("never-inspect", "local-hedging"):
-        got = evaluate_policy_exact(inst, policy)
+        got = evaluate_exact(prepare_policy(inst, policy))
         _assert_same(got, 7 if kind == "int" else 7.0)
 
 
@@ -258,7 +257,7 @@ class TestArrayDtypeBound:
             prices = price_columns(scaled, 3, 0, 200, np.float64)
             got = prepared.batch(grid)(prices, coin_columns(inst, 3, 0, 200))
             assert got.dtype == np.float64 and [int(t) for t in got] == [t * grid.L for t in expected]
-            _assert_same(evaluate_policy_exact(inst, policy), reference_value(inst, policy))
+            _assert_same(evaluate_exact(prepare_policy(inst, policy)), reference_value(inst, policy))
 
     def test_a_number_at_the_bound_goes_to_object(self):
         scaled = IntegerGrid(self._tall()).instance
@@ -283,6 +282,6 @@ def test_exact_evaluation_runs_the_array_form(monkeypatch):
             calls.append(grid.L)
             return real(grid)
 
-        value = evaluate_exact(inst, dataclasses.replace(prepared, batch=batch))
-        assert value == evaluate_policy_exact(inst, policy)
+        value = evaluate_exact(dataclasses.replace(prepared, batch=batch))
+        assert value == evaluate_exact(prepare_policy(inst, policy))
     assert calls == [IntegerGrid(inst).L] * len(SINGLE_POLICIES)

@@ -28,10 +28,11 @@ from pandora_hedge import (
     UniformMatroid,
     ZeroTerminal,
     combinatorial,
-    evaluate_comb_policy_exact,
-    evaluate_comb_policy_mc,
+    evaluate_exact,
+    evaluate_mc,
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
+    prepare_comb_policy,
     sampling,
 )
 from pandora_hedge.cli import main
@@ -138,7 +139,7 @@ class TestKernelEqualsEngine:
             for count in (6, 7, 8, 22):
                 realizations, coins = seeded_trials(inst, SEED, 0, count)
                 expected = mc_summary(run(r, c).total_cost for r, c in zip(realizations, coins))
-                assert evaluate_comb_policy_mc(model, inst, policy, count, SEED) == expected
+                assert evaluate_mc(prepare_comb_policy(model, inst, policy), count, SEED) == expected
 
 
 def test_float_sums_add_left_to_right():
@@ -150,7 +151,7 @@ def test_float_sums_add_left_to_right():
     inst = Instance([Item(n, c, DiscreteDist.point_mass(0.0)) for n, c in enumerate((0.1, 0.2, 0.3))])
     model = CombModel(UniformMatroid(3), ZeroTerminal(), 3)
     labels = HedgeCoins((True,) * 3)
-    trace = combinatorial.combinatorial_lh_policy(model, inst, Realization((0.0,) * 3), labels)
+    trace = prepare_comb_policy(model, inst, "local-hedging").run(Realization((0.0,) * 3), labels)
     assert trace.inspection_order == (0, 1, 2) and trace.total_cost == three
     batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
     assert batch(np.zeros((3, 1)), np.ones((3, 1), dtype=bool)) == [three]
@@ -243,8 +244,8 @@ def test_shipped_rules_call_no_propose(calls, capsys):
     for family in (UniformMatroid(2), GraphicMatroid(K4_PENDANT[:n])):
         model = CombModel(family, ZeroTerminal(), n)
         for policy in COMB_POLICIES:
-            evaluate_comb_policy_mc(model, inst, policy, 50, SEED)
-            evaluate_comb_policy_exact(model, inst, policy)
+            evaluate_mc(prepare_comb_policy(model, inst, policy), 50, SEED)
+            evaluate_exact(prepare_comb_policy(model, inst, policy))
         for kind in SurrogateKind:
             expected_surrogate_cost_mc(model, inst, kind, 50, SEED)
             expected_surrogate_cost(model, inst, kind)
@@ -262,7 +263,7 @@ def test_subclass_of_a_shipped_rule_runs_per_trial(calls):
 
     inst = tie_heavy_exact()
     model = CombModel(UniformMatroid(2), ZeroTerminal(), len(inst))
-    plain = evaluate_comb_policy_mc(model, inst, "local-hedging", 20, SEED)
+    plain = evaluate_mc(prepare_comb_policy(model, inst, "local-hedging"), 20, SEED)
     assert not calls
-    assert evaluate_comb_policy_mc(model, inst, "local-hedging", 20, SEED, rule=Subclass()) == plain
+    assert evaluate_mc(prepare_comb_policy(model, inst, "local-hedging", rule=Subclass()), 20, SEED) == plain
     assert calls["propose"] > 0

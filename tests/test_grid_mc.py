@@ -23,7 +23,7 @@ from pandora_hedge import (
     SurrogateKind,
     UniformMatroid,
     ZeroTerminal,
-    evaluate_comb_policy_mc,
+    evaluate_mc,
     expected_surrogate_cost_mc,
     opt_value_comb_noi,
     opt_value_single_noi,
@@ -191,21 +191,21 @@ class TestPoliciesOnTheGrid:
     def test_mc_equals_per_trial_summary(self, policy):
         for model, inst in _exact_cases():
             expected = mc_summary(_reference_totals(model, inst, policy, 60))
-            assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
+            assert evaluate_mc(prepare_comb_policy(model, inst, policy), 60, SEED) == expected
 
     def test_straddles_a_chunk_boundary(self, policy, monkeypatch):
         monkeypatch.setattr(sampling, "MC_CHUNK", 7)
         for model, inst in _exact_cases():
             for count in (6, 7, 8, 22):
                 expected = mc_summary(_reference_totals(model, inst, policy, count))
-                assert evaluate_comb_policy_mc(model, inst, policy, count, SEED) == expected
+                assert evaluate_mc(prepare_comb_policy(model, inst, policy), count, SEED) == expected
 
     def test_float_mode_keeps_its_numbers(self, policy):
         for model, inst in _random_models(False):
             grid = _grid(model, inst)
             assert not grid.exact and grid.L == 1 and grid.instance is inst and grid.model is model
             expected = mc_summary(_reference_totals(model, inst, policy, 60))
-            assert evaluate_comb_policy_mc(model, inst, policy, 60, SEED) == expected
+            assert evaluate_mc(prepare_comb_policy(model, inst, policy), 60, SEED) == expected
 
     def test_rules_see_ints_in_exact_mode(self, policy):
         seen = set()
@@ -216,7 +216,7 @@ class TestPoliciesOnTheGrid:
                 return super().propose(tau, selected, inspected, model)
 
         inst = tie_heavy()
-        evaluate_comb_policy_mc(uniform(2, len(inst)), inst, policy, 20, SEED, rule=Recording())
+        evaluate_mc(prepare_comb_policy(uniform(2, len(inst)), inst, policy, rule=Recording()), 20, SEED)
         assert seen == {int}
 
     def test_misbehaving_rule_raises_from_mc(self, policy):
@@ -230,9 +230,9 @@ class TestPoliciesOnTheGrid:
 
         inst = tie_heavy()
         with pytest.raises(RuleError, match="already-selected"):
-            evaluate_comb_policy_mc(square_with_diagonals(len(inst)), inst, policy, 20, SEED, rule=Repeats())
+            evaluate_mc(prepare_comb_policy(square_with_diagonals(len(inst)), inst, policy, rule=Repeats()), 20, SEED)
         with pytest.raises(RuleError, match="infeasible"):
-            evaluate_comb_policy_mc(uniform(2, len(inst)), inst, policy, 20, SEED, rule=QuitsEarly())
+            evaluate_mc(prepare_comb_policy(uniform(2, len(inst)), inst, policy, rule=QuitsEarly()), 20, SEED)
 
 
 def _surrogate_cases(exact):
@@ -283,7 +283,7 @@ def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
         else:
             prepared = prepare_comb_policy(loaded.model, loaded.instance, "local-hedging")
             oracles = (functools.partial(opt_value_comb_noi, loaded.model),)
-        assert len(list(iter_trials(loaded.instance, prepared, SEED, 3))) == 3
+        assert len(list(iter_trials(prepared, SEED, 3))) == 3
         for oracle in oracles:
             with pytest.raises(AssertionError, match="scaled onto the grid"):
                 oracle(loaded.instance)

@@ -1,7 +1,9 @@
 """The DP oracles, exact evaluation and the exact one-shot values run on Python
 ints over one common denominator: each equals its reference on the
 instance's own numbers (``tests/helpers.py``) in value and type, and bit for
-bit in float mode; the budget formulas in front of them are unchanged."""
+bit in float mode.  The budget formulas in front of them are pinned: the
+combinatorial DP's charges its deferred state space, every other one is
+unchanged."""
 
 import random
 from fractions import Fraction as F
@@ -22,7 +24,6 @@ from pandora_hedge import (
     UniformMatroid,
     ZeroTerminal,
     combinatorial,
-    evaluate_policy_exact,
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
     opt_value_comb_noi,
@@ -140,13 +141,13 @@ def _comb_cases():
 def test_int_point_masses_leave_as_ints():
     inst = int_point_masses()
     assert IntegerGrid(inst).exact
-    assert type(opt_value_single_noi(inst)) is int and type(evaluate_policy_exact(inst, "weitzman")) is int
+    assert type(opt_value_single_noi(inst)) is int and type(evaluate_exact(prepare_policy(inst, "weitzman"))) is int
 
 
 def test_mixed_types_leave_as_fractions():
     inst = mixed_types()
     model = uniform(1, len(inst))
-    values = [opt_value_single_noi(inst), opt_value_comb_noi(model, inst), evaluate_policy_exact(inst, "weitzman")]
+    values = [opt_value_single_noi(inst), opt_value_comb_noi(model, inst), evaluate_exact(prepare_policy(inst, "weitzman"))]
     values += [expected_surrogate_cost(model, inst, kind) for kind in SurrogateKind]
     assert all(type(v) is F and v == 4 for v in values)
 
@@ -166,7 +167,7 @@ def test_single_item_exact_values_equal_the_reference():
     for inst in _single_cases():
         for policy in SINGLE_POLICIES:
             prepared = prepare_policy(inst, policy)
-            _assert_same(evaluate_exact(inst, prepared), reference_evaluate_exact(inst, prepared))
+            _assert_same(evaluate_exact(prepared), reference_evaluate_exact(prepared))
 
 
 def test_comb_dp_equals_the_reference():
@@ -193,7 +194,7 @@ def test_comb_exact_values_equal_the_reference():
             if isinstance(model.family, ExplicitFamily):
                 continue  # no shipped greedy rule
             prepared = prepare_comb_policy(model, inst, policy)
-            _assert_same(evaluate_exact(inst, prepared), reference_evaluate_exact(inst, prepared))
+            _assert_same(evaluate_exact(prepared), reference_evaluate_exact(prepared))
 
 
 def test_surrogate_costs_equal_the_reference():
@@ -343,7 +344,7 @@ def test_int_oracles_equal_the_reference_on_small_instances(inst, k):
     model = CombModel(UniformMatroid(min(k, len(inst))), ZeroTerminal(), len(inst))
     _assert_same(opt_value_comb_noi(model, inst), _exit_type(reference_opt_value_comb_noi(model, inst), inst, model))
     for prepared in (prepare_policy(inst, "local-hedging"), prepare_comb_policy(model, inst, "local-hedging")):
-        _assert_same(evaluate_exact(inst, prepared), reference_evaluate_exact(inst, prepared))
+        _assert_same(evaluate_exact(prepared), reference_evaluate_exact(prepared))
     expected = _exit_type(reference_expected_surrogate_cost(model, inst, SurrogateKind.LH), inst, model)
     _assert_same(expected_surrogate_cost(model, inst, SurrogateKind.LH), expected)
 
@@ -417,7 +418,7 @@ def test_exact_mode_holds_exactly_when_every_input_number_is_exact(doc):
     if exact:
         values = (
             opt_value_single_noi(inst),
-            evaluate_policy_exact(inst, "local-hedging"),
+            evaluate_exact(prepare_policy(inst, "local-hedging")),
             expected_surrogate_cost(model, inst, SurrogateKind.LH),
         )
         assert all(type(v) in (int, F) for v in values)
@@ -426,11 +427,11 @@ def test_exact_mode_holds_exactly_when_every_input_number_is_exact(doc):
 # Branch counts of each corpus file at budget 1, from the Fraction-based
 # implementation: the --budget goldens and the Monte Carlo fallbacks depend on them.
 BUDGET_REQUIRED = {
-    "facility_location_pair.json": {"noi": 40, "oi": 40, "weitzman": 4, "local-hedging": 9, "comb": 128, "OI": 4, "NOI": 4, "LH": 9},
+    "facility_location_pair.json": {"noi": 40, "oi": 40, "weitzman": 4, "local-hedging": 9, "comb": 36, "OI": 4, "NOI": 4, "LH": 9},
     "float_mode_pair.json": {"noi": 48, "oi": 48, "weitzman": 6, "local-hedging": 12},
     "golden_two_item.json": {"noi": 32, "oi": 32, "weitzman": 2, "local-hedging": 3},
-    "graphic_triangle.json": {"noi": 168, "oi": 168, "weitzman": 8, "local-hedging": 9, "comb": 768, "OI": 4, "NOI": 4, "LH": 9},
-    "matroid_rank2.json": {"noi": 168, "oi": 168, "weitzman": 8, "local-hedging": 6, "comb": 768, "OI": 4, "NOI": 4, "LH": 6},
+    "graphic_triangle.json": {"noi": 168, "oi": 168, "weitzman": 8, "local-hedging": 9, "comb": 162, "OI": 4, "NOI": 4, "LH": 9},
+    "matroid_rank2.json": {"noi": 168, "oi": 168, "weitzman": 8, "local-hedging": 6, "comb": 162, "OI": 4, "NOI": 4, "LH": 6},
     "near_worst_case.json": {"noi": 6, "oi": 6, "weitzman": 2, "local-hedging": 3},
     "single_two_point.json": {"noi": 6, "oi": 6, "weitzman": 2, "local-hedging": 3},
 }
@@ -453,8 +454,8 @@ def test_budget_formulas_are_pinned(name):
     runs = {
         "noi": lambda: opt_value_single_noi(inst, budget=1),
         "oi": lambda: opt_value_single_oi(inst, budget=1),
-        "weitzman": lambda: evaluate_policy_exact(inst, "weitzman", budget=1),
-        "local-hedging": lambda: evaluate_policy_exact(inst, "local-hedging", budget=1),
+        "weitzman": lambda: evaluate_exact(prepare_policy(inst, "weitzman"), budget=1),
+        "local-hedging": lambda: evaluate_exact(prepare_policy(inst, "local-hedging"), budget=1),
     }
     if model is not None:
         runs["comb"] = lambda: opt_value_comb_noi(model, inst, budget=1)
@@ -468,3 +469,14 @@ def test_budget_formulas_are_pinned(name):
         assert info.value.required == required
         assert str(info.value).startswith(f"{BUDGET_WHAT[key]} needs {required} branches but the budget is 1;")
     assert sorted(p.name for p in CORPUS.glob("*.json")) == sorted(BUDGET_REQUIRED)
+
+
+def test_comb_dp_solves_within_its_state_count():
+    """The combinatorial DP charges prod (s_m + 1) observation states times
+    sum s_m inspect branches, and that budget solves it."""
+    loaded = load_instance(CORPUS / "matroid_rank2.json")
+    model, inst = loaded.model, loaded.instance
+    expected = _exit_type(reference_opt_value_comb_noi(model, inst), inst, model)
+    _assert_same(opt_value_comb_noi(model, inst, budget=162), expected)
+    with pytest.raises(BudgetExceededError):
+        opt_value_comb_noi(model, inst, budget=161)

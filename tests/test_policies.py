@@ -18,13 +18,11 @@ from pandora_hedge import (
     SurrogateKind,
     UniformMatroid,
     ZeroTerminal,
-    evaluate_comb_policy_mc,
-    evaluate_policy_exact,
-    evaluate_policy_mc,
-    local_hedging_policy,
+    evaluate_exact,
+    evaluate_mc,
     one_item_optimal_action,
     one_item_value,
-    weitzman_policy,
+    prepare_comb_policy,
 )
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
@@ -70,36 +68,37 @@ class TestWeitzmanTraces:
     def test_hand_trace_two_items(self):
         a = Item(0, F(0), DiscreteDist.point_mass(F(3)))
         inst = Instance([a, two_point_item(item_id=1)])
+        weitzman = prepare_policy(inst, "weitzman")
         for v_b in (F(0), F(10)):
-            trace = weitzman_policy(inst, Realization((F(3), v_b)))
+            trace = weitzman.run(Realization((F(3), v_b)))
             assert trace.inspection_order == (0,)
             assert trace.selected == frozenset({0})
             assert trace.total_cost == 3
 
     def test_single_item_forced(self):
         inst = Instance([two_point_item()])
-        trace = weitzman_policy(inst, Realization((F(10),)))
+        trace = prepare_policy(inst, "weitzman").run(Realization((F(10),)))
         assert trace.inspection_order == (0,) and trace.total_cost == 12
 
     def test_selection_tie_breaks_by_id(self):
         d = DiscreteDist.point_mass(F(7))
         inst = Instance([Item(0, F(1), d), Item(1, F(1), d)])
-        trace = weitzman_policy(inst, Realization((F(7), F(7))))
+        trace = prepare_policy(inst, "weitzman").run(Realization((F(7), F(7))))
         assert trace.selected == frozenset({0})
 
     def test_expected_cost_single_item(self):
         inst = Instance([two_point_item()])
-        assert evaluate_policy_exact(inst, "weitzman") == 7  # c + mu
+        assert evaluate_exact(prepare_policy(inst, "weitzman")) == 7  # c + mu
 
 
 class TestLocalHedgingTraces:
     def test_hand_trace_b_obligatory(self):
         inst = golden_pair()
         coins = HedgeCoins((False, True))
-        t0 = local_hedging_policy(inst, Realization((F(5), F(0))), coins)
+        t0 = prepare_policy(inst, "local-hedging").run(Realization((F(5), F(0))), coins)
         assert t0.inspection_order == (1,)
         assert t0.selected == frozenset({1}) and t0.total_cost == 2
-        t1 = local_hedging_policy(inst, Realization((F(5), F(10))), coins)
+        t1 = prepare_policy(inst, "local-hedging").run(Realization((F(5), F(10))), coins)
         assert t1.selected == frozenset({0})
         assert t1.selected_without_inspection == frozenset({0})
         assert t1.total_cost == 7  # c_B + realized price of A
@@ -107,7 +106,7 @@ class TestLocalHedgingTraces:
     def test_hand_trace_b_non_inspection(self):
         inst = golden_pair()
         coins = HedgeCoins((False, False))
-        trace = local_hedging_policy(inst, Realization((F(5), F(10))), coins)
+        trace = prepare_policy(inst, "local-hedging").run(Realization((F(5), F(10))), coins)
         assert trace.inspection_order == ()
         assert trace.selected == frozenset({0})  # tie at 5 broken by id
         assert trace.total_cost == 5
@@ -116,7 +115,7 @@ class TestLocalHedgingTraces:
         inst = golden_pair()
         coins = HedgeCoins((True, False))
         # both play as deterministic 5; A (id 0) is probed first and wins
-        trace = local_hedging_policy(inst, Realization((F(5), F(10))), coins)
+        trace = prepare_policy(inst, "local-hedging").run(Realization((F(5), F(10))), coins)
         assert trace.selected == frozenset({0})
         assert trace.total_cost == 5 and trace.labels == (True, False)
 
@@ -125,7 +124,7 @@ class TestLocalHedgingTraces:
         inst = Instance([a, two_point_item(item_id=1)])
         coins = HedgeCoins((True, False))
         # B plays as its mean 5 < 6, gets selected, and pays its real price
-        trace = local_hedging_policy(inst, Realization((F(6), F(10))), coins)
+        trace = prepare_policy(inst, "local-hedging").run(Realization((F(6), F(10))), coins)
         assert trace.selected == frozenset({1})
         assert trace.selected_without_inspection == frozenset({1})
         assert trace.inspection_order == ()
@@ -137,16 +136,17 @@ class TestLocalHedgingTraces:
         rng = random.Random(29)
         for _ in range(30):
             inst = random_instance(rng, max_items=5, exact=exact)
+            hedged = prepare_policy(inst, "local-hedging")
             cases = (
-                (HedgeCoins.all_obligatory(inst), weitzman_policy),
-                (HedgeCoins((False,) * len(inst)), lambda i, r: prepare_policy(i, "never-inspect").run(r)),
+                (HedgeCoins.all_obligatory(inst), prepare_policy(inst, "weitzman")),
+                (HedgeCoins((False,) * len(inst)), prepare_policy(inst, "never-inspect")),
             )
             for prices in price_realizations(inst):
                 r = Realization(prices)
                 for coins, reference in cases:
-                    trace = local_hedging_policy(inst, r, coins)
+                    trace = hedged.run(r, coins)
                     assert trace.labels == coins.labels
-                    assert dataclasses.replace(trace, labels=None) == reference(inst, r)
+                    assert dataclasses.replace(trace, labels=None) == reference.run(r)
 
 
 def _count_index_rebuilds(monkeypatch) -> dict:
@@ -177,14 +177,14 @@ class TestHedgedView:
     def test_single_item_mc_rebuilds_nothing(self, monkeypatch):
         inst = golden_pair(exact=False)
         counts = _count_index_rebuilds(monkeypatch)
-        evaluate_policy_mc(inst, "local-hedging", 300, seed=4)
+        evaluate_mc(prepare_policy(inst, "local-hedging"), 300, seed=4)
         assert counts == {"Instance": 0, "compute_indices": 0}
 
     def test_combinatorial_mc_rebuilds_nothing(self, monkeypatch):
         inst = golden_pair(exact=False)
         model = CombModel(UniformMatroid(1), ZeroTerminal(), 2)
         counts = _count_index_rebuilds(monkeypatch)
-        evaluate_comb_policy_mc(model, inst, "local-hedging", 300, seed=4)
+        evaluate_mc(prepare_comb_policy(model, inst, "local-hedging"), 300, seed=4)
         assert counts == {"Instance": 0, "compute_indices": 0}
 
     def test_counter_sees_rebuilds(self, monkeypatch):
@@ -196,35 +196,35 @@ class TestHedgedView:
 
 class TestExactEvaluation:
     def test_lh_golden_value(self):
-        assert evaluate_policy_exact(golden_pair(), "local-hedging") == F(125, 26)
+        assert evaluate_exact(prepare_policy(golden_pair(), "local-hedging")) == F(125, 26)
 
     def test_lh_equals_trace_enumeration(self):
         # marginalized evaluator vs brute-force coins x full price product
         rng = random.Random(3)
         for _ in range(10):
             inst = random_instance(rng, max_items=3, exact=False)
-            a = evaluate_policy_exact(inst, "local-hedging")
+            a = evaluate_exact(prepare_policy(inst, "local-hedging"))
             b = enumerate_lh_cost(inst)
             assert abs(a - b) < 1e-12
 
     def test_lh_equals_one_shot_surrogate_minimum(self):
         inst = golden_pair()
         one_shot = mean(min_of_independent([surrogate_dist(it, SurrogateKind.LH) for it in inst.items]))
-        assert evaluate_policy_exact(inst, "local-hedging") == one_shot
+        assert evaluate_exact(prepare_policy(inst, "local-hedging")) == one_shot
 
     def test_weitzman_point_mass(self):
         inst = Instance([Item(0, F(1), DiscreteDist.point_mass(F(5)))])
-        assert evaluate_policy_exact(inst, "weitzman") == 6
+        assert evaluate_exact(prepare_policy(inst, "weitzman")) == 6
 
     def test_budget_error_instructs_mc(self):
         rng = random.Random(0)
         inst = random_instance(rng, n_items=6)
         with pytest.raises(BudgetExceededError, match="Monte Carlo"):
-            evaluate_policy_exact(inst, "weitzman", budget=10)
+            evaluate_exact(prepare_policy(inst, "weitzman"), budget=10)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            evaluate_policy_exact(golden_pair(), "gradient-descent")
+            evaluate_exact(prepare_policy(golden_pair(), "gradient-descent"))
 
 
 class TestCommitEnum:
@@ -242,9 +242,9 @@ class TestCommitEnum:
         rng = random.Random(5)
         for _ in range(20):
             inst = random_instance(rng, max_items=4)
-            ce = evaluate_policy_exact(inst, "commit-enum")
-            w = evaluate_policy_exact(inst, "weitzman")
-            lh = evaluate_policy_exact(inst, "local-hedging")
+            ce = evaluate_exact(prepare_policy(inst, "commit-enum"))
+            w = evaluate_exact(prepare_policy(inst, "weitzman"))
+            lh = evaluate_exact(prepare_policy(inst, "local-hedging"))
             assert ce <= w + 1e-12  # all-obligatory is a candidate labeling
             assert ce <= lh + 1e-12  # best committing beats the mixture
 
@@ -272,28 +272,28 @@ class TestDiagnosticPolicies:
 class TestMonteCarloEvaluation:
     def test_deterministic_instance_zero_stderr(self):
         inst = Instance([Item(0, F(1), DiscreteDist.point_mass(F(5)))])
-        mean_v, stderr = evaluate_policy_mc(inst, "weitzman", 50, seed=9)
+        mean_v, stderr = evaluate_mc(prepare_policy(inst, "weitzman"), 50, seed=9)
         assert mean_v == 6.0 and stderr == 0.0
 
     def test_clt_band_two_point(self):
         inst = Instance([two_point_item(exact=False)])
-        mean_v, stderr = evaluate_policy_mc(inst, "weitzman", 100_000, seed=1)
+        mean_v, stderr = evaluate_mc(prepare_policy(inst, "weitzman"), 100_000, seed=1)
         assert abs(mean_v - 7.0) <= 3 * stderr
 
     def test_lh_mc_matches_exact_within_band(self):
         inst = golden_pair(exact=False)
-        mean_v, stderr = evaluate_policy_mc(inst, "local-hedging", 100_000, seed=2)
+        mean_v, stderr = evaluate_mc(prepare_policy(inst, "local-hedging"), 100_000, seed=2)
         assert abs(mean_v - 125 / 26) <= 3 * stderr + 1e-9
 
     def test_same_seed_bitwise_identical(self):
         inst = golden_pair(exact=False)
-        a = evaluate_policy_mc(inst, "local-hedging", 2000, seed=7)
-        b = evaluate_policy_mc(inst, "local-hedging", 2000, seed=7)
+        a = evaluate_mc(prepare_policy(inst, "local-hedging"), 2000, seed=7)
+        b = evaluate_mc(prepare_policy(inst, "local-hedging"), 2000, seed=7)
         assert a == b
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            evaluate_policy_mc(golden_pair(), "weitzman", 0, seed=1)
+            evaluate_mc(prepare_policy(golden_pair(), "weitzman"), 0, seed=1)
 
 
 class TestTraceArgminConsistency:
@@ -301,8 +301,9 @@ class TestTraceArgminConsistency:
         rng = random.Random(17)
         for _ in range(40):
             inst = random_instance(rng, max_items=5)
+            weitzman = prepare_policy(inst, "weitzman")
             for prices in price_realizations(inst):
-                trace = weitzman_policy(inst, Realization(prices))
+                trace = weitzman.run(Realization(prices))
                 inspected = set(trace.inspection_order)
                 views = [
                     max(prices[n], inst.indices[n].u_rsv) if n in inspected else inst.indices[n].u_rsv

@@ -9,13 +9,9 @@ from pathlib import Path
 import pytest
 
 from pandora_hedge import (
-    combinatorial_lh_policy,
-    evaluate_comb_policy_mc,
-    evaluate_policy_mc,
-    frugal_oi_policy,
-    local_hedging_policy,
+    evaluate_mc,
     pi_surrogate_bound,
-    weitzman_policy,
+    prepare_comb_policy,
 )
 from pandora_hedge import policies, sampling
 from pandora_hedge.cli import main
@@ -57,13 +53,7 @@ def _comb_cases(exact):
 def _public(inst, model, policy):
     """The public per-trial function of a policy, as ``run(realization, coins)``."""
     if model is not None:
-        if policy == "frugal-oi":
-            return lambda r, c: frugal_oi_policy(model, inst, r)
-        return lambda r, c: combinatorial_lh_policy(model, inst, r, c)
-    if policy == "weitzman":
-        return lambda r, c: weitzman_policy(inst, r)
-    if policy == "local-hedging":
-        return lambda r, c: local_hedging_policy(inst, r, c)
+        return prepare_comb_policy(model, inst, policy).run
     return prepare_policy(inst, policy).run
 
 
@@ -85,12 +75,12 @@ class TestTrialLoop:
     def test_single_item_mc_equals_per_trial_summary(self, exact):
         for inst, _, policy, per_trial in _single_cases(exact):
             expected = mc_summary(tr.total_cost for tr in _reference_traces(inst, per_trial, TRIALS))
-            assert evaluate_policy_mc(inst, policy, TRIALS, SEED) == expected
+            assert evaluate_mc(prepare_policy(inst, policy), TRIALS, SEED) == expected
 
     def test_combinatorial_mc_equals_per_trial_summary(self, exact):
         for inst, model, policy, per_trial in _comb_cases(exact):
             expected = mc_summary(tr.total_cost for tr in _reference_traces(inst, per_trial, TRIALS))
-            assert evaluate_comb_policy_mc(model, inst, policy, TRIALS, SEED) == expected
+            assert evaluate_mc(prepare_comb_policy(model, inst, policy), TRIALS, SEED) == expected
 
     def test_public_per_trial_functions_equal_the_reference(self, exact):
         for inst, model, policy, per_trial in [*_single_cases(exact), *_comb_cases(exact)]:
@@ -155,5 +145,5 @@ class TestPreparedOnce:
         for policy in ("weitzman", "local-hedging", "commit-enum"):
             prepared = prepare_policy(inst, policy)
             built.clear()
-            assert len(list(policies.iter_trials(inst, prepared, SEED, 22))) == 22
+            assert len(list(policies.iter_trials(prepared, SEED, 22))) == 22
             assert not built

@@ -9,9 +9,10 @@ from pandora_hedge import (
     SurrogateKind,
     UniformMatroid,
     ZeroTerminal,
-    evaluate_comb_policy_mc,
-    evaluate_policy_mc,
+    evaluate_mc,
     expected_surrogate_cost_mc,
+    prepare_comb_policy,
+    prepare_policy,
 )
 from pandora_hedge.policies import coin_columns, price_columns
 from pandora_hedge.sampling import (
@@ -71,8 +72,8 @@ class TestCounterContract:
         model = CombModel(UniformMatroid(1), ZeroTerminal(), len(inst))
         calls = (
             lambda: uniforms(seed, 0, PRICE_STREAM, 4),
-            lambda: evaluate_policy_mc(inst, "local-hedging", 10, seed),
-            lambda: evaluate_comb_policy_mc(model, inst, "local-hedging", 10, seed),
+            lambda: evaluate_mc(prepare_policy(inst, "local-hedging"), 10, seed),
+            lambda: evaluate_mc(prepare_comb_policy(model, inst, "local-hedging"), 10, seed),
             lambda: expected_surrogate_cost_mc(model, inst, SurrogateKind.LH, 10, seed),
         )
         for call in calls:

@@ -37,8 +37,13 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(verify, name, wrapper)
 
-    counted("evaluate_policy_exact", lambda instance, policy, *a, **k: ("single", policy))
-    counted("evaluate_comb_policy_exact", lambda model, instance, policy, *a, **k: ("comb", policy))
+    def policy_key(prepared, *a, **k):
+        """(stack, name) of the prepared policy: verify evaluates only the
+        obligatory policy of its stack and local hedging, which draws coins."""
+        stack, obligatory = ("single", "weitzman") if prepared.model is None else ("comb", "frugal-oi")
+        return stack, "local-hedging" if prepared.draws_coins else obligatory
+
+    counted("evaluate_exact", policy_key)
     counted("expected_surrogate_cost", lambda model, instance, kind, *a, **k: ("E[Z]", kind))
     return counts
 
