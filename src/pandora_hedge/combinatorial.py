@@ -20,7 +20,7 @@ import numpy as np
 
 from . import policies
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import Numeric
+from .distkit import Numeric, running_sum
 from .indices import SurrogateKind
 from .instance import Instance, PolicyTrace, hedged_view
 from .policies import IntegerGrid, PreparedPolicy, _column_traces, _price_rows, _slots, plain_dtype
@@ -141,7 +141,7 @@ class FacilityLocationTerminal:
             raise ValueError("distances must be nonnegative")
 
     def cost(self, selected: frozenset[int]) -> Numeric:
-        return sum(min(self.distances[n][s] for s in selected) for n in range(len(self.distances)))
+        return running_sum(min(self.distances[n][s] for s in selected) for n in range(len(self.distances)))
 
 
 Terminal = Union[ZeroTerminal, FacilityLocationTerminal]
@@ -164,16 +164,6 @@ class CombModel:
         return self.terminal.cost(selected)
 
 
-def _running_sum(values) -> Numeric:
-    """``values`` added left to right from 0, the order in which the array
-    kernel adds them in float64 (``sum`` compensates float rounding from
-    Python 3.12 on, so it could differ in the last bits)."""
-    total = 0
-    for v in values:
-        total = total + v
-    return total
-
-
 def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
     """One-shot optimum: minimize price sum plus terminal cost over feasible
     sets.  Ties resolve to the lexicographically smallest sorted id tuple.
@@ -181,17 +171,18 @@ def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric
     if any(p < 0 for p in prices):
         raise ValueError("surrogate prices must be nonnegative")
     family = model.family
-    if isinstance(family, UniformMatroid) and isinstance(model.terminal, ZeroTerminal):
-        chosen = sorted(range(model.n_items), key=lambda n: (prices[n], n))[: family.k]
-        return _running_sum(prices[n] for n in chosen), frozenset(chosen)
-    if isinstance(family, GraphicMatroid) and isinstance(model.terminal, ZeroTerminal):
+    if isinstance(family, (UniformMatroid, GraphicMatroid)) and isinstance(model.terminal, ZeroTerminal):
+        # Kruskal in (price, id) order: the first k items, or a spanning forest
         by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
-        tree, _ = _spanning_forest(family.edges, family.vertices, by_price)
-        return _running_sum(prices[n] for n in tree), frozenset(tree)
+        if isinstance(family, UniformMatroid):
+            chosen = by_price[: family.k]
+        else:
+            chosen, _ = _spanning_forest(family.edges, family.vertices, by_price)
+        return running_sum(prices[n] for n in chosen), frozenset(chosen)
     # generic desk-scale path: enumerate subsets, ties to the first
     best = None
     for s, terminal in _feasible_sets(model):
-        value = _running_sum(prices[n] for n in s) + terminal
+        value = running_sum(prices[n] for n in s) + terminal
         if best is None or value < best[0]:
             best = value, s
     if best is None:
@@ -252,7 +243,7 @@ def surrogate_costs(model: CombModel, pool):
     def enumerated(prices):
         best = None
         for s, terminal in sets:  # a tie keeps the earlier set, as in surrogate_cost
-            value = _running_sum(prices[n] for n in s) + terminal
+            value = running_sum(prices[n] for n in s) + terminal
             best = value if best is None else np.where(value < best, value, best)
         return best.tolist()
 
@@ -395,7 +386,7 @@ def frugal_trace(
     labels (local hedging) it runs on the ``hedged_view`` and is charged the
     labelled costs in inspection order, the selected realized prices, then
     the terminal cost.  Costs and prices add left to right, as the array
-    kernel adds them."""
+    kernel adds them (see ``running_sum``)."""
     if labels is None:
         keys, costs, seen = instance.reservation_prices, [item.cost for item in instance.items], prices
     else:
@@ -428,7 +419,7 @@ def frugal_trace(
     if labels is None:
         return PolicyTrace(tuple(order), frozenset(selected), frozenset(), total + terminal)
     order = tuple(n for n in order if labels[n])
-    total = _running_sum(instance.items[n].cost for n in order) + _running_sum(prices[n] for n in selected) + terminal
+    total = running_sum(instance.items[n].cost for n in order) + running_sum(prices[n] for n in selected) + terminal
     return PolicyTrace(order, frozenset(selected), frozenset(n for n in selected if not labels[n]), total, labels)
 
 
@@ -555,7 +546,7 @@ def _frugal_kernel(grid: IntegerGrid):
             for t, picked in enumerate(bases.picked.T.tolist()):
                 selected = set(picked)
                 if hedged:
-                    totals[t] = totals[t] + _running_sum(rows[t][n] for n in selected)
+                    totals[t] = totals[t] + running_sum(rows[t][n] for n in selected)
                 if type(model.terminal) is not ZeroTerminal:
                     totals[t] = totals[t] + model.terminal_cost(frozenset(selected))
         return totals

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Numeric = Union[int, float, Fraction]
@@ -100,8 +101,16 @@ class DiscreteDist:
         return len(self.atoms)
 
 
+def running_sum(values: Iterable[Numeric]) -> Numeric:
+    """``values`` added left to right from the int 0: the package's one sum.
+    Builtin ``sum`` compensates float rounding from Python 3.12 on, so its
+    float totals differ in the last bits between Pythons and from the array
+    kernels, which add in order; this one's are the same everywhere."""
+    return reduce(add, values, 0)
+
+
 def mean(d: DiscreteDist) -> Numeric:
-    return sum(v * p for v, p in d.atoms)
+    return running_sum(v * p for v, p in d.atoms)
 
 
 def expected_shortfall(d: DiscreteDist, u: Numeric) -> Numeric:
@@ -234,8 +243,8 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
     - a grid point that a candidate's own grid lacks has the tails of the
       next point that it has, so it carries mass 0, and zero masses are
       dropped as ``DiscreteDist.from_pairs`` drops them;
-    - each row is reduced like ``mean``, a Python ``sum`` of value x mass in
-      grid order, each value taken from the candidate's first part that
+    - each row is reduced like ``mean``, a ``running_sum`` of value x mass
+      in grid order, each value taken from the candidate's first part that
       holds it (the representative ``min_of_independent``'s grid keeps).
 
     float64 holds the products when every probability and cap is a float;
@@ -275,7 +284,7 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
     for skip, row in enumerate(masses, start=-1):
         cols = np.flatnonzero(row)
         terms = zip(cols.tolist(), row[cols].tolist())
-        means.append(sum(_first_holder(holders[grid[j]], skip) * m for j, m in terms))
+        means.append(running_sum(_first_holder(holders[grid[j]], skip) * m for j, m in terms))
     return means
 
 

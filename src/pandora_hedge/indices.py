@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price
+from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price, running_sum
 
 #: Hard ceiling on the local approximation ratio, plus float headroom.
 ALPHA_CEILING = 4.0 / 3.0
@@ -148,16 +148,10 @@ def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
     """Exact pushforward distribution of the surrogate price (``Item.surrogate``
     caches it)."""
     idx = item.indices
-    if kind is SurrogateKind.OI:
-        return DiscreteDist.from_pairs(
-            (max(v, idx.u_rsv), p) for v, p in item.dist.atoms
-        )
-    if kind is SurrogateKind.NOI:
-        if idx.u_rsv >= idx.u_bkp:
-            return DiscreteDist.point_mass(idx.mu)
-        return DiscreteDist.from_pairs(
-            (min(max(v, idx.u_rsv), idx.u_bkp), p) for v, p in item.dist.atoms
-        )
+    if kind is SurrogateKind.NOI and idx.u_rsv >= idx.u_bkp:
+        return DiscreteDist.point_mass(idx.mu)  # probability 1, not the atoms' probabilities added up
+    if kind is not SurrogateKind.LH:
+        return DiscreteDist.from_pairs((surrogate_value(item, kind, v), p) for v, p in item.dist.atoms)
     p_hedge = idx.p_hedge
     if p_hedge == 0:
         return DiscreteDist.point_mass(idx.mu)
@@ -172,7 +166,7 @@ def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
 def capped_expectation(item: Item, kind: SurrogateKind, r: Numeric) -> Numeric:
     """E[min{W, r}] for the item's surrogate price W."""
     d = item.surrogate(kind)
-    return sum(p * min(v, r) for v, p in d.atoms)
+    return running_sum(p * min(v, r) for v, p in d.atoms)
 
 
 def make_worst_case_item(

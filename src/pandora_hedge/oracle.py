@@ -37,7 +37,7 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
-from .distkit import Numeric
+from .distkit import Numeric, running_sum
 from .instance import Instance
 from .policies import IntegerGrid, iter_trials, prepare_policy
 from .sampling import mc_summary, trial_chunks
@@ -54,7 +54,7 @@ def _tmin(a, b):
 
 def _single_dp_cost(instance: Instance) -> int:
     n = len(instance)
-    total_support = sum(len(item.dist) for item in instance.items)
+    total_support = running_sum(len(item.dist) for item in instance.items)
     return (2**n) * (total_support + 1) * n
 
 
@@ -114,7 +114,7 @@ def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
     """The deferred DP's work: prod (s_m + 1) observation states, each with at
     most sum s_m inspect-branch terms."""
     sizes = [len(item.dist) for item in instance.items]
-    return math.prod(s + 1 for s in sizes) * sum(sizes)
+    return math.prod(s + 1 for s in sizes) * running_sum(sizes)
 
 
 def _stop_values(grid: IntegerGrid, rows: list[tuple], strides: list[int], size: int) -> list:

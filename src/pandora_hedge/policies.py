@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import DiscreteDist, Numeric, _is_exact, capped_min_means, expected_excess
+from .distkit import DiscreteDist, Numeric, _is_exact, capped_min_means, expected_excess, running_sum
 from .indices import Item, SurrogateKind
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
@@ -239,9 +239,10 @@ def _slots(instance: Instance, labels: Optional[Sequence[bool]]):
 
 def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = None):
     """Weitzman's search as an array form, the package's one single-item
-    search: Weitzman, commit-enum and local hedging run it with all-true,
-    fixed or (if None) per-trial ``labels``.  The returned ``search(prices,
-    coins)`` takes (items x trials) price and label arrays and returns each
+    search: Weitzman, never-inspect, commit-enum and local hedging run it
+    with all-true, all-false, fixed or (if None) per-trial ``labels``.  The
+    returned ``search(prices, coins)`` takes (items x trials) price and
+    label arrays (coins read only if ``labels`` is None) and returns each
     trial's inspection costs, the realized price of the item it selects (the
     two add up to its total) and its stop: how many sorted slots it walked.
     Monte Carlo and exact evaluation run it on the instance's
@@ -290,7 +291,7 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
             blk = slice(s0, s0 + width)
             realized = prices[ids[blk], rows]
             seen = np.where(lab[blk], realized, mus[blk])
-            active = True if coins is None else coins[ids[blk], rows] == lab[blk]
+            active = True if labels is not None else coins[ids[blk], rows] == lab[blk]
             pending = np.where(active, seen, np.inf)
             # the lowest view price before each slot falls while the keys
             # rise, so a trial stops at its first active slot whose key is at
@@ -320,13 +321,14 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
     active slots before its trial's stop, charges the labelled ones' costs
     in slot order (the search's sum), and selects the lowest inspected view
     price, ties to the lowest id; its total is those costs plus the selected
-    realized price.  ``keep_labels`` records the labels in the trace."""
+    realized price.  Fixed ``labels`` ignore the coins; ``keep_labels``
+    records the labels in the trace."""
     slots, mus = _slots(instance, labels), [ix.mu for ix in instance.indices]
     search = reservation_batch(instance, labels)
 
     def traces(prices, coins):
         spent, _, stops = search(prices, coins)
-        labelings = [labels] * prices.shape[1] if coins is None else [tuple(c) for c in coins.T.tolist()]
+        labelings = [labels] * prices.shape[1] if labels is not None else [tuple(c) for c in coins.T.tolist()]
         out = []
         for row, labs, cost, stop in zip(prices.T.tolist(), labelings, spent.tolist(), stops.tolist()):
             walked = [(n, lab) for _, n, lab in slots[:stop] if labs[n] == lab]
@@ -375,17 +377,19 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     """Prepare a single-item policy by name: ``weitzman`` (obligatory
     inspection), ``local-hedging``, ``commit-enum`` (the best committing
     labeling, fixed for every trial), and the diagnostics ``inspect-all``
-    (inspect everything, select the cheapest) and ``never-inspect`` (select
-    the lowest mean uninspected)."""
+    (inspect everything, select the cheapest) and ``never-inspect`` (the
+    all-unlabelled labeling: select the lowest mean uninspected)."""
     if policy == "weitzman":
         return _reservation_policy(instance, (True,) * len(instance), keep_labels=False)
+    if policy == "never-inspect":
+        return _reservation_policy(instance, (False,) * len(instance), keep_labels=False)
     if policy == "local-hedging":
         return _reservation_policy(instance, None)
     if policy == "commit-enum":
         return _reservation_policy(instance, commit_enum_labeling(instance).labels)
-    ids = tuple(range(len(instance)))
     if policy == "inspect-all":
-        inspect_cost = sum(item.cost for item in instance.items)
+        ids = tuple(range(len(instance)))
+        inspect_cost = running_sum(item.cost for item in instance.items)
 
         def inspect_all(prices, labels):
             sel = min(ids, key=lambda n: (prices[n], n))
@@ -394,14 +398,7 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
         return PreparedPolicy(
             instance,
             _column_traces(inspect_all),
-            lambda grid: lambda prices, coins: sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
-        )
-    if policy == "never-inspect":
-        sel = min(ids, key=lambda n: (instance.indices[n].mu, n))
-        return PreparedPolicy(
-            instance,
-            _column_traces(lambda prices, labels: PolicyTrace((), frozenset({sel}), frozenset({sel}), prices[sel])),
-            lambda grid: lambda prices, coins: prices[sel],
+            lambda grid: lambda prices, coins: running_sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .combinatorial import CombModel, GraphicMatroid, UniformMatroid, ZeroTerminal
-from .distkit import DiscreteDist, mean
+from .distkit import DiscreteDist, mean, running_sum
 from .indices import Item
 from .instance import Instance
 
@@ -25,7 +25,7 @@ def random_item(rng: random.Random, item_id: int, max_support: int = 4, exact: b
     size = rng.randint(2, max_support)
     values = sorted(rng.sample(VALUE_GRID, size))
     weights = [rng.randint(1, 9) for _ in range(size)]
-    total = sum(weights)
+    total = running_sum(weights)
     if exact:
         atoms = tuple((v, Fraction(w, total)) for v, w in zip(values, weights))
     else:

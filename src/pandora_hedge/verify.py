@@ -31,8 +31,9 @@ from .distkit import (
     expected_shortfall,
     mean,
     min_of_independent,
+    running_sum,
 )
-from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p
+from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, capped_expectation
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import IntegerGrid, evaluate_exact, one_item_value, prepare_policy
@@ -135,7 +136,7 @@ def _breakpoints(instance: Instance, n: int, scale=None):
 
 
 def _capped(atoms, r):
-    return sum(p * min(v, r) for v, p in atoms)
+    return running_sum(p * min(v, r) for v, p in atoms)
 
 
 def check_parity(values: ExactValues, tol):
@@ -164,11 +165,9 @@ def check_one_item_identities(values: ExactValues, tol):
     instance = values.instance
     worst = 0.0
     for n, item in enumerate(instance.items):
-        oi = item.surrogate(SurrogateKind.OI)
-        noi = item.surrogate(SurrogateKind.NOI)
         for r in _breakpoints(instance, n):
-            gap_oi = _capped(oi.atoms, r) - one_item_value(item, r, SurrogateKind.OI)
-            gap_noi = _capped(noi.atoms, r) - one_item_value(item, r, SurrogateKind.NOI)
+            gap_oi = capped_expectation(item, SurrogateKind.OI, r) - one_item_value(item, r, SurrogateKind.OI)
+            gap_noi = capped_expectation(item, SurrogateKind.NOI, r) - one_item_value(item, r, SurrogateKind.NOI)
             worst = max(worst, abs(float(gap_oi)), abs(float(gap_noi)))
     return worst <= tol, worst
 
@@ -178,11 +177,10 @@ def check_local_approximation(values: ExactValues, tol):
     worst = 0.0
     for n, item in enumerate(instance.items):
         idx = instance.indices[n]
-        lh = item.surrogate(SurrogateKind.LH)
         noi = item.surrogate(SurrogateKind.NOI)
         scaled = [(idx.alpha_local * v, p) for v, p in noi.atoms]
         for r in _breakpoints(instance, n, scale=idx.alpha_local):
-            worst = max(worst, max(0.0, float(_capped(lh.atoms, r) - _capped(scaled, r))))
+            worst = max(worst, max(0.0, float(capped_expectation(item, SurrogateKind.LH, r) - _capped(scaled, r))))
     return worst <= tol, worst
 
 

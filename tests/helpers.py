@@ -61,7 +61,7 @@ def reference_commit_enum(instance: Instance):
 
 
 def direct_capped_sum(dist: DiscreteDist, r):
-    return sum(p * min(v, r) for v, p in dist.atoms)
+    return added(p * min(v, r) for v, p in dist.atoms)
 
 
 def price_realizations(instance: Instance):
@@ -91,7 +91,7 @@ def reservation_engine(keys, costs):
             v = prices[n]
             if best_id is None or v < best_v or (v == best_v and n < best_id):
                 best_v, best_id = v, n
-        return inspected, (best_id,), sum(costs[n] for n in inspected) + prices[best_id], 0
+        return inspected, (best_id,), added(costs[n] for n in inspected) + prices[best_id], 0
 
     return run
 
@@ -153,8 +153,8 @@ def obligatory_run(instance: Instance, engine):
 
 
 def added(values):
-    """``values`` added left to right from 0 (``sum`` compensates float
-    rounding from Python 3.12 on; the policies add in order)."""
+    """``values`` added left to right from 0, as ``distkit.running_sum``
+    adds them: the tests' own copy, so that a broken ``running_sum`` shows."""
     total = 0
     for v in values:
         total = total + v
@@ -195,7 +195,7 @@ def reference_policy(instance: Instance, policy: str):
         def inspect_all(realization, coins=None):
             prices = realization.prices
             sel = min(ids, key=lambda n: (prices[n], n))
-            return PolicyTrace(ids, frozenset({sel}), frozenset(), sum(i.cost for i in instance.items) + prices[sel])
+            return PolicyTrace(ids, frozenset({sel}), frozenset(), added(i.cost for i in instance.items) + prices[sel])
 
         return inspect_all
     assert policy == "never-inspect"

@@ -32,7 +32,7 @@ from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
-from helpers import golden_pair, price_realizations, two_point_item
+from helpers import added, golden_pair, price_realizations, two_point_item
 
 
 def rank_model(k, n):
@@ -132,7 +132,7 @@ class TestSurrogateCost:
             )
             slow_value, slow_set = surrogate_cost(generic, prices)
             assert fast_value == slow_value
-            assert sum(prices[i] for i in fast_set) == fast_value
+            assert added(prices[i] for i in fast_set) == fast_value
 
     def test_negative_prices_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

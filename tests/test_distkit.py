@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pandora_hedge import distkit
 from pandora_hedge.distkit import (
     DiscreteDist,
     backup_price,
@@ -12,9 +15,10 @@ from pandora_hedge.distkit import (
     min_of_independent,
     min_with_constant_expectation,
     reservation_price,
+    running_sum,
 )
 
-from helpers import brute_min_atoms
+from helpers import added, brute_min_atoms
 
 TWO_POINT = DiscreteDist(((F(0), F(1, 2)), (F(10), F(1, 2))))
 POINT5 = DiscreteDist.point_mass(F(5))
@@ -99,6 +103,23 @@ class TestMoments:
         assert min_with_constant_expectation(TWO_POINT, 5) == F(5, 2)
         assert min_with_constant_expectation(TWO_POINT, 10) == 5
         assert min_with_constant_expectation(TWO_POINT, -2) == -2
+
+
+class TestRunningSum:
+    def test_adds_floats_left_to_right(self):
+        # builtin sum rounds this total to 1.0 from Python 3.12 on
+        assert running_sum([0.1] * 10) == added([0.1] * 10) == 0.9999999999999999
+
+    def test_package_calls_no_builtin_sum(self):
+        """Every total adds through ``running_sum``: no module of the package
+        calls the builtin ``sum``."""
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(distkit.__file__).parent.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+        ]
+        assert calls == []
 
 
 class TestPriceSolvers:

@@ -16,7 +16,7 @@ from pandora_hedge import (
 )
 from pandora_hedge.distkit import mean
 
-from helpers import direct_capped_sum, two_point_item
+from helpers import added, direct_capped_sum, two_point_item
 from test_distkit import dists, rationals
 
 
@@ -198,7 +198,7 @@ class TestLocalApproximation:
         ix = compute_indices(item)
         lhs = capped_expectation(item, SurrogateKind.LH, r)
         noi = surrogate_dist(item, SurrogateKind.NOI)
-        rhs = sum(p * min(ix.alpha_local * v, r) for v, p in noi.atoms)
+        rhs = added(p * min(ix.alpha_local * v, r) for v, p in noi.atoms)
         assert lhs <= rhs
 
 

@@ -4,6 +4,7 @@ import pkgutil
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import pandora_hedge
@@ -27,7 +28,7 @@ from pandora_hedge import (
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import compute_indices, surrogate_dist
-from pandora_hedge.policies import commit_enum_labeling, prepare_policy
+from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, prepare_policy, price_columns
 from pandora_hedge.randgen import random_instance
 
 from helpers import enumerate_lh_cost, golden_pair, price_realizations, two_point_item
@@ -147,6 +148,25 @@ class TestLocalHedgingTraces:
                     trace = hedged.run(r, coins)
                     assert trace.labels == coins.labels
                     assert dataclasses.replace(trace, labels=None) == reference.run(r)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fixed_labels_ignore_coins(self, exact):
+        """Only local hedging draws coins: random coins passed to a policy
+        with fixed labels change none of its traces and none of its totals."""
+        rng = random.Random(31)
+        draw = np.random.default_rng(31)
+        for _ in range(20):
+            inst = random_instance(rng, max_items=5, exact=exact)
+            grid = IntegerGrid(inst)
+            prices = np.array(list(price_realizations(inst)), dtype=object).T
+            on_grid = price_columns(grid.instance, 5, 0, 64, array_dtype(grid.instance))
+            for policy in ("weitzman", "commit-enum", "never-inspect"):
+                prepared = prepare_policy(inst, policy)
+                coins = draw.random(prices.shape) < 0.5
+                assert prepared.traces(prices, coins) == prepared.traces(prices, None)
+                batch = prepared.batch(grid)
+                coins = draw.random(on_grid.shape) < 0.5
+                assert batch(on_grid, coins).tolist() == batch(on_grid, None).tolist()
 
 
 def _count_index_rebuilds(monkeypatch) -> dict:
