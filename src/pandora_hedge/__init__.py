@@ -28,6 +28,7 @@ from .indices import (
     alpha_of_p,
     capped_expectation,
     compute_indices,
+    hedging_losses,
     make_worst_case_item,
     surrogate_dist,
     surrogate_value,

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price, running_sum
 
-#: Hard ceiling on the local approximation ratio, plus float headroom.
-ALPHA_CEILING = 4.0 / 3.0
+#: Hard ceiling on the local approximation ratio (exact, so exact-mode checks
+#: stay exact) and the float headroom over it.
+ALPHA_CEILING = Fraction(4, 3)
 ALPHA_TOL = 1e-12
 
 
@@ -103,11 +105,11 @@ def compute_indices(item: Item) -> ItemIndices:
     return ItemIndices(mu, u_rsv, u_bkp, p, alpha, False)
 
 
-def alpha_of_p(item: Item, p: Numeric) -> Numeric:
-    """Local approximation ratio achieved by an arbitrary hedging probability.
-
-    Only defined when inspection is potentially worthwhile (reservation price
-    strictly below backup price).
+def hedging_losses(item: Item, p: Numeric) -> tuple[Numeric, Numeric]:
+    """The ratio's loss branches at hedging probability p: A(p) = (1 -
+    p)(mu - u_rsv)/u_rsv from committing without inspection, B(p) = p*c/mu
+    from inspecting.  Only defined when inspection is potentially worthwhile
+    (reservation price strictly below backup price).
     """
     if not 0 <= p <= 1:
         raise ValueError("hedging probability must lie in [0, 1]")
@@ -117,8 +119,13 @@ def alpha_of_p(item: Item, p: Numeric) -> Numeric:
     if idx.u_rsv == 0 and p < 1:
         raise ValueError("ratio diverges: zero reservation price with p < 1")
     lose_inspection = 0 if p == 1 else (1 - p) * (idx.mu - idx.u_rsv) / idx.u_rsv
-    lose_commitment = p * item.cost / idx.mu
-    return 1 + max(lose_inspection, lose_commitment)
+    return lose_inspection, p * item.cost / idx.mu
+
+
+def alpha_of_p(item: Item, p: Numeric) -> Numeric:
+    """Local approximation ratio 1 + max(A(p), B(p)) achieved by an arbitrary
+    hedging probability (``hedging_losses``)."""
+    return 1 + max(hedging_losses(item, p))
 
 
 def surrogate_value(

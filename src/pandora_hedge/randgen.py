@@ -18,7 +18,7 @@ from .distkit import DiscreteDist, mean, running_sum
 from .indices import Item
 from .instance import Instance
 
-VALUE_GRID = [Fraction(k, 2) for k in range(21)]  # 0, 0.5, ..., 10
+VALUE_GRID = [Fraction(n, 2) for n in range(21)]  # 0, 0.5, ..., 10
 
 
 def random_item(rng: random.Random, item_id: int, max_support: int = 4, exact: bool = False) -> Item:

@@ -66,35 +66,19 @@ class Report:
                     f"{_cell(row['p_hedge']):>10} {_cell(row['alpha_local']):>10}  "
                     f"{'yes' if row['never_inspect'] else 'no'}"
                 )
-        if self.bounds is not None:
-            lines.append("")
-            lines.append("bounds:")
-            for key in sorted(self.bounds):
-                lines.append(f"  {key:<24} {_cell(self.bounds[key])}")
-        if self.policy is not None:
-            lines.append("")
-            lines.append("policy:")
-            for key in sorted(self.policy):
-                if key == "traces":
-                    continue
-                lines.append(f"  {key:<24} {_cell(self.policy[key])}")
-            for trace in self.policy.get("traces", []):
+        for name in ("bounds", "policy", "oracle", "ratio"):
+            block = getattr(self, name)
+            if block is None:
+                continue
+            lines += ["", f"{name}:"]
+            lines += [f"  {key:<24} {_cell(block[key])}" for key in sorted(block) if key != "traces"]
+            for trace in block.get("traces", []):
                 lines.append(f"  trace[{trace['trial']}]:")
                 for k in ("labels", "inspection_order", "selected", "selected_without_inspection", "total_cost"):
                     if k in trace:
                         lines.append(f"    {k:<22} {trace[k]}")
-        if self.oracle is not None:
-            lines.append("")
-            lines.append("oracle:")
-            for key in sorted(self.oracle):
-                lines.append(f"  {key:<24} {_cell(self.oracle[key])}")
-        if self.ratio is not None:
-            lines.append("")
-            lines.append("ratio:")
-            for key in sorted(self.ratio):
-                lines.append(f"  {key:<24} {_cell(self.ratio[key])}")
-            if not self.ratio_ok():
-                lines.append("  FAIL: ratio exceeds its certified ceiling")
+        if not self.ratio_ok():
+            lines.append("  FAIL: ratio exceeds its certified ceiling")
         return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,7 @@ from .distkit import (
     min_of_independent,
     running_sum,
 )
-from .indices import ALPHA_CEILING, SurrogateKind, alpha_of_p, capped_expectation
+from .indices import ALPHA_CEILING, SurrogateKind, capped_expectation, hedging_losses
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
 from .policies import IntegerGrid, evaluate_exact, one_item_value, prepare_policy
@@ -185,28 +184,31 @@ def check_local_approximation(values: ExactValues, tol):
 
 
 def check_alpha(values: ExactValues, tol):
+    """The ratio's bounds, and p_hedge as the argmin of 1 + max(A(p), B(p)).
+
+    A proof, not a sweep: on a hedged item A falls linearly from
+    (mu - u_rsv)/u_rsv > 0 to 0 and B rises linearly from 0, so their max is
+    smallest exactly where the two are equal.  With u_rsv = 0, A diverges
+    below p = 1, so the argmin is 1."""
     worst = 0.0
     ok = True
     for item, idx in zip(values.instance.items, values.instance.indices):
-        worst = max(
-            worst,
-            max(0.0, float(idx.alpha_local - ALPHA_CEILING)),
-            max(0.0, float(1 - idx.alpha_local)),
-            max(0.0, float(item.cost - idx.u_rsv)),
-            max(0.0, float(-idx.p_hedge)),
-            max(0.0, float(idx.p_hedge - 1)),
-        )
-        if idx.never_inspect and (idx.p_hedge != 0 or idx.alpha_local != 1):
-            ok = False
-        if idx.never_inspect or idx.u_rsv >= idx.u_bkp:
-            continue
-        gap = alpha_of_p(item, idx.p_hedge) - idx.alpha_local
-        worst = max(worst, abs(float(gap)))
-        for k in range(101):
-            p = Fraction(k, 100) if tol == 0 else k / 100
-            if idx.u_rsv == 0 and p != 1:
-                continue
-            worst = max(worst, max(0.0, float(idx.alpha_local - alpha_of_p(item, p))))
+        gaps = [
+            max(0, idx.alpha_local - ALPHA_CEILING),
+            max(0, 1 - idx.alpha_local),
+            max(0, item.cost - idx.u_rsv),
+            max(0, -idx.p_hedge),
+            max(0, idx.p_hedge - 1),
+        ]
+        if idx.never_inspect:
+            ok = ok and idx.p_hedge == 0 and idx.alpha_local == 1
+            gaps += [idx.p_hedge, idx.alpha_local - 1]
+        elif idx.u_rsv < idx.u_bkp:
+            if idx.u_rsv == 0:
+                gaps += [1 - idx.p_hedge, 1 + hedging_losses(item, 1)[1] - idx.alpha_local]
+            else:
+                gaps += [1 + loss - idx.alpha_local for loss in hedging_losses(item, idx.p_hedge)]
+        worst = max(worst, max(abs(float(g)) for g in gaps))
     return ok and worst <= tol, worst
 
 
@@ -242,7 +244,7 @@ def check_lh_equality_and_bound(values: ExactValues, tol):
     noi_bound = values.one_shot(SurrogateKind.NOI)
     worst = abs(float(policy_value - values.one_shot(SurrogateKind.LH)))
     worst = max(worst, max(0.0, float(policy_value - values.instance.max_alpha * noi_bound)))
-    worst = max(worst, max(0.0, float(policy_value - Fraction(4, 3) * noi_bound)))
+    worst = max(worst, max(0.0, float(policy_value - ALPHA_CEILING * noi_bound)))
     return worst <= tol, worst
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from pandora_hedge import DiscreteDist, Item, alpha_of_p
 from pandora_hedge.cli import main
 from pandora_hedge.instance import Instance
+from pandora_hedge.report import Report, ratio_block
 from pandora_hedge.verify import run_checks
 
 from helpers import golden_pair
@@ -151,6 +153,17 @@ class TestVerify:
 
 
 
+def test_ratio_fail_line_closes_ratio_block():
+    text = Report(bounds={"lower_bound": 1.0}, ratio=ratio_block(2.0, 1.0, 1.5)).to_text()
+    assert text.splitlines()[-5:] == [
+        "ratio:",
+        "  certified_ceiling        1.5",
+        "  lh_over_lower_bound      2",
+        "  ok                       False",
+        "  FAIL: ratio exceeds its certified ceiling",
+    ]
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
     def test_bad_budget_flag_exit_2(self, capsys, value):
@@ -206,6 +219,34 @@ class TestFaultInjection:
         failed = {r.name for r in results if not r.passed}
         assert "local approximation sweep" in failed or "hedging ratio bounds and optimality" in failed
         assert any(r.max_violation > 0 for r in results if not r.passed)
+
+    @staticmethod
+    def ratio_check(instance):
+        (result,) = [r for r in run_checks(instance) if r.name == "hedging ratio bounds and optimality"]
+        return result
+
+    def test_hedge_off_the_crossing_fails_ratio_check(self):
+        # alpha_local is the true ratio at the moved p, so only the argmin is wrong;
+        # a sweep over p in steps of 1/100 passes it
+        clean = golden_pair()
+        p = clean.indices[1].p_hedge + F(1, 10**6)
+        moved = dataclasses.replace(clean.indices[1], p_hedge=p, alpha_local=alpha_of_p(clean.items[1], p))
+        result = self.ratio_check(Instance(clean.items, [clean.indices[0], moved]))
+        # A falls at slope 1/4 and B rises at 2/5, so they part by 13/20 of the step
+        assert not result.passed and result.max_violation == float(F(13, 20) / 10**6)
+
+    def test_hedged_never_inspect_item_reports_violation(self):
+        clean = golden_pair()
+        hedged = dataclasses.replace(clean.indices[0], p_hedge=F(1, 10))
+        result = self.ratio_check(Instance(clean.items, [hedged, clean.indices[1]]))
+        assert not result.passed and result.max_violation == 0.1
+
+    def test_zero_reservation_price_off_one_fails_without_raising(self):
+        item = Item(0, F(0), DiscreteDist(((F(0), F(1, 2)), (F(10), F(1, 2)))))
+        assert item.indices.u_rsv == 0 and item.indices.p_hedge == 1
+        corrupt = dataclasses.replace(item.indices, p_hedge=F(1, 2))
+        result = self.ratio_check(Instance([item], [corrupt]))
+        assert not result.passed and result.max_violation == 0.5
 
     def test_clean_instance_passes(self):
         results = run_checks(golden_pair())

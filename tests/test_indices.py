@@ -10,11 +10,12 @@ from pandora_hedge import (
     alpha_of_p,
     capped_expectation,
     compute_indices,
+    hedging_losses,
     make_worst_case_item,
     surrogate_dist,
     surrogate_value,
 )
-from pandora_hedge.distkit import mean
+from pandora_hedge.distkit import expected_shortfall, mean
 
 from helpers import added, direct_capped_sum, two_point_item
 from test_distkit import dists, rationals
@@ -24,6 +25,18 @@ def random_items(max_atoms=4):
     return st.tuples(dists(max_atoms), rationals(lo=0, hi=12)).map(
         lambda t: Item(0, t[1], t[0])
     )
+
+
+def hedged_items(max_atoms=4):
+    """Items whose cost is a share in [0, 1) of their price's shortfall below
+    the mean: the regime where inspection is worthwhile unless the price is
+    a point mass."""
+
+    def build(t):
+        dist, share = t
+        return Item(0, share * expected_shortfall(dist, mean(dist)), dist)
+
+    return st.tuples(dists(max_atoms), rationals(lo=0, hi=1).filter(lambda share: share < 1)).map(build)
 
 
 class TestComputeIndices:
@@ -98,6 +111,25 @@ class TestAlphaOfP:
         if ix.never_inspect or (ix.u_rsv == 0 and k != 100):
             return
         assert alpha_of_p(item, F(k, 100)) >= ix.alpha_local
+
+
+class TestHedgingLosses:
+    def test_branches_of_two_point_item(self):
+        # A(p) = (1 - p)/4 and B(p) = 2p/5
+        assert hedging_losses(two_point_item(), F(1, 2)) == (F(1, 8), F(1, 5))
+
+    @given(hedged_items())
+    def test_branches_cross_at_optimal_p(self, item):
+        ix = compute_indices(item)
+        if ix.never_inspect:
+            return
+        if ix.u_rsv == 0:
+            assert ix.p_hedge == 1
+            used = hedging_losses(item, 1)[1:]
+        else:
+            used = hedging_losses(item, ix.p_hedge)
+            assert used[0] == used[1]
+        assert all(1 + loss == ix.alpha_local for loss in used)
 
 
 class TestSurrogates:
