@@ -105,27 +105,26 @@ def compute_indices(item: Item) -> ItemIndices:
     return ItemIndices(mu, u_rsv, u_bkp, p, alpha, False)
 
 
-def hedging_losses(item: Item, p: Numeric) -> tuple[Numeric, Numeric]:
-    """The ratio's loss branches at hedging probability p: A(p) = (1 -
-    p)(mu - u_rsv)/u_rsv from committing without inspection, B(p) = p*c/mu
-    from inspecting.  Only defined when inspection is potentially worthwhile
-    (reservation price strictly below backup price).
+def hedging_losses(idx: ItemIndices, cost: Numeric, p: Numeric) -> tuple[Numeric, Numeric]:
+    """The ratio's loss branches at hedging probability p, for indices ``idx``
+    and cost c: A(p) = (1 - p)(mu - u_rsv)/u_rsv from committing without
+    inspection, B(p) = p*c/mu from inspecting.  Only defined when inspection
+    is potentially worthwhile (reservation price strictly below backup price).
     """
     if not 0 <= p <= 1:
         raise ValueError("hedging probability must lie in [0, 1]")
-    idx = item.indices
     if idx.u_rsv >= idx.u_bkp:
         raise ValueError("ratio curve undefined: reservation price >= backup price")
     if idx.u_rsv == 0 and p < 1:
         raise ValueError("ratio diverges: zero reservation price with p < 1")
     lose_inspection = 0 if p == 1 else (1 - p) * (idx.mu - idx.u_rsv) / idx.u_rsv
-    return lose_inspection, p * item.cost / idx.mu
+    return lose_inspection, p * cost / idx.mu
 
 
 def alpha_of_p(item: Item, p: Numeric) -> Numeric:
     """Local approximation ratio 1 + max(A(p), B(p)) achieved by an arbitrary
     hedging probability (``hedging_losses``)."""
-    return 1 + max(hedging_losses(item, p))
+    return 1 + max(hedging_losses(item.indices, item.cost, p))
 
 
 def surrogate_value(

@@ -1,15 +1,15 @@
 """Invariant suite run by the verify command.
 
-Every check is a numerical restatement of an identity or inequality the
-package is supposed to guarantee.  Checks report the largest violation they
-observed; on exact-rational instances the tolerance drops to zero.
+Every check restates an identity or inequality the package guarantees and
+reports its largest violation against the one tolerance ``TOL`` (zero on
+exact-rational instances); none samples or keeps a tolerance of its own.
+The per-item sweeps are proofs on each item's kink set (``_breakpoints``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,17 +21,12 @@ from .combinatorial import (
     GraphicMatroid,
     UniformMatroid,
     ZeroTerminal,
+    _surrogate_dtypes,
     expected_surrogate_cost,
     prepare_comb_policy,
-    surrogate_cost,
+    surrogate_costs,
 )
-from .distkit import (
-    expected_excess,
-    expected_shortfall,
-    mean,
-    min_of_independent,
-    running_sum,
-)
+from .distkit import expected_excess, expected_shortfall, mean, min_of_independent
 from .indices import ALPHA_CEILING, SurrogateKind, capped_expectation, hedging_losses
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
@@ -110,46 +105,44 @@ class ExactValues:
         return None
 
 
-def _tolerance(instance: Instance, model: Optional[CombModel]) -> float:
-    return 0.0 if IntegerGrid(instance, model).exact else TOL
-
-
-def _with_midpoints(points):
-    pts = sorted(set(points))
-    out = list(pts)
-    for a, b in zip(pts, pts[1:]):
-        out.append((a + b) / 2)
-    return sorted(set(out))
+def _tolerance(instance: Instance, model: Optional[CombModel]):
+    return 0 if IntegerGrid(instance, model).exact else TOL
 
 
 def _breakpoints(instance: Instance, n: int, scale=None):
-    idx = instance.indices[n]
-    pts = {0, idx.mu, idx.u_rsv, idx.u_bkp}
-    pts.update(instance.items[n].dist.values)
-    for kind in SurrogateKind:
-        pts.update(instance.items[n].surrogate(kind).values)
+    """Item n's kink set: 0, its support values v and its own mu, u_rsv and
+    u_bkp (its surrogates' source), with ``scale`` the NOI atoms times it,
+    and one past the largest.
+
+    Evaluating these points alone is a proof.  Each swept difference is
+    piecewise linear with its kinks in the set: E[(u - X)+] and E[(X - u)+]
+    bend at the v; E[min(W, r)] at the atoms of W, each a v, u_rsv, u_bkp or
+    mu; alpha E[min(W, r / alpha)] at alpha times them; a one-item value
+    min(c + mu - E[(X - r)+], r[, mu]) at the v and where its branches cross,
+    at u_rsv, u_bkp or mu.  Each is constant past the largest point.  So zero
+    (or at most 0) at every point holds on all of [min point, infinity),
+    which reaches below 0 when u_bkp is negative."""
+    item = instance.items[n]
+    pts = {0, item.indices.mu, item.indices.u_rsv, item.indices.u_bkp, *item.dist.values}
     if scale is not None:
-        pts.update(scale * v for v in instance.items[n].surrogate(SurrogateKind.NOI).values)
+        pts.update(scale * v for v in item.surrogate(SurrogateKind.NOI).values)
     pts.add(max(pts) + 1)
-    return _with_midpoints(pts)
-
-
-def _capped(atoms, r):
-    return running_sum(p * min(v, r) for v, p in atoms)
+    return sorted(pts)
 
 
 def check_parity(values: ExactValues, tol):
+    """E[(u - X)+] - E[(X - u)+] = u - mu on the kink set."""
     instance = values.instance
-    worst = 0.0
+    worst = 0
     for n, item in enumerate(instance.items):
         for u in _breakpoints(instance, n):
-            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - item.indices.mu)
+            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - instance.indices[n].mu)
             worst = max(worst, abs(float(gap)))
     return worst <= tol, worst
 
 
 def check_surrogate_means(values: ExactValues, tol):
-    worst = 0.0
+    worst = 0
     for item, idx in zip(values.instance.items, values.instance.indices):
         gaps = (
             mean(item.surrogate(SurrogateKind.OI)) - (idx.mu + item.cost),
@@ -161,8 +154,9 @@ def check_surrogate_means(values: ExactValues, tol):
 
 
 def check_one_item_identities(values: ExactValues, tol):
+    """E[min(W, r)] is the one-item value at r, for OI and NOI, on the kink set."""
     instance = values.instance
-    worst = 0.0
+    worst = 0
     for n, item in enumerate(instance.items):
         for r in _breakpoints(instance, n):
             gap_oi = capped_expectation(item, SurrogateKind.OI, r) - one_item_value(item, r, SurrogateKind.OI)
@@ -172,14 +166,14 @@ def check_one_item_identities(values: ExactValues, tol):
 
 
 def check_local_approximation(values: ExactValues, tol):
+    """E[min(W^LH, r)] <= alpha E[min(W^NOI, r / alpha)] on the kink set."""
     instance = values.instance
-    worst = 0.0
+    worst = 0
     for n, item in enumerate(instance.items):
-        idx = instance.indices[n]
-        noi = item.surrogate(SurrogateKind.NOI)
-        scaled = [(idx.alpha_local * v, p) for v, p in noi.atoms]
-        for r in _breakpoints(instance, n, scale=idx.alpha_local):
-            worst = max(worst, max(0.0, float(capped_expectation(item, SurrogateKind.LH, r) - _capped(scaled, r))))
+        alpha = instance.indices[n].alpha_local
+        for r in _breakpoints(instance, n, scale=alpha):
+            gap = capped_expectation(item, SurrogateKind.LH, r) - alpha * capped_expectation(item, SurrogateKind.NOI, r / alpha)
+            worst = max(worst, float(gap))
     return worst <= tol, worst
 
 
@@ -189,8 +183,9 @@ def check_alpha(values: ExactValues, tol):
     A proof, not a sweep: on a hedged item A falls linearly from
     (mu - u_rsv)/u_rsv > 0 to 0 and B rises linearly from 0, so their max is
     smallest exactly where the two are equal.  With u_rsv = 0, A diverges
-    below p = 1, so the argmin is 1."""
-    worst = 0.0
+    below p = 1, so the argmin is 1.  It reads the instance's indices, as the
+    policies do: a hedged record needs u_rsv < u_bkp and u_rsv - mu < tol."""
+    worst = 0
     ok = True
     for item, idx in zip(values.instance.items, values.instance.indices):
         gaps = [
@@ -203,22 +198,24 @@ def check_alpha(values: ExactValues, tol):
         if idx.never_inspect:
             ok = ok and idx.p_hedge == 0 and idx.alpha_local == 1
             gaps += [idx.p_hedge, idx.alpha_local - 1]
-        elif idx.u_rsv < idx.u_bkp:
-            if idx.u_rsv == 0:
-                gaps += [1 - idx.p_hedge, 1 + hedging_losses(item, 1)[1] - idx.alpha_local]
-            else:
-                gaps += [1 + loss - idx.alpha_local for loss in hedging_losses(item, idx.p_hedge)]
+        elif idx.u_rsv >= idx.u_bkp or idx.u_rsv - idx.mu >= tol:
+            ok = False
+        elif idx.u_rsv == 0:
+            gaps += [1 - idx.p_hedge, 1 + hedging_losses(idx, item.cost, 1)[1] - idx.alpha_local]
+        elif 0 <= idx.p_hedge <= 1:  # else the range gaps fail the check
+            gaps += [1 + loss - idx.alpha_local for loss in hedging_losses(idx, item.cost, idx.p_hedge)]
         worst = max(worst, max(abs(float(g)) for g in gaps))
     return ok and worst <= tol, worst
+
+
+MATROIDS = (UniformMatroid, GraphicMatroid)  # the families with a shipped greedy rule
 
 
 def _attains_one_shot(model: Optional[CombModel]) -> bool:
     """Whether the obligatory and hedged policies attain the one-shot values:
     always for single-item selection (Weitzman), and for the frugal
     composition on a matroid with zero terminal (Singla, SODA 2018)."""
-    return model is None or (
-        isinstance(model.family, (UniformMatroid, GraphicMatroid)) and isinstance(model.terminal, ZeroTerminal)
-    )
+    return model is None or (isinstance(model.family, MATROIDS) and isinstance(model.terminal, ZeroTerminal))
 
 
 NEEDS_MATROID = NotApplicable("a matroid with zero terminal")
@@ -243,18 +240,19 @@ def check_lh_equality_and_bound(values: ExactValues, tol):
     policy_value = values.policy("local-hedging")
     noi_bound = values.one_shot(SurrogateKind.NOI)
     worst = abs(float(policy_value - values.one_shot(SurrogateKind.LH)))
-    worst = max(worst, max(0.0, float(policy_value - values.instance.max_alpha * noi_bound)))
-    worst = max(worst, max(0.0, float(policy_value - ALPHA_CEILING * noi_bound)))
+    worst = max(worst, float(policy_value - values.instance.max_alpha * noi_bound))
+    worst = max(worst, float(policy_value - ALPHA_CEILING * noi_bound))
     return worst <= tol, worst
 
 
 def check_noi_sandwich(values: ExactValues, tol):
-    """The NOI one-shot value is at most the NOI optimum, which on
-    single-item selection is at most the hedged policy's value."""
+    """The NOI one-shot value is at most the NOI optimum, which is at most the
+    value of each policy the package runs (each one may select uninspected)."""
     opt = values.optimum(SurrogateKind.NOI)
-    worst = max(0.0, float(values.one_shot(SurrogateKind.NOI) - opt))
-    if values.model is None:
-        worst = max(worst, max(0.0, float(opt - values.policy("local-hedging"))))
+    worst = max(0, float(values.one_shot(SurrogateKind.NOI) - opt))
+    if values.model is None or isinstance(values.model.family, MATROIDS):
+        for name in (values.oi_policy, "local-hedging"):
+            worst = max(worst, float(opt - values.policy(name)))
     return worst <= tol, worst
 
 
@@ -266,7 +264,7 @@ def check_weitzman_trace(values: ExactValues, tol):
     check_budget(instance.support_product(), min(values.budget, 4096), "selection argmin check")
     weitzman = prepare_policy(instance, "weitzman")
     realizations = itertools.product(*(item.dist.values for item in instance.items))
-    worst = 0.0
+    worst = 0
     while rows := list(itertools.islice(realizations, ARGMIN_CHUNK)):
         for prices, trace in zip(rows, weitzman.traces(np.array(rows, dtype=object).T, None)):
             views = list(instance.reservation_prices)
@@ -281,21 +279,23 @@ def check_weitzman_trace(values: ExactValues, tol):
 
 def check_surrogate_cost_shape(values: ExactValues, tol):
     """Raising one price never lowers the optimum, and the optimum is concave
-    along each coordinate."""
-    rng = random.Random(0)
-    worst = 0.0
-    for _ in range(20):
-        prices = [float(rng.randint(0, 20)) / 2 for _ in range(len(values.instance))]
-        n = rng.randrange(len(values.instance))
-        lo, mid, hi = sorted(rng.uniform(0, 12) for _ in range(3))
-        mid = (lo + hi) / 2
-        vals = []
-        for t in (lo, mid, hi):
-            prices[n] = t
-            vals.append(surrogate_cost(values.model, prices)[0])
-        worst = max(worst, max(0.0, float(vals[0] - vals[1])), max(0.0, float(vals[1] - vals[2])))
-        worst = max(worst, max(0.0, float((vals[0] + vals[2]) / 2 - vals[1])))
-    return worst <= max(tol, 1e-9), worst
+    along each coordinate: with the other items at their means, item n's
+    price runs over 0, its support values, its mean and one past the largest
+    (one ``surrogate_costs`` call, a column per point), and each inner point
+    lies on or above the chord of its neighbours."""
+    model, means = values.model, [idx.mu for idx in values.instance.indices]
+    sweeps = [sorted({0, mu, *item.dist.values}) for item, mu in zip(values.instance.items, means)]
+    sweeps = [ts + [ts[-1] + 1] for ts in sweeps]
+    rows = [[t if n == m else mu for n, ts in enumerate(sweeps) for t in ts] for m, mu in enumerate(means)]
+    dtype, pool = _surrogate_dtypes(model, rows)
+    costs = iter(surrogate_costs(model, pool)(np.array(rows, dtype=dtype)))
+    worst = 0
+    for ts in sweeps:
+        pts = [(t, next(costs)) for t in ts]
+        for (t0, f0), (t1, f1), (t2, f2) in zip(pts, pts[1:], pts[2:]):
+            worst = max(worst, float(f0 + (f2 - f0) * (t1 - t0) / (t2 - t0) - f1))
+        worst = max(worst, *(float(f0 - f1) for (_, f0), (_, f1) in zip(pts, pts[1:])))
+    return worst <= tol, worst
 
 
 def check_single_reduction(values: ExactValues, tol):
@@ -303,7 +303,7 @@ def check_single_reduction(values: ExactValues, tol):
     if not (_attains_one_shot(values.model) and isinstance(values.model.family, UniformMatroid) and values.model.family.k == 1):
         return NotApplicable("rank-1 selection")
     single = ExactValues(values.instance, budget=values.budget)
-    worst = 0.0
+    worst = 0
     for kind in SurrogateKind:
         worst = max(worst, abs(float(values.one_shot(kind) - single.one_shot(kind))))
     for comb_policy, single_policy in (("frugal-oi", "weitzman"), ("local-hedging", "local-hedging")):
@@ -350,8 +350,8 @@ def run_checks(
         try:
             outcome = check(values, tol)
         except BudgetExceededError:
-            outcome = (True, 0.0, BUDGET_SKIP)
+            outcome = (True, 0, BUDGET_SKIP)
         if isinstance(outcome, NotApplicable):
-            outcome = (True, 0.0, f"skipped (needs {outcome.needs})")
-        results.append(CheckResult(name, *outcome))
+            outcome = (True, 0, f"skipped (needs {outcome.needs})")
+        results.append(CheckResult(name, outcome[0], float(outcome[1]), *outcome[2:]))
     return results

@@ -248,6 +248,14 @@ class TestFaultInjection:
         result = self.ratio_check(Instance([item], [corrupt]))
         assert not result.passed and result.max_violation == 0.5
 
+    def test_record_calling_a_never_inspect_item_hedged_fails_ratio_check(self):
+        # the check and hedging_losses read the one record: it must fail the check, not raise
+        clean = golden_pair()
+        hedged = dataclasses.replace(clean.indices[0], u_bkp=F(6), never_inspect=False)
+        assert clean.items[0].indices.never_inspect
+        result = self.ratio_check(Instance(clean.items, [hedged, clean.indices[1]]))
+        assert not result.passed
+
     def test_clean_instance_passes(self):
         results = run_checks(golden_pair())
         assert all(r.passed for r in results)

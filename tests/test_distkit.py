@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from pandora_hedge import distkit
+from pandora_hedge import distkit, verify
 from pandora_hedge.distkit import (
     DiscreteDist,
     backup_price,
@@ -120,6 +120,18 @@ class TestRunningSum:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
         ]
         assert calls == []
+
+    def test_verify_neither_samples_nor_keeps_a_tolerance_of_its_own(self):
+        """``verify`` imports no ``random``, and its one float literal is
+        ``TOL``'s."""
+        tree = ast.parse(Path(verify.__file__).read_text())
+        nodes = list(ast.walk(tree))
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "random" not in imported
+        floats = [node for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+        (tol,) = [node.value for node in tree.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TOL"]
+        assert floats == [tol] and tol.value == verify.TOL
 
 
 class TestPriceSolvers:

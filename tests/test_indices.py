@@ -116,7 +116,7 @@ class TestAlphaOfP:
 class TestHedgingLosses:
     def test_branches_of_two_point_item(self):
         # A(p) = (1 - p)/4 and B(p) = 2p/5
-        assert hedging_losses(two_point_item(), F(1, 2)) == (F(1, 8), F(1, 5))
+        assert hedging_losses(compute_indices(two_point_item()), 2, F(1, 2)) == (F(1, 8), F(1, 5))
 
     @given(hedged_items())
     def test_branches_cross_at_optimal_p(self, item):
@@ -125,9 +125,9 @@ class TestHedgingLosses:
             return
         if ix.u_rsv == 0:
             assert ix.p_hedge == 1
-            used = hedging_losses(item, 1)[1:]
+            used = hedging_losses(ix, item.cost, 1)[1:]
         else:
-            used = hedging_losses(item, ix.p_hedge)
+            used = hedging_losses(ix, item.cost, ix.p_hedge)
             assert used[0] == used[1]
         assert all(1 + loss == ix.alpha_local for loss in used)
 
