@@ -40,12 +40,6 @@ class Instance:
     def max_alpha(self) -> Numeric:
         return max(ix.alpha_local for ix in self.indices)
 
-    def support_product(self) -> int:
-        prod = 1
-        for item in self.items:
-            prod *= len(item.dist)
-        return prod
-
 
 @dataclass(frozen=True)
 class Realization:

@@ -1,5 +1,5 @@
-"""Exact optimal adaptive policies by dynamic programming, plus the
-policy-dependent Monte Carlo lower bound.
+"""Exact optimal adaptive policies by dynamic programming, plus the exact
+policy-dependent one-shot lower bound E[min W^pi] (``pi_surrogate_bound``).
 
 The single-item recursions compress the observation history to the best
 observed price, which is sufficient because only the cheapest inspected item
@@ -39,8 +39,8 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
 from .distkit import Numeric, running_sum
 from .instance import Instance
-from .policies import IntegerGrid, iter_trials, prepare_policy
-from .sampling import mc_summary, trial_chunks
+from .policies import IntegerGrid, _exact_columns, prepare_policy
+from .sampling import trial_chunks
 
 
 def _tmin(a, b):
@@ -167,28 +167,18 @@ def opt_value_comb_noi(
     return grid.leave(val[0], grid.D)
 
 
-def pi_surrogate_bound(
-    instance: Instance, policy: str, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the policy-dependent one-shot lower bound.
-
-    Per trial, each item contributes its realized price floored at its
-    reservation price when the policy inspected it, and its mean otherwise;
-    the bound is the expectation of the minimum contribution.
-    """
-    indices = instance.indices
-
-    def bound(realization, trace):
-        inspected = set(trace.inspection_order)
-        w = None
-        for m in range(len(instance)):
-            if m in inspected:
-                v = realization.prices[m]
-                contrib = v if v > indices[m].u_rsv else indices[m].u_rsv
-            else:
-                contrib = indices[m].mu
-            w = _tmin(w, contrib)
-        return w
-
-    trials_run = iter_trials(prepare_policy(instance, policy), seed, trials)
-    return mc_summary(bound(realization, trace) for realization, trace in trials_run)
+def pi_surrogate_bound(instance: Instance, policy: str, budget: int = DEFAULT_BUDGET) -> Numeric:
+    """The exact policy-dependent one-shot lower bound E[min W^pi]: W^pi_n is
+    max(X_n, u_rsv) if the policy's trace inspected item n, else mu_n, on
+    object arrays of ``evaluate_exact``'s columns (``_exact_columns``)."""
+    grid = IntegerGrid(instance)
+    prepared, indices = prepare_policy(grid.instance, policy), grid.instance.indices
+    denominator, chunks = _exact_columns(grid, prepared.draws_coins, budget, "pi-surrogate bound", object)
+    total = 0
+    for weights, prices, labels in chunks:
+        traces = prepared.traces(prices, labels if prepared.draws_coins else None)
+        for w, row, trace in zip(weights, prices.T.tolist(), traces):
+            inspected = set(trace.inspection_order)
+            w_pi = min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in enumerate(zip(row, indices)))
+            total = total + w * grid.number(w_pi)
+    return grid.leave(total, denominator)

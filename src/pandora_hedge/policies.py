@@ -174,9 +174,10 @@ class PreparedPolicy:
     model of a combinatorial policy, else None): a function that maps
     an (items x trials) array of the grid's prices in
     ``array_dtype(grid.instance)`` (and the labels) to the trials' totals on
-    the grid.  Monte Carlo and exact evaluation run the array form; ``--trace``,
-    ``pi_surrogate_bound`` and the argmin check run the traces.  Only local
-    hedging draws coins: its labels are drawn afresh each trial.
+    the grid.  Monte Carlo and exact evaluation run the array form;
+    ``--trace`` and ``pi_surrogate_bound`` (on exact evaluation's columns)
+    run the traces.  Only local hedging draws coins: its labels are drawn
+    afresh each trial.
     """
 
     instance: Instance
@@ -445,31 +446,43 @@ def _weighted_columns(grid: IntegerGrid, p_hedge: Sequence[Numeric]):
             yield prob, row, labels
 
 
-def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
-    """Exact expected total cost of a prepared policy on its instance.
+def _exact_columns(grid: IntegerGrid, hedged: bool, budget: int, what: str, dtype=None):
+    """The package's one exact enumeration: charges its branches against
+    ``budget`` and returns the denominator that a weighted sum of grid totals
+    leaves by, and (weights, prices, labels) chunks of ``EXACT_CHUNK``
+    ``_weighted_columns`` of ``grid`` as (items x columns) arrays, the prices
+    in ``dtype`` (default ``array_dtype``).  Local hedging (``hedged``)
+    enumerates label vectors; every other policy labels every item."""
+    p_hedge = [ix.p_hedge if hedged else 1 for ix in grid.instance.indices]
+    branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(grid.instance.items, p_hedge) if p != 0)
+    check_budget(branches, budget, what)
+    dtype = array_dtype(grid.instance) if dtype is None else dtype
 
-    Local hedging enumerates its label vectors, as constant coin columns;
-    every other policy labels every item, so it enumerates realizations.
-    The policy's array form runs on the ``IntegerGrid`` of the instance and
-    its model, ``EXACT_CHUNK`` columns at a time; weight x total is summed in
-    enumeration order (ints in exact mode, the probabilities times floats in
-    float mode) and leaves by ``IntegerGrid.leave``.
-    """
-    instance = prepared.instance
-    p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
-    branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(instance.items, p_hedge) if p != 0)
-    check_budget(branches, budget, "hedged policy evaluation" if prepared.draws_coins else "policy evaluation")
-    grid = IntegerGrid(instance, prepared.model)
+    def chunks():
+        columns = _weighted_columns(grid, p_hedge)
+        while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
+            weights, rows, labels = zip(*chunk)
+            yield weights, np.array(rows, dtype=dtype).T, np.array(labels, dtype=bool).T
+
+    return grid.label_weights(p_hedge)[1], chunks()
+
+
+def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
+    """Exact expected total cost of a prepared policy on its instance: its
+    array form runs on ``_exact_columns`` of the ``IntegerGrid`` of the
+    instance and its model, and weight x total is summed in enumeration
+    order (ints in exact mode, the probabilities times floats in float mode)
+    and leaves by ``IntegerGrid.leave``."""
+    hedged = prepared.draws_coins
+    grid = IntegerGrid(prepared.instance, prepared.model)
+    what = "hedged policy evaluation" if hedged else "policy evaluation"
+    denominator, chunks = _exact_columns(grid, hedged, budget, what)
     batch = prepared.batch(grid)
-    dtype = array_dtype(grid.instance)
-    columns = _weighted_columns(grid, p_hedge)
     total = 0
-    while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
-        weights, rows, labels = zip(*chunk)
-        coins = np.array(labels, dtype=bool).T if prepared.draws_coins else None
-        for w, t in zip(weights, batch(np.array(rows, dtype=dtype).T, coins)):
+    for weights, prices, labels in chunks:
+        for w, t in zip(weights, batch(prices, labels if hedged else None)):
             total = total + w * grid.number(t)
-    return grid.leave(total, grid.label_weights(p_hedge)[1])
+    return grid.leave(total, denominator)
 
 
 def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:

@@ -9,13 +9,12 @@ The per-item sweeps are proofs on each item's kink set (``_breakpoints``).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .budget import DEFAULT_BUDGET, BudgetExceededError, check_budget
+from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .combinatorial import (
     CombModel,
     GraphicMatroid,
@@ -26,15 +25,14 @@ from .combinatorial import (
     prepare_comb_policy,
     surrogate_costs,
 )
-from .distkit import expected_excess, expected_shortfall, mean, min_of_independent
+from .distkit import _div, expected_excess, expected_shortfall, mean, min_of_independent
 from .indices import ALPHA_CEILING, SurrogateKind, capped_expectation, hedging_losses
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
-from .policies import IntegerGrid, evaluate_exact, one_item_value, prepare_policy
+from .policies import IntegerGrid, _exact_columns, _slots, evaluate_exact, one_item_value, prepare_policy, reservation_batch
 
 TOL = 1e-12
 BUDGET_SKIP = "skipped (budget)"
-ARGMIN_CHUNK = 128  # realizations the argmin check traces at once: bounds its memory
 
 
 @dataclass
@@ -172,7 +170,8 @@ def check_local_approximation(values: ExactValues, tol):
     for n, item in enumerate(instance.items):
         alpha = instance.indices[n].alpha_local
         for r in _breakpoints(instance, n, scale=alpha):
-            gap = capped_expectation(item, SurrogateKind.LH, r) - alpha * capped_expectation(item, SurrogateKind.NOI, r / alpha)
+            noi = alpha * capped_expectation(item, SurrogateKind.NOI, _div(r, alpha))
+            gap = capped_expectation(item, SurrogateKind.LH, r) - noi
             worst = max(worst, float(gap))
     return worst <= tol, worst
 
@@ -257,24 +256,26 @@ def check_noi_sandwich(values: ExactValues, tol):
 
 
 def check_weitzman_trace(values: ExactValues, tol):
-    """Weitzman's search selects the lowest view price, traced on the
-    instance's ``IntegerGrid``; a gap leaves the grid as ``gap / L``."""
+    """Weitzman's search selects the lowest view price on every realization
+    (``_exact_columns``): an item is inspected iff its slot's rank is below
+    the stop, and its view is then max(price, u_rsv), else u_rsv.  The
+    inspected item of lowest price, ties to the lowest id, is selected at the
+    search's chosen price.  A gap leaves the grid as ``gap / L``."""
     grid = IntegerGrid(values.instance)
-    instance = grid.instance
-    check_budget(instance.support_product(), min(values.budget, 4096), "selection argmin check")
-    weitzman = prepare_policy(instance, "weitzman")
-    realizations = itertools.product(*(item.dist.values for item in instance.items))
-    worst = 0
-    while rows := list(itertools.islice(realizations, ARGMIN_CHUNK)):
-        for prices, trace in zip(rows, weitzman.traces(np.array(rows, dtype=object).T, None)):
-            views = list(instance.reservation_prices)
-            for n in trace.inspection_order:
-                views[n] = max(prices[n], views[n])
-            (sel,) = trace.selected
-            low = min(views)
-            if views[sel] > low:
-                worst = max(worst, (views[sel] - low) / grid.L)
-    return worst <= tol, worst
+    instance, labels = grid.instance, (True,) * len(values.instance)
+    _, chunks = _exact_columns(grid, False, values.budget, "selection argmin check")
+    search = reservation_batch(instance, labels)
+    rank = np.argsort([n for _, n, _ in _slots(instance, labels)])[:, None]
+    worst, ok = 0, True
+    for _, prices, _ in chunks:
+        _, chosen, stops = search(prices, None)
+        inspected, cols = rank < stops, np.arange(prices.shape[1])
+        rsv = np.array(instance.reservation_prices, dtype=prices.dtype)[:, None]
+        views = np.where(inspected, np.maximum(prices, rsv), rsv)
+        sel = np.where(inspected, prices, np.inf).argmin(axis=0)
+        ok = ok and bool((chosen == prices[sel, cols]).all())
+        worst = max(worst, grid.number((views[sel, cols] - views.min(axis=0)).max()) / grid.L)
+    return ok and worst <= tol, worst
 
 
 def check_surrogate_cost_shape(values: ExactValues, tol):

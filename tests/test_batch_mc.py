@@ -15,7 +15,6 @@ from pandora_hedge import (
     Item,
     evaluate_mc,
     expected_surrogate_cost_mc,
-    pi_surrogate_bound,
     prepare_comb_policy,
 )
 from pandora_hedge import sampling
@@ -181,7 +180,6 @@ def _every_mc_estimate(exact):
     out = []
     for inst in (tie_heavy("exact" if exact else "float"), *_instances(exact)):
         out += [evaluate_mc(prepare_policy(inst, policy), 60, SEED) for policy in SINGLE_POLICIES]
-        out += [pi_surrogate_bound(inst, policy, 30, SEED) for policy in ("weitzman", "local-hedging")]
     rng = random.Random(53 if exact else 52)
     for _ in range(3):
         model, inst = random_comb_instance(rng, max_items=5, exact=exact)

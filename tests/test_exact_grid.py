@@ -184,7 +184,7 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
 def test_support_product_beyond_one_chunk(exact):
     rng = random.Random(77)
     inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
-    while inst.support_product() <= policies.EXACT_CHUNK:
+    while math.prod(len(item.dist) for item in inst.items) <= policies.EXACT_CHUNK:
         inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
     for policy in SINGLE_POLICIES:
         _assert_same(evaluate_exact(prepare_policy(inst, policy)), reference_value(inst, policy))

@@ -264,9 +264,9 @@ class TestSurrogateMcOnTheGrid:
 
 
 def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
-    """--trace and pi_surrogate_bound run on the instance's own numbers;
-    bounds, the DP oracles, simulate --exact, verify and Monte Carlo run on
-    the grid; a float instance's grid is the instance itself."""
+    """--trace runs on the instance's own numbers; bounds, the DP oracles,
+    pi_surrogate_bound, simulate --exact, verify and Monte Carlo run on the
+    grid; a float instance's grid is the instance itself."""
 
     def no_scaling(self, x):
         raise AssertionError("a number was scaled onto the grid")
@@ -278,8 +278,8 @@ def test_which_paths_scale_onto_the_grid(monkeypatch, capsys):
         loaded = load_instance(path)
         if loaded.model is None:
             prepared = prepare_policy(loaded.instance, "local-hedging")
-            pi_surrogate_bound(loaded.instance, "local-hedging", 10, SEED)
-            oracles = (opt_value_single_noi, opt_value_single_oi)
+            pi_bound = functools.partial(pi_surrogate_bound, policy="local-hedging")
+            oracles = (opt_value_single_noi, opt_value_single_oi, pi_bound)
         else:
             prepared = prepare_comb_policy(loaded.model, loaded.instance, "local-hedging")
             oracles = (functools.partial(opt_value_comb_noi, loaded.model),)

@@ -117,28 +117,30 @@ class TestCombinatorialOracle:
 
 
 class TestPiSurrogateBound:
+    """E[min W^NOI] <= E[min W^pi] <= E[cost pi], each exactly."""
+
     def test_inspect_everything_estimates_oi_bound(self):
-        inst = golden_pair(exact=False)
-        est, err = pi_surrogate_bound(inst, "inspect-all", 100_000, seed=4)
-        oi = float(mean(min_of_independent([surrogate_dist(it, SurrogateKind.OI) for it in inst.items])))
-        assert abs(est - oi) <= 3 * err + 1e-9
+        rng = random.Random(12)
+        for inst in (golden_pair(), *(random_instance(rng, max_items=4, exact=True) for _ in range(4))):
+            oi = mean(min_of_independent([surrogate_dist(it, SurrogateKind.OI) for it in inst.items]))
+            assert pi_surrogate_bound(inst, "inspect-all") == oi
 
     def test_inspect_nothing_is_min_mean_exactly(self):
-        inst = golden_pair(exact=False)
-        est, err = pi_surrogate_bound(inst, "never-inspect", 200, seed=4)
-        assert est == 5.0 and err == 0.0
+        for inst in (golden_pair(), golden_pair(exact=False)):
+            bound = pi_surrogate_bound(inst, "never-inspect")
+            assert bound == 5 and type(bound) is type(inst.indices[1].mu)
 
     def test_hedged_policy_bound_brackets(self):
-        inst = golden_pair(exact=False)
-        est, err = pi_surrogate_bound(inst, "local-hedging", 100_000, seed=11)
-        noi = 4.5
-        lh_cost = float(evaluate_exact(prepare_policy(inst, "local-hedging")))
-        assert noi - 3 * err - 1e-9 <= est <= lh_cost + 3 * err + 1e-9
+        inst = golden_pair()
+        bound = pi_surrogate_bound(inst, "local-hedging")
+        noi = mean(min_of_independent([surrogate_dist(it, SurrogateKind.NOI) for it in inst.items]))
+        assert noi == F(9, 2) and type(bound) is F
+        assert noi <= bound <= evaluate_exact(prepare_policy(inst, "local-hedging"))
 
     def test_bound_below_policy_cost_random(self):
         rng = random.Random(13)
         for _ in range(8):
-            inst = random_instance(rng, max_items=4, exact=False)
-            est, err = pi_surrogate_bound(inst, "weitzman", 20_000, seed=17)
-            cost = float(evaluate_exact(prepare_policy(inst, "weitzman")))
-            assert est <= cost + 3 * err + 1e-9
+            inst = random_instance(rng, max_items=4, exact=True)
+            noi = mean(min_of_independent([surrogate_dist(it, SurrogateKind.NOI) for it in inst.items]))
+            for policy in ("local-hedging", "weitzman"):
+                assert noi <= pi_surrogate_bound(inst, policy) <= evaluate_exact(prepare_policy(inst, policy))

@@ -117,7 +117,7 @@ def _count_labelings(monkeypatch) -> list:
 class TestPreparedOnce:
     def test_pi_bound_labels_once(self, monkeypatch):
         calls = _count_labelings(monkeypatch)
-        pi_surrogate_bound(golden_pair(exact=False), "commit-enum", 50, seed=2)
+        pi_surrogate_bound(golden_pair(exact=False), "commit-enum")
         assert len(calls) == 1
 
     def test_simulate_with_traces_labels_once(self, monkeypatch, capsys):

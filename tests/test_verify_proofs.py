@@ -20,6 +20,7 @@ from pandora_hedge.indices import capped_expectation
 from pandora_hedge.oracle import opt_value_comb_noi
 from pandora_hedge.policies import one_item_value
 
+from helpers import golden_pair
 from test_distkit import TWO_POINT, dists, rationals
 from test_indices import hedged_items
 
@@ -136,3 +137,19 @@ def test_combinatorial_sandwich_reads_both_policies(monkeypatch):
         monkeypatch.setattr(verify.ExactValues, "_policy", lambda self, n, below=below: below[n] if n in below else policy(self, n))
         result = _result(instance, model, SANDWICH)
         assert not result.passed and result.max_violation == 1e-6
+
+
+def test_exact_local_approximation_sweep_passes_no_float_cap(monkeypatch):
+    """A never-inspect item's alpha_local is the int 1, so r / alpha at the
+    kink r = 0 must not become the float 0.0 in exact mode."""
+    caps = []
+
+    def recording(item, kind, r):
+        caps.append(r)
+        return capped_expectation(item, kind, r)
+
+    monkeypatch.setattr(verify, "capped_expectation", recording)
+    instance = golden_pair()
+    assert instance.indices[0].alpha_local == 1 and type(instance.indices[0].alpha_local) is int
+    assert all(r.passed for r in verify.run_checks(instance))
+    assert caps and not [r for r in caps if isinstance(r, float)]
