@@ -10,8 +10,6 @@ their tentative prices sit at the reservation price.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence, Union
@@ -19,11 +17,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import policies
-from .budget import DEFAULT_BUDGET, check_budget
+from .budget import DEFAULT_BUDGET
 from .distkit import Numeric, running_sum
 from .indices import SurrogateKind
 from .instance import Instance, PolicyTrace, hedged_view
-from .policies import IntegerGrid, PreparedPolicy, _column_traces, _price_rows, _slots, plain_dtype
+from .policies import IntegerGrid, PreparedPolicy, _column_traces, _slots, plain_dtype
 from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
 
 
@@ -256,24 +254,16 @@ def expected_surrogate_cost(
     kind: SurrogateKind,
     budget: int = DEFAULT_BUDGET,
 ) -> Numeric:
-    """E[Z] for the chosen surrogate kind, by product enumeration of the
-    surrogate distributions' ``IntegerGrid.atoms`` (in exact mode int weights
-    over the lcm of each one's probability denominators) against the grid's
-    model, ``EXACT_CHUNK`` rows at a time through ``surrogate_costs``; the sum
-    leaves by ``IntegerGrid.leave``."""
+    """E[Z] for the chosen surrogate kind: ``policies._exact_columns`` of the
+    surrogate distributions, every item labelled, through ``surrogate_costs``
+    on the grid's model, summed by ``policies._weighted_sum``.  Each cost
+    keeps the type ``surrogate_cost`` gives (``_surrogate_dtypes``)."""
     dists = [item.surrogate(kind) for item in instance.items]
-    size = math.prod(len(d) for d in dists)
-    check_budget(size, budget, "surrogate cost enumeration")
-    grid = IntegerGrid(instance, model)
-    qs, atoms = zip(*map(grid.atoms, dists))
-    dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in a] for a in atoms])
+    what = "surrogate cost enumeration"
+    grid, denominator, chunks = policies._exact_columns(instance, model, [1] * len(dists), budget, what, dists)
+    dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in grid.atoms(d)[1]] for d in dists])
     costs = surrogate_costs(grid.model, pool)
-    rows, total = _price_rows(atoms, range(len(dists)), [None] * len(dists)), 0
-    while chunk := list(itertools.islice(rows, policies.EXACT_CHUNK)):
-        probs, prices = zip(*chunk)
-        for prob, cost in zip(probs, costs(np.array(prices, dtype=dtype).T)):
-            total = total + prob * cost
-    return grid.leave(total, grid.L * math.prod(qs))
+    return policies._weighted_sum(grid, denominator, chunks(dtype), lambda prices, _: costs(prices))
 
 
 def expected_surrogate_cost_mc(
@@ -586,5 +576,6 @@ def prepare_comb_policy(
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     rule = rule_for_model(model) if rule is None else rule
     traces = _column_traces(partial(frugal_trace, model, rule, instance))
-    return PreparedPolicy(instance, traces, partial(frugal_batch, rule), policy == "local-hedging", model)
+    labels = None if policy == "local-hedging" else (True,) * len(instance)
+    return PreparedPolicy(instance, traces, partial(frugal_batch, rule), labels, model)
 

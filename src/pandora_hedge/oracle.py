@@ -39,7 +39,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
 from .distkit import Numeric, running_sum
 from .instance import Instance
-from .policies import IntegerGrid, _exact_columns, prepare_policy
+from .policies import IntegerGrid, _exact_columns, _weighted_sum, prepare_policy
 from .sampling import trial_chunks
 
 
@@ -68,21 +68,22 @@ def opt_value_single_oi(instance: Instance, budget: int = DEFAULT_BUDGET) -> Num
     return _opt_value_single(instance, budget, allow_uninspected=False)
 
 
-def _dp_items(grid: IntegerGrid) -> list[tuple]:
+def _dp_items(grid: IntegerGrid, instance: Instance) -> list[tuple]:
     """Per item, the DP's (inspect start, atoms, Q_m, mean) in units of 1/D:
     the start is Q_m x cost and the atoms are (value, Q_m x probability)
     pairs, ints in exact mode and the instance's own numbers in float mode."""
-    unit = grid.D // grid.L
+    unit, scaled = grid.D // grid.L, grid.instance
+    pairs = (grid.atoms(item.dist) for item in instance.items)
     return [
         (q * unit * item.cost, tuple((v * unit, p) for v, p in atoms), q, unit * ix.mu)
-        for item, ix, q, atoms in zip(grid.instance.items, grid.instance.indices, grid.Q, grid.item_atoms)
+        for item, ix, (q, atoms) in zip(scaled.items, scaled.indices, pairs)
     ]
 
 
 def _opt_value_single(instance: Instance, budget: int, allow_uninspected: bool) -> Numeric:
     check_budget(_single_dp_cost(instance), budget, "single-item DP")
     grid = IntegerGrid(instance)
-    items = _dp_items(grid)
+    items = _dp_items(grid, instance)
     n = len(items)
 
     @lru_cache(maxsize=None)
@@ -148,8 +149,8 @@ def opt_value_comb_noi(
         raise ValueError("model and instance disagree on the number of items")
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
     grid = IntegerGrid(instance, model)
-    items = _dp_items(grid)
-    rows = [(ix.mu, *(v for v, _ in atoms)) for ix, atoms in zip(grid.instance.indices, grid.item_atoms)]
+    items = _dp_items(grid, instance)
+    rows = [(ix.mu, *item.dist.values) for item, ix in zip(grid.instance.items, grid.instance.indices)]
     strides = [math.prod(len(row) for row in rows[:m]) for m in range(len(rows))]
     size = math.prod(len(row) for row in rows)
     val = _stop_values(grid, rows, strides, size)
@@ -170,15 +171,15 @@ def opt_value_comb_noi(
 def pi_surrogate_bound(instance: Instance, policy: str, budget: int = DEFAULT_BUDGET) -> Numeric:
     """The exact policy-dependent one-shot lower bound E[min W^pi]: W^pi_n is
     max(X_n, u_rsv) if the policy's trace inspected item n, else mu_n, on
-    object arrays of ``evaluate_exact``'s columns (``_exact_columns``)."""
-    grid = IntegerGrid(instance)
-    prepared, indices = prepare_policy(grid.instance, policy), grid.instance.indices
-    denominator, chunks = _exact_columns(grid, prepared.draws_coins, budget, "pi-surrogate bound", object)
-    total = 0
-    for weights, prices, labels in chunks:
+    object arrays of ``evaluate_exact``'s columns, by ``_weighted_sum``."""
+    prepared = prepare_policy(IntegerGrid(instance).instance, policy)  # labelled once, on the grid's numbers
+    grid, denominator, chunks = _exact_columns(instance, None, prepared.label_probs, budget, "pi-surrogate bound")
+
+    def w_pi(prices, labels):
         traces = prepared.traces(prices, labels if prepared.draws_coins else None)
-        for w, row, trace in zip(weights, prices.T.tolist(), traces):
+        for row, trace in zip(prices.T.tolist(), traces):
             inspected = set(trace.inspection_order)
-            w_pi = min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in enumerate(zip(row, indices)))
-            total = total + w * grid.number(w_pi)
-    return grid.leave(total, denominator)
+            pairs = enumerate(zip(row, prepared.instance.indices))
+            yield grid.number(min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in pairs))
+
+    return _weighted_sum(grid, denominator, chunks(object), w_pi)

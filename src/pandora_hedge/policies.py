@@ -90,8 +90,7 @@ class IntegerGrid:
         probs = [x for item, ix in pairs for x in (*item.dist.probs, ix.p_hedge)]
         self.exact = all(map(_is_exact, numbers + probs))
         self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
-        self.Q = tuple(_prob_lcm(item.dist) if self.exact else 1 for item in instance.items)
-        self.D = self.L * math.prod(self.Q)
+        self.D = self.L * math.prod(_prob_lcm(item.dist) for item in instance.items) if self.exact else 1
         self.number = int if self.exact else float  # a grid total as a Python number
 
     def scale(self, x: Numeric) -> Numeric:
@@ -106,22 +105,17 @@ class IntegerGrid:
         q = _prob_lcm(dist)
         return q, tuple((self.scale(v), p.numerator * (q // p.denominator)) for v, p in dist.atoms)
 
-    @cached_property
-    def item_atoms(self) -> tuple:
-        """Each item's price ``atoms``, over its Q_n."""
-        return tuple(self.atoms(item.dist)[1] for item in self._instance.items)
-
-    def label_weights(self, p_hedge: Sequence[Numeric]) -> tuple[list, int]:
-        """Each item's (labelled, unlabelled) weight under its hedging
-        probability p, and the denominator of a sum of grid totals weighted
-        by them and by ``item_atoms``: in exact mode the ints (p h, (1 - p) h
-        Q_n), h being p's denominator and Q_n the weight a labelled item's
-        atoms add, over L x the Q_n h of every item that p may label; in float
-        mode (p, 1 - p) over 1."""
+    def label_weights(self, p_label: Sequence[Numeric], qs: Sequence[int]) -> tuple[list, int]:
+        """Each item's (labelled, unlabelled) weight under its labelling
+        probability p, and the denominator of a sum of grid totals weighted by
+        them and by its enumerated distribution's ``atoms``, whose probability
+        lcm is q: in exact mode the ints (p h, (1 - p) h q), h being p's
+        denominator, over L x the q h of every item that p may label; in
+        float mode (p, 1 - p) over 1."""
         if not self.exact:
-            return [(p, 1 - p) for p in p_hedge], 1
-        weights = [(p.numerator, (p.denominator - p.numerator) * q) for p, q in zip(p_hedge, self.Q)]
-        return weights, self.L * math.prod(q * p.denominator for p, q in zip(p_hedge, self.Q) if p != 0)
+            return [(p, 1 - p) for p in p_label], 1
+        weights = [(p.numerator, (p.denominator - p.numerator) * q) for p, q in zip(p_label, qs)]
+        return weights, self.L * math.prod(q * p.denominator for p, q in zip(p_label, qs) if p != 0)
 
     def leave(self, total: Numeric, denominator: int) -> Numeric:
         """The value of ``total`` over ``denominator``: ``Fraction(total,
@@ -166,25 +160,35 @@ class PreparedPolicy:
     done once: the package's one way to run, trace or evaluate a policy.
     ``evaluate_exact``, ``evaluate_mc`` and ``iter_trials`` take it alone.
 
-    ``traces(prices, coins)`` maps an (items x trials) object array of the
-    instance's own prices (and, for a policy that ``draws_coins``, a label
-    array of the same shape) to the trials' traces; ``run(realization,
-    coins)`` is its one-trial form.  ``batch(grid)`` builds the array form on
-    the ``IntegerGrid`` of the instance and ``model`` (the combinatorial
-    model of a combinatorial policy, else None): a function that maps
-    an (items x trials) array of the grid's prices in
-    ``array_dtype(grid.instance)`` (and the labels) to the trials' totals on
-    the grid.  Monte Carlo and exact evaluation run the array form;
-    ``--trace`` and ``pi_surrogate_bound`` (on exact evaluation's columns)
-    run the traces.  Only local hedging draws coins: its labels are drawn
-    afresh each trial.
+    ``labels`` are the items it may inspect, fixed for every trial, or None
+    for local hedging, which ``draws_coins``: its labels are drawn afresh
+    each trial.  ``traces(prices, coins)`` maps an (items x trials) object
+    array of the instance's own prices (and, for a policy that draws coins,
+    a label array of the same shape) to the trials' traces;
+    ``run(realization, coins)`` is its one-trial form.  ``batch(grid)``
+    builds the array form on the ``IntegerGrid`` of the instance and
+    ``model`` (the combinatorial model of a combinatorial policy, else
+    None): a function that maps an (items x trials) array of the grid's
+    prices in ``array_dtype(grid.instance)`` (and the labels) to the
+    trials' totals on the grid.  Monte Carlo and exact evaluation run the
+    array form; ``--trace`` and ``pi_surrogate_bound`` (on exact
+    evaluation's columns) run the traces.
     """
 
     instance: Instance
     traces: Callable[[np.ndarray, Optional[np.ndarray]], list]
     batch: Callable[[IntegerGrid], Callable]
-    draws_coins: bool = False
+    labels: Optional[tuple[bool, ...]]
     model: object = None
+
+    @property
+    def draws_coins(self) -> bool:
+        return self.labels is None
+
+    @property
+    def label_probs(self) -> list:
+        """Each item's labelling probability: p_hedge if it draws coins, else its fixed label as 1 or 0."""
+        return [ix.p_hedge for ix in self.instance.indices] if self.labels is None else [int(b) for b in self.labels]
 
     def run(self, realization: Realization, coins: Optional[HedgeCoins] = None) -> PolicyTrace:
         if self.draws_coins and coins is None:
@@ -348,7 +352,7 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
 
         return totals
 
-    return PreparedPolicy(instance, traces, batch, draws_coins=labels is None)
+    return PreparedPolicy(instance, traces, batch, labels)
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -400,89 +404,88 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
             instance,
             _column_traces(inspect_all),
             lambda grid: lambda prices, coins: running_sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
+            (True,) * len(instance),
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
-
-
-def _price_rows(
-    atoms: Sequence[Sequence[tuple]], ids: Sequence[int], base: Sequence[Numeric], weight: Numeric = 1
-):
-    """Yield (weight, price row) over the product of ``atoms[n]`` for n in
-    ``ids``, multiplying ``weight`` by each atom's weight in turn; every
-    other entry of the row keeps its ``base`` value.  The package's one
-    weight generator: in exact mode the weights are int numerators
-    (``IntegerGrid.atoms``), in float mode the atoms' own probabilities."""
-    for combo in itertools.product(*(atoms[n] for n in ids)):
-        prob = weight
-        row = list(base)
-        for n, (v, p) in zip(ids, combo):
-            row[n] = v
-            prob = prob * p
-        yield prob, row
 
 
 EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's memory
 
 
-def _weighted_columns(grid: IntegerGrid, p_hedge: Sequence[Numeric]):
-    """Yield (weight, price row, labels) on ``grid`` over the label vectors of
-    ``p_hedge``: items with hedging probability 0 or 1 have a fixed label,
-    the others branch both ways.  A vector's rows run over the supports of
-    its labelled items; every other item is priced at its mean, exactly the
-    expectation of a price that no trial inspects.  A weight multiplies the
-    branching items' ``IntegerGrid.label_weights`` and the labelled items'
-    ``item_atoms`` weights: int numerators over the labels' denominator in
-    exact mode, the probabilities themselves in float mode."""
-    mus = [ix.mu for ix in grid.instance.indices]
-    shares, _ = grid.label_weights(p_hedge)
-    varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1]
+def _weighted_columns(atoms: Sequence[tuple], p_label: Sequence[Numeric], shares: Sequence[tuple], base: list):
+    """Yield (weight, price row, labels) over the label vectors of
+    ``p_label``: a label of probability 1 or 0 is fixed, the others branch.
+    A vector's rows run over the product of its labelled items' ``atoms``;
+    every other item keeps its ``base`` price, its mean, the expectation of
+    a price that no trial inspects.  A weight multiplies the branching
+    items' ``IntegerGrid.label_weights`` shares and the labelled atoms'
+    weights: int numerators in exact mode, probabilities in float mode."""
+    varying = [n for n, p in enumerate(p_label) if 0 < p < 1]
     for combo in itertools.product((True, False), repeat=len(varying)):
-        labels = [p == 1 for p in p_hedge]
+        labels = [p == 1 for p in p_label]
         weight = 1
         for n, lab in zip(varying, combo):
             labels[n] = lab
             weight = weight * shares[n][0 if lab else 1]
-        for prob, row in _price_rows(grid.item_atoms, [n for n, lab in enumerate(labels) if lab], mus, weight):
+        ids = [n for n, lab in enumerate(labels) if lab]
+        for picked in itertools.product(*(atoms[n] for n in ids)):
+            prob = weight
+            row = list(base)
+            for n, (v, p) in zip(ids, picked):
+                row[n] = v
+                prob = prob * p
             yield prob, row, labels
 
 
-def _exact_columns(grid: IntegerGrid, hedged: bool, budget: int, what: str, dtype=None):
-    """The package's one exact enumeration: charges its branches against
-    ``budget`` and returns the denominator that a weighted sum of grid totals
-    leaves by, and (weights, prices, labels) chunks of ``EXACT_CHUNK``
-    ``_weighted_columns`` of ``grid`` as (items x columns) arrays, the prices
-    in ``dtype`` (default ``array_dtype``).  Local hedging (``hedged``)
-    enumerates label vectors; every other policy labels every item."""
-    p_hedge = [ix.p_hedge if hedged else 1 for ix in grid.instance.indices]
-    branches = math.prod(len(item.dist) + (p != 1) for item, p in zip(grid.instance.items, p_hedge) if p != 0)
-    check_budget(branches, budget, what)
-    dtype = array_dtype(grid.instance) if dtype is None else dtype
+def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, what: str, dists=None):
+    """The package's one exact enumeration: item n's price follows
+    ``dists[n]`` (by default its own distribution), labelled with
+    probability ``p_label[n]``: 1 enumerates its atoms, 0 prices it at its
+    mean, anything else branches on both labels.  The product over p != 0 of
+    (|dist| + [p != 1]) is charged against ``budget`` before anything is
+    built.  Returns the ``IntegerGrid``, the denominator that a weighted sum
+    of grid totals leaves by, and ``chunks(dtype)``: ``EXACT_CHUNK``
+    ``_weighted_columns`` at a time as (weights, prices, labels), the prices
+    an (items x columns) array in ``dtype`` (by default ``array_dtype``)."""
+    dists = [item.dist for item in instance.items] if dists is None else dists
+    check_budget(math.prod([len(d) + (p != 1) for d, p in zip(dists, p_label) if p != 0]), budget, what)
+    grid = IntegerGrid(instance, model)
+    qs, atoms = zip(*map(grid.atoms, dists))
+    shares, denominator = grid.label_weights(p_label, qs)
+    means = [ix.mu for ix in grid.instance.indices] if any(p != 1 for p in p_label) else [None] * len(dists)
+    fixed = None if any(0 < p < 1 for p in p_label) else np.array([[p == 1] for p in p_label])
 
-    def chunks():
-        columns = _weighted_columns(grid, p_hedge)
+    def chunks(dtype=None):
+        dtype = array_dtype(grid.instance) if dtype is None else dtype
+        columns = _weighted_columns(atoms, p_label, shares, means)
         while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
             weights, rows, labels = zip(*chunk)
-            yield weights, np.array(rows, dtype=dtype).T, np.array(labels, dtype=bool).T
+            labels = np.array(labels, dtype=bool).T if fixed is None else fixed.repeat(len(weights), axis=1)
+            yield weights, np.array(rows, dtype=dtype).T, labels
 
-    return grid.label_weights(p_hedge)[1], chunks()
+    return grid, denominator, chunks
+
+
+def _weighted_sum(grid: IntegerGrid, denominator: int, chunks, values: Callable) -> Numeric:
+    """The package's one weighted sum: weight x ``values(prices, labels)``
+    over ``_exact_columns``' chunks in enumeration order, leaving by
+    ``IntegerGrid.leave``."""
+    total = 0
+    for weights, prices, labels in chunks:
+        for w, v in zip(weights, values(prices, labels)):
+            total = total + w * v
+    return grid.leave(total, denominator)
 
 
 def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
     """Exact expected total cost of a prepared policy on its instance: its
-    array form runs on ``_exact_columns`` of the ``IntegerGrid`` of the
-    instance and its model, and weight x total is summed in enumeration
-    order (ints in exact mode, the probabilities times floats in float mode)
-    and leaves by ``IntegerGrid.leave``."""
+    array form on ``_exact_columns`` of its ``label_probs``, each total a
+    Python number (ints in exact mode), summed by ``_weighted_sum``."""
     hedged = prepared.draws_coins
-    grid = IntegerGrid(prepared.instance, prepared.model)
     what = "hedged policy evaluation" if hedged else "policy evaluation"
-    denominator, chunks = _exact_columns(grid, hedged, budget, what)
+    grid, denominator, chunks = _exact_columns(prepared.instance, prepared.model, prepared.label_probs, budget, what)
     batch = prepared.batch(grid)
-    total = 0
-    for weights, prices, labels in chunks:
-        for w, t in zip(weights, batch(prices, labels if hedged else None)):
-            total = total + w * grid.number(t)
-    return grid.leave(total, denominator)
+    return _weighted_sum(grid, denominator, chunks(), lambda p, lab: map(grid.number, batch(p, lab if hedged else None)))
 
 
 def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:

@@ -260,21 +260,21 @@ def check_weitzman_trace(values: ExactValues, tol):
     (``_exact_columns``): an item is inspected iff its slot's rank is below
     the stop, and its view is then max(price, u_rsv), else u_rsv.  The
     inspected item of lowest price, ties to the lowest id, is selected at the
-    search's chosen price.  A gap leaves the grid as ``gap / L``."""
-    grid = IntegerGrid(values.instance)
-    instance, labels = grid.instance, (True,) * len(values.instance)
-    _, chunks = _exact_columns(grid, False, values.budget, "selection argmin check")
+    search's chosen price.  A gap leaves the grid as ``_div(gap, L)``."""
+    n = len(values.instance)
+    grid, _, chunks = _exact_columns(values.instance, None, [1] * n, values.budget, "selection argmin check")
+    instance, labels = grid.instance, (True,) * n
     search = reservation_batch(instance, labels)
     rank = np.argsort([n for _, n, _ in _slots(instance, labels)])[:, None]
     worst, ok = 0, True
-    for _, prices, _ in chunks:
+    for _, prices, _ in chunks():
         _, chosen, stops = search(prices, None)
         inspected, cols = rank < stops, np.arange(prices.shape[1])
         rsv = np.array(instance.reservation_prices, dtype=prices.dtype)[:, None]
         views = np.where(inspected, np.maximum(prices, rsv), rsv)
         sel = np.where(inspected, prices, np.inf).argmin(axis=0)
         ok = ok and bool((chosen == prices[sel, cols]).all())
-        worst = max(worst, grid.number((views[sel, cols] - views.min(axis=0)).max()) / grid.L)
+        worst = max(worst, _div(grid.number((views[sel, cols] - views.min(axis=0)).max()), grid.L))
     return ok and worst <= tol, worst
 
 
@@ -294,7 +294,7 @@ def check_surrogate_cost_shape(values: ExactValues, tol):
     for ts in sweeps:
         pts = [(t, next(costs)) for t in ts]
         for (t0, f0), (t1, f1), (t2, f2) in zip(pts, pts[1:], pts[2:]):
-            worst = max(worst, float(f0 + (f2 - f0) * (t1 - t0) / (t2 - t0) - f1))
+            worst = max(worst, float(f0 + _div((f2 - f0) * (t1 - t0), t2 - t0) - f1))
         worst = max(worst, *(float(f0 - f1) for (_, f0), (_, f1) in zip(pts, pts[1:])))
     return worst <= tol, worst
 

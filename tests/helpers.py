@@ -336,7 +336,7 @@ def recursive_opt_value_comb_noi(model, instance: Instance):
     does, with feasibility and the terminal cost computed once per selected
     set: the reference for deferring every selection to the stop."""
     grid = IntegerGrid(instance, model)
-    items = _dp_items(grid)
+    items = _dp_items(grid, instance)
     n = len(items)
     UNINSPECTED = 0
     SELECTED = -1
@@ -429,10 +429,15 @@ def reference_evaluate_exact(prepared):
     """Exact value of a prepared policy on its instance: its array form on
     the grid, summed with the reference weights, leaving as ``Fraction(total, L)`` (or as it
     is when every cost, support value, probability and grid number is an
-    int)."""
+    int).  Local hedging enumerates its label vectors.  In exact mode every
+    other policy enumerates every realization; in float mode it labels the
+    items of its own fixed labels and prices the others at their mean."""
     instance = prepared.instance
-    p_hedge = [ix.p_hedge if prepared.draws_coins else 1 for ix in instance.indices]
     grid = IntegerGrid(instance, prepared.model)
+    if prepared.draws_coins:
+        p_hedge = [ix.p_hedge for ix in instance.indices]
+    else:
+        p_hedge = [1 if grid.exact or lab else 0 for lab in prepared.labels]
     batch = prepared.batch(grid)
     number = int if grid.exact else float
     total = 0

@@ -26,6 +26,7 @@ from pandora_hedge import (
     prepare_policy,
     surrogate_cost,
 )
+from pandora_hedge import policies
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import RuleError, rule_for_model
 from pandora_hedge.distkit import mean, min_of_independent
@@ -194,6 +195,19 @@ class TestExpectedSurrogateCost:
         model = rank_model(1, len(inst))
         with pytest.raises(BudgetExceededError):
             expected_surrogate_cost(model, inst, SurrogateKind.LH, budget=2)
+
+    def test_budget_is_charged_before_the_grid_is_built(self, monkeypatch):
+        """A refused E[Z] builds no grid: the charge comes first."""
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built before the budget charge")
+
+        monkeypatch.setattr(combinatorial, "IntegerGrid", no_grid)
+        monkeypatch.setattr(policies, "IntegerGrid", no_grid)
+        inst = Instance([two_point_item(item_id=0), two_point_item(item_id=1)])
+        for kind in SurrogateKind:
+            with pytest.raises(BudgetExceededError):
+                expected_surrogate_cost(rank_model(1, 2), inst, kind, budget=0)
 
     def test_mc_within_band(self):
         inst = Instance([two_point_item(exact=False, item_id=0), two_point_item(exact=False, item_id=1)])

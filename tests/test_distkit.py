@@ -133,6 +133,17 @@ class TestRunningSum:
         (tol,) = [node.value for node in tree.body if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TOL"]
         assert floats == [tol] and tol.value == verify.TOL
 
+    def test_verify_divides_through_div_alone(self):
+        """An int quotient must stay exact at zero tolerance: ``verify``
+        divides only through ``distkit._div``, never by true division."""
+        tree = ast.parse(Path(verify.__file__).read_text())
+        divisions = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+        assert divisions == []
+
 
 class TestPriceSolvers:
     def test_reservation_two_point(self):

@@ -28,6 +28,7 @@ from pandora_hedge.policies import (
     IntegerGrid,
     array_dtype,
     coin_columns,
+    commit_enum_labeling,
     evaluate_exact,
     prepare_policy,
     price_columns,
@@ -41,6 +42,7 @@ from helpers import (
     frugal_engine,
     reference_comb_policy,
     reference_policy,
+    reference_weighted_columns,
     seeded_trials,
     wide_grid,
 )
@@ -53,37 +55,31 @@ from test_grid_mc import tie_heavy, uniform
 RANDOM_CASES = 100
 
 
-def _labelled_rows(instance, draws_coins):
-    """(weight, labels, price row) in ``evaluate_exact``'s order, on the
-    instance's own numbers."""
-    p_hedge = [ix.p_hedge for ix in instance.indices]
-    varying = [n for n, p in enumerate(p_hedge) if 0 < p < 1] if draws_coins else []
-    for combo in itertools.product((True, False), repeat=len(varying)):
-        labels = [p == 1 for p in p_hedge] if draws_coins else [True] * len(instance)
-        weight = 1
-        for n, lab in zip(varying, combo):
-            labels[n] = lab
-            weight = weight * (p_hedge[n] if lab else 1 - p_hedge[n])
-        ids = [n for n, lab in enumerate(labels) if lab]
-        for atoms in itertools.product(*(instance.items[n].dist.atoms for n in ids)):
-            prob = weight
-            row = [ix.mu for ix in instance.indices]
-            for n, (v, p) in zip(ids, atoms):
-                row[n] = v
-                prob = prob * p
-            yield prob, tuple(labels), tuple(row)
+def _label_probs(instance, policy):
+    """The labelling probabilities of the reference enumeration: local
+    hedging's hedging probabilities, and every item labelled (every
+    realization) for the other policies, except that in float mode
+    never-inspect and commit-enum label only the items they may inspect, as
+    ``evaluate_exact`` does; an item no trial inspects contributes its mean
+    by linearity, which the exact-mode cases check at zero tolerance."""
+    if policy == "local-hedging":
+        return [ix.p_hedge for ix in instance.indices]
+    if policy == "never-inspect" and not IntegerGrid(instance).exact:
+        return [0] * len(instance)
+    if policy == "commit-enum" and not IntegerGrid(instance).exact:
+        return [int(lab) for lab in commit_enum_labeling(instance).labels]
+    return [1] * len(instance)
 
 
 def reference_value(instance, policy, model=None):
-    """Weighted enumeration through the reference per-trial policy: label
-    vectors with unlabelled items at their mean for local hedging,
-    realizations otherwise."""
+    """Weighted enumeration through the reference per-trial policy over
+    ``reference_weighted_columns`` of ``_label_probs``."""
     run = reference_policy(instance, policy) if model is None else reference_comb_policy(model, instance, policy)
     draws_coins = policy == "local-hedging"
     total = 0
-    for prob, labels, row in _labelled_rows(instance, draws_coins):
-        coins = HedgeCoins(labels) if draws_coins else None
-        total = total + prob * run(Realization(row), coins).total_cost
+    for prob, row, labels in reference_weighted_columns(instance, _label_probs(instance, policy)):
+        coins = HedgeCoins(tuple(labels)) if draws_coins else None
+        total = total + prob * run(Realization(tuple(row)), coins).total_cost
     return total
 
 
@@ -158,8 +154,10 @@ def test_all_never_inspect_weights_are_ints():
     1, yet the value is a Fraction, not an int quotient."""
     inst = _costly([(F(1), F(2)), (F(0), F(5, 3)), (F(1, 7), F(3))], F(9))
     assert all(ix.p_hedge == 0 for ix in inst.indices)
-    rows = list(policies._weighted_columns(IntegerGrid(inst), [ix.p_hedge for ix in inst.indices]))
-    assert len(rows) == 1 and type(rows[0][0]) is int
+    p_hedge = [ix.p_hedge for ix in inst.indices]
+    _, _, chunks = policies._exact_columns(inst, None, p_hedge, 1, "hedged policy evaluation")
+    ((weights, _, _),) = chunks(object)
+    assert weights == (1,) and type(weights[0]) is int
     for policy in SINGLE_POLICIES:
         expected = reference_value(inst, policy)
         _assert_same(evaluate_exact(prepare_policy(inst, policy)), expected)
@@ -173,8 +171,10 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
     items = [tie_heavy().items[k] for k in (0, 4, 5)]
     inst = Instance([Item(n, item.cost, item.dist) for n, item in enumerate(items)])
     assert all(ix.p_hedge != 1 for ix in inst.indices) and any(0 < ix.p_hedge < 1 for ix in inst.indices)
-    labels = [lab for _, _, lab in policies._weighted_columns(IntegerGrid(inst), [ix.p_hedge for ix in inst.indices])]
-    assert labels[-1] == [False] * len(inst)
+    p_hedge = [ix.p_hedge for ix in inst.indices]
+    _, _, chunks = policies._exact_columns(inst, None, p_hedge, 10**6, "hedged policy evaluation")
+    *_, (_, _, labels) = chunks(object)
+    assert labels[:, -1].tolist() == [False] * len(inst)
     _assert_same(evaluate_exact(prepare_policy(inst, "local-hedging")), reference_value(inst, "local-hedging"))
     model = uniform(1, len(inst))
     _assert_same(evaluate_exact(prepare_comb_policy(model, inst, "local-hedging")), reference_value(inst, "local-hedging", model))
@@ -200,7 +200,7 @@ def _view_order_value(model, inst):
     cost): how exact evaluation summed each trial before it ran on the grid."""
     engine = frugal_engine(model, rule_for_model(model))
     total = 0
-    for prob, labels, row in _labelled_rows(inst, True):
+    for prob, row, labels in reference_weighted_columns(inst, _label_probs(inst, "local-hedging")):
         keys, costs, prices = hedged_view(inst, labels, row)
         total = total + prob * engine(keys, costs)(prices)[2]
     return total
@@ -285,3 +285,41 @@ def test_exact_evaluation_runs_the_array_form(monkeypatch):
         value = evaluate_exact(dataclasses.replace(prepared, batch=batch))
         assert value == evaluate_exact(prepare_policy(inst, policy))
     assert calls == [IntegerGrid(inst).L] * len(SINGLE_POLICIES)
+
+
+def _fourteen_items():
+    """14 exact items of three atoms each: 3^14 = 4,782,969 realizations."""
+    items = []
+    for n in range(14):
+        dist = DiscreteDist(((F(n, 3), F(1, 4)), (F(n + 2), F(1, 2)), (F(2 * n + 7, 2), F(1, 4))))
+        items.append(Item(n, F(1 + n % 5, 2), dist))
+    return Instance(items)
+
+
+def test_never_inspect_is_one_column():
+    """Never-inspect inspects nothing, so its exact value is the lowest mean,
+    one column charged one branch."""
+    inst = _fourteen_items()
+    expected = min(ix.mu for ix in inst.indices)
+    _assert_same(evaluate_exact(prepare_policy(inst, "never-inspect"), budget=1), F(expected))
+
+
+def test_enumeration_is_charged_the_policy_labels_only(monkeypatch):
+    """Commit-enum enumerates only the items it may inspect; the item it
+    skips is priced at its mean, with the same exact value as enumerating
+    every realization."""
+    skipped = Item(0, F(4), DiscreteDist(((F(0), F(1, 2)), (F(10), F(1, 2)))))
+    three = Item(1, F(1, 10), DiscreteDist(((F(3), F(1, 3)), (F(6), F(1, 3)), (F(9), F(1, 3)))))
+    two = Item(2, F(1, 5), DiscreteDist(((F(4), F(1, 2)), (F(8), F(1, 2)))))
+    inst = Instance([skipped, three, two])
+    prepared = prepare_policy(inst, "commit-enum")
+    assert prepared.labels == (False, True, True)
+    charged = []
+
+    def spy(required, budget, what):
+        charged.append((required, what))
+
+    monkeypatch.setattr(policies, "check_budget", spy)
+    got = evaluate_exact(prepared)
+    assert charged == [(3 * 2, "policy evaluation")]
+    _assert_same(got, reference_value(inst, "commit-enum"))

@@ -14,7 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from pandora_hedge import CombModel, FacilityLocationTerminal, SurrogateKind, UniformMatroid, ZeroTerminal, verify
+from pandora_hedge import (
+    CombModel,
+    DiscreteDist,
+    FacilityLocationTerminal,
+    Instance,
+    Item,
+    SurrogateKind,
+    UniformMatroid,
+    ZeroTerminal,
+    verify,
+)
 from pandora_hedge.cli import main
 from pandora_hedge.instancefile import LoadedInstance, load_instance, write_instance
 from pandora_hedge.randgen import random_instance
@@ -108,3 +118,20 @@ def test_string_distances_keep_zero_tolerance():
         exact = CombModel(model.family, FacilityLocationTerminal(rows), model.n_items)
         assert verify._tolerance(inst, exact) == 0.0
     assert verify._tolerance(load_instance(CORPUS / "facility_location_pair.json").instance, None) == 0.0
+
+
+def test_shape_chord_of_large_ints_stays_exact():
+    """Support values above 2^53: the chord of the concavity check is an
+    exact quotient, so a correct kernel passes at zero tolerance."""
+    d0 = DiscreteDist(
+        (
+            (0, F(97, 100)),
+            (2456465800505386285, F(1, 100)),
+            (4305351531206262316, F(1, 100)),
+            (5668458531419580254, F(1, 100)),
+        )
+    )
+    d1 = DiscreteDist(((2**63, F(1, 2)), (2**63 + 2, F(1, 2))))
+    inst = Instance([Item(0, F(1, 4), d0), Item(1, F(1, 4), d1)])
+    results = verify.run_checks(inst, CombModel(UniformMatroid(1), ZeroTerminal(), 2))
+    assert [(r.name, r.max_violation) for r in results if r.status != "pass"] == []
