@@ -228,11 +228,7 @@ def surrogate_costs(model: CombModel, pool):
 
         def greedy(prices):
             spent = np.zeros(prices.shape[1], dtype=prices.dtype)
-
-            def take(ns, cols):
-                spent[cols] += prices[ns, cols]
-
-            _greedy_select(_Bases(model.family, prices.shape[1]), prices.astype(pool), None, take)
+            _greedy_select(_Bases(model.family, prices.shape[1]), prices.astype(pool), None, prices, spent)
             return spent.tolist()
 
         return greedy
@@ -282,11 +278,8 @@ def expected_surrogate_cost_mc(
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in dists]
     columns, pool = _surrogate_dtypes(grid.model, [values for values, _ in lanes])
     costs, dtype = surrogate_costs(grid.model, pool), columns if grid.exact else pool
-    return mc_summary(
-        t / grid.L
-        for start, size in trial_chunks(trials)
-        for t in costs(sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype))
-    )
+    drawn = (sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype) for start, size in trial_chunks(trials))
+    return mc_summary(np.concatenate([grid.float_totals(costs(prices)) for prices in drawn]))
 
 
 class GreedyRule:
@@ -367,20 +360,14 @@ def rule_for_model(model: CombModel) -> GreedyRule:
 def frugal_trace(
     model: CombModel, rule: GreedyRule, instance: Instance, prices: Sequence[Numeric], labels=None
 ) -> PolicyTrace:
-    """One trial of the frugal composition of ``rule``: tentative prices
+    """One trial of the frugal composition of ``rule`` on the ``hedged_view``
+    of ``labels`` (None: frugal-oi, every item labelled): tentative prices
     start at the keys; a proposed uninspected item is inspected (its
     tentative price becomes its view price, floored at its key), a proposed
-    inspected item is selected.  With ``labels`` None (frugal-oi) every item
-    keeps its reservation price, cost and realized price, and the trial is
-    charged its running total in event order, then the terminal cost.  With
-    labels (local hedging) it runs on the ``hedged_view`` and is charged the
-    labelled costs in inspection order, the selected realized prices, then
-    the terminal cost.  Costs and prices add left to right, as the array
-    kernel adds them (see ``running_sum``)."""
-    if labels is None:
-        keys, costs, seen = instance.reservation_prices, [item.cost for item in instance.items], prices
-    else:
-        keys, costs, seen = hedged_view(instance, labels, prices)
+    inspected item is selected.  The trial is charged in event order (see
+    ``PolicyTrace``), as the array kernel charges it."""
+    view = (True,) * len(instance) if labels is None else labels
+    keys, costs, seen = hedged_view(instance, view, prices)
     tau = list(keys)
     inspected: set[int] = set()
     selected: set[int] = set()
@@ -400,17 +387,14 @@ def frugal_trace(
             tau[prop] = v if v > keys[prop] else keys[prop]
         else:
             selected.add(prop)
-            total = total + seen[prop]
+            total = total + prices[prop]
     else:
         raise RuleError("rule failed to terminate")
     if not model.is_feasible(frozenset(selected)):
         raise RuleError("rule declared completion with an infeasible set")
-    terminal = model.terminal_cost(frozenset(selected))
-    if labels is None:
-        return PolicyTrace(tuple(order), frozenset(selected), frozenset(), total + terminal)
-    order = tuple(n for n in order if labels[n])
-    total = running_sum(instance.items[n].cost for n in order) + running_sum(prices[n] for n in selected) + terminal
-    return PolicyTrace(order, frozenset(selected), frozenset(n for n in selected if not labels[n]), total, labels)
+    order, selected = tuple(n for n in order if view[n]), frozenset(selected)
+    # every selected item was inspected, on the view at least
+    return PolicyTrace(order, selected, selected.difference(order), total + model.terminal_cost(selected), labels)
 
 
 COMB_POLICIES = ("frugal-oi", "local-hedging")
@@ -458,14 +442,15 @@ class _Bases:
             self.labels[rows] = np.where(sub == old, new, sub)
 
 
-def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, take) -> None:
+def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, prices: np.ndarray, spent: np.ndarray) -> None:
     """The greedy selection step over a chunk of trials: while a trial's
     basis is open, take its pooled entry of lowest (tentative price, id) if
     that price is at most ``threshold`` (None: any).  ``pool`` is an (items x
     trials) array of tentative prices, inf where an item is not pooled; a
     taken entry leaves it, and is selected unless it no longer extends the
-    basis (a graphic edge that closes a cycle never will).  ``take(ns,
-    rows)`` charges the selections, at most one per trial per round."""
+    basis (a graphic edge that closes a cycle never will).  Each selection
+    adds its realized price from ``prices`` (items x trials) to its trial's
+    ``spent`` as it happens, at most one per trial per round."""
     cols = np.arange(pool.shape[1])
     while True:
         at = pool.argmin(axis=0)
@@ -480,7 +465,7 @@ def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, take) -> None:
         fit = bases.joins(ns, rows)
         ns, rows = ns[fit], rows[fit]
         bases.add(ns, rows)
-        take(ns, rows)
+        spent[rows] += prices[ns, rows]
 
 
 def _frugal_kernel(grid: IntegerGrid):
@@ -497,31 +482,24 @@ def _frugal_kernel(grid: IntegerGrid):
     and still extends the selection, pooling the item at max(view price,
     key).  After the last slot it selects with no threshold.
 
-    Frugal-oi adds its costs and prices in event order; local hedging adds
-    its labelled costs in inspection order, then the realized prices of the
-    selected set (added in the order of the set that ``frugal_trace`` builds),
-    then the terminal cost of the selected set, unless it is a
+    Both policies charge in event order (see ``PolicyTrace``): a labelled
+    slot's cost when it is inspected, a selection's realized price when it
+    is made, then the terminal cost of the selected set, unless it is a
     ``ZeroTerminal``.  Exact-mode totals are Python ints."""
     instance, model = grid.instance, grid.model
     costs = [item.cost for item in instance.items]
 
     def batch(prices, coins):
-        hedged = coins is not None
-        slots = _slots(instance, None if hedged else (True,) * len(instance))
+        slots = _slots(instance, None if coins is not None else (True,) * len(instance))
         trials = prices.shape[1]
         cols = np.arange(trials)
         bases = _Bases(model.family, trials)
         pool = np.full(prices.shape, np.inf, dtype=object if prices.dtype == object else np.float64)
         spent = np.zeros(trials, dtype=prices.dtype)
-
-        def take(ns, rows):
-            if not hedged:
-                spent[rows] += prices[ns, rows]
-
         for key, n, lab in slots:
-            _greedy_select(bases, pool, key, take)
+            _greedy_select(bases, pool, key, prices, spent)
             go = bases.open() & bases.joins(n, cols)
-            if hedged:
+            if coins is not None:
                 go &= coins[n] == lab
             if lab:
                 spent[go] += costs[n]
@@ -529,17 +507,10 @@ def _frugal_kernel(grid: IntegerGrid):
                 pool[n, go] = np.where(seen > key, seen, key)
             else:  # view price and key are the mean
                 pool[n, go] = key
-        _greedy_select(bases, pool, None, take)
-        totals = spent.tolist()
-        if hedged or type(model.terminal) is not ZeroTerminal:
-            rows = prices.T.tolist()
-            for t, picked in enumerate(bases.picked.T.tolist()):
-                selected = set(picked)
-                if hedged:
-                    totals[t] = totals[t] + running_sum(rows[t][n] for n in selected)
-                if type(model.terminal) is not ZeroTerminal:
-                    totals[t] = totals[t] + model.terminal_cost(frozenset(selected))
-        return totals
+        _greedy_select(bases, pool, None, prices, spent)
+        if type(model.terminal) is ZeroTerminal:
+            return spent.tolist()
+        return [s + model.terminal_cost(frozenset(p)) for s, p in zip(spent.tolist(), bases.picked.T.tolist())]
 
     return batch
 

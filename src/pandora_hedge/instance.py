@@ -63,9 +63,11 @@ class HedgeCoins:
 class PolicyTrace:
     """Record of one policy execution.
 
-    total_cost charges inspection costs for inspected items, the realized
-    price of every selected item (even when selected without inspection), and
-    the terminal cost when a combinatorial model is in play.
+    total_cost follows the package's one charging order: each charge is added
+    (left to right, ``running_sum``) when its event happens.  An inspection
+    adds its item's cost (none for an unlabelled item's view inspection), a
+    selection its item's realized price (even without inspection), and a
+    combinatorial model's terminal cost comes last.
     """
 
     inspection_order: tuple[int, ...]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .combinatorial import (
     CombModel,
@@ -23,7 +23,7 @@ from .combinatorial import (
     UniformMatroid,
     ZeroTerminal,
 )
-from .distkit import DiscreteDist, Numeric
+from .distkit import DiscreteDist, Numeric, running_sum
 from .indices import Item
 from .instance import Instance
 
@@ -60,6 +60,15 @@ def _parse_number(x: Any, where: str) -> Numeric:
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"{where}: cannot parse rational {x!r}: {exc}") from None
     raise InstanceFormatError(f"{where}: expected a number or rational string")
+
+
+def _finite(numbers: Callable[[], Iterable]) -> bool:
+    """Whether every float among ``numbers()`` is finite; forming one from an
+    int or ``Fraction`` past the float range raises, and counts as not."""
+    try:
+        return all(not isinstance(x, float) or math.isfinite(x) for x in numbers())
+    except OverflowError:
+        return False
 
 
 def _is_int(x: Any) -> bool:
@@ -169,9 +178,12 @@ def parse_document(doc: Any) -> LoadedInstance:
         cost = _parse_number(raw["cost"], f"{where}.cost")
         dist = _parse_dist(raw["dist"], where)
         try:
-            items.append(Item(id=i, cost=cost, dist=dist))
+            item = Item(id=i, cost=cost, dist=dist)
         except ValueError as exc:
             raise InstanceFormatError(f"{where}: {exc}") from None
+        if not _finite(lambda: vars(item.indices).values()):
+            raise InstanceFormatError(f"{where}: indices leave the float range")
+        items.append(item)
     instance = Instance(items)
     model = None
     if doc.get("model") is not None:
@@ -183,6 +195,11 @@ def parse_document(doc: Any) -> LoadedInstance:
             model = CombModel(family, terminal, len(items))
         except ValueError as exc:
             raise InstanceFormatError(f"model: {exc}") from None
+    # every total a policy, bound or check forms is at most this one
+    rows = model.terminal.distances if model is not None else ()
+    largest = [*(item.cost for item in items), *(item.dist.values[-1] for item in items), *map(max, rows)]
+    if not _finite(lambda: [running_sum(largest)]):
+        raise InstanceFormatError("instance: the largest total (costs, largest values, distances) leaves the float range")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InstanceFormatError("metadata: expected an object")

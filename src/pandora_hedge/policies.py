@@ -128,6 +128,14 @@ class IntegerGrid:
         given = [*self._distances, *(x for item in items for x in (item.cost, *item.dist.values, *item.dist.probs))]
         return total if all(type(x) is int for x in given) else Fraction(total, denominator)
 
+    def float_totals(self, totals) -> np.ndarray:
+        """Monte Carlo totals on the grid as a float64 array of their values:
+        each ``t / L`` in int true division in exact mode, the totals
+        themselves in float mode."""
+        if self.exact:
+            return np.array([int(t) / self.L for t in totals])
+        return np.asarray(totals, dtype=np.float64)
+
     @cached_property
     def instance(self) -> Instance:
         if not self.exact:
@@ -260,9 +268,10 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
     that trial's own stable sort.  A trial stops at its first active slot
     whose key is at least the lowest view price inspected so far.  The
     search walks the slots in blocks that double in size and keeps only the
-    trials still searching.  A trial adds its inspection costs in inspection
-    order (a slot it skips adds an exact zero), then the realized price of
-    the item with the lowest inspected view price.
+    trials still searching.  A trial is charged in event order (see
+    ``PolicyTrace``): its inspection costs in inspection order (a slot it
+    skips adds an exact zero), then the realized price of the item with the
+    lowest inspected view price, which it selects when it stops.
 
     Which of several tied items holds that lowest view price never changes a
     total: an unlabelled item's view price is its key, so it is inspected
@@ -414,7 +423,8 @@ EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's mem
 
 def _weighted_columns(atoms: Sequence[tuple], p_label: Sequence[Numeric], shares: Sequence[tuple], base: list):
     """Yield (weight, price row, labels) over the label vectors of
-    ``p_label``: a label of probability 1 or 0 is fixed, the others branch.
+    ``p_label``, the rows of one vector sharing its one labels list: a label
+    of probability 1 or 0 is fixed, the others branch.
     A vector's rows run over the product of its labelled items' ``atoms``;
     every other item keeps its ``base`` price, its mean, the expectation of
     a price that no trial inspects.  A weight multiplies the branching
@@ -453,15 +463,15 @@ def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, wh
     qs, atoms = zip(*map(grid.atoms, dists))
     shares, denominator = grid.label_weights(p_label, qs)
     means = [ix.mu for ix in grid.instance.indices] if any(p != 1 for p in p_label) else [None] * len(dists)
-    fixed = None if any(0 < p < 1 for p in p_label) else np.array([[p == 1] for p in p_label])
 
     def chunks(dtype=None):
         dtype = array_dtype(grid.instance) if dtype is None else dtype
         columns = _weighted_columns(atoms, p_label, shares, means)
         while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
             weights, rows, labels = zip(*chunk)
-            labels = np.array(labels, dtype=bool).T if fixed is None else fixed.repeat(len(weights), axis=1)
-            yield weights, np.array(rows, dtype=dtype).T, labels
+            starts = [i for i in range(len(labels)) if i == 0 or labels[i] is not labels[i - 1]]
+            vectors = np.array([labels[i] for i in starts], dtype=bool).T
+            yield weights, np.array(rows, dtype=dtype).T, vectors.repeat(np.diff([*starts, len(labels)]), axis=1)
 
     return grid, denominator, chunks
 
@@ -527,6 +537,5 @@ def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float
     for start, size in trial_chunks(trials):
         prices = price_columns(grid.instance, seed, start, size, dtype)
         coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
-        t = batch(prices, coins)
-        totals.append(np.array([int(x) / grid.L for x in t]) if grid.exact else np.asarray(t, dtype=np.float64))
+        totals.append(grid.float_totals(batch(prices, coins)))
     return mc_summary(np.concatenate(totals))

@@ -92,10 +92,7 @@ def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=
 def mc_summary(values: Iterable) -> tuple[float, float]:
     """Mean and standard error of per-trial Monte Carlo values (as floats);
     ``values`` is an iterable of numbers or an array of them."""
-    if isinstance(values, np.ndarray):
-        vals = np.asarray(values, dtype=np.float64)
-    else:
-        vals = np.fromiter((float(v) for v in values), dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64) if isinstance(values, np.ndarray) else np.fromiter(values, np.float64)
     mean_v = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean_v, stderr

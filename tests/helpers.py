@@ -73,14 +73,16 @@ def reservation_engine(keys, costs):
     """Weitzman's search on a key/cost view (see ``hedged_view``), one trial
     at a time: the reference for the library's array form.
 
-    Sorts once; the returned ``run(prices)`` inspects in ascending key order
-    (ties by id), stops when the best observed price is at most the next key,
-    and selects the cheapest observation (ties by id).  It returns (inspected
-    ids in order, selected ids, cost under the view, terminal cost 0).
+    Sorts once; the returned ``run(prices, paid=prices)`` inspects in
+    ascending key order (ties by id), stops when the best observed price is
+    at most the next key, and selects the cheapest observation (ties by id),
+    charged its ``paid`` price.  It returns (inspected ids in order, selected
+    ids, total, terminal cost 0).
     """
     order = sorted(range(len(keys)), key=lambda n: (keys[n], n))
 
-    def run(prices):
+    def run(prices, paid=None):
+        paid = prices if paid is None else paid
         best_v = None
         best_id = None
         inspected = []
@@ -91,7 +93,7 @@ def reservation_engine(keys, costs):
             v = prices[n]
             if best_id is None or v < best_v or (v == best_v and n < best_id):
                 best_v, best_id = v, n
-        return inspected, (best_id,), added(costs[n] for n in inspected) + prices[best_id], 0
+        return inspected, (best_id,), added(costs[n] for n in inspected) + paid[best_id], 0
 
     return run
 
@@ -100,15 +102,18 @@ def frugal_engine(model, rule):
     """The frugal composition of ``rule`` as an engine on a key/cost view,
     one trial at a time.
 
-    ``engine(keys, costs)`` returns ``run(prices)``: tentative prices start
-    at the keys; a proposed uninspected item is inspected (its tentative price
-    becomes the view price, floored at its key), a proposed inspected item is
-    selected.  ``run`` returns (inspected ids in order, selected ids, cost
-    under the view including the terminal cost, terminal cost).
+    ``engine(keys, costs)`` returns ``run(prices, paid=prices)``: tentative
+    prices start at the keys; a proposed uninspected item is inspected (its
+    tentative price becomes the view price, floored at its key), a proposed
+    inspected item is selected.  Each event is charged as it happens: an
+    inspection its cost, a selection its ``paid`` price.  ``run`` returns
+    (inspected ids in order, selected ids, total including the terminal cost,
+    terminal cost).
     """
 
     def engine(keys, costs):
-        def run(prices):
+        def run(prices, paid=None):
+            paid = prices if paid is None else paid
             tau = list(keys)
             inspected: set[int] = set()
             selected: set[int] = set()
@@ -131,7 +136,7 @@ def frugal_engine(model, rule):
                     tau[prop] = v if v > keys[prop] else keys[prop]
                 else:
                     selected.add(prop)
-                    total = total + prices[prop]
+                    total = total + paid[prop]
             raise RuleError("rule failed to terminate")
 
         return run
@@ -163,12 +168,12 @@ def added(values):
 
 def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
     """One trial of local hedging on any engine: the engine searches the
-    ``hedged_view``; the trace charges the true inspection costs, the
-    realized price of every selected item and the terminal cost."""
-    keys, costs, prices = hedged_view(instance, labels, realization.prices)
-    inspected, selected, _, terminal = engine(keys, costs)(prices)
+    ``hedged_view`` and charges each event as it happens: a labelled item's
+    cost at its inspection, an unlabelled one's 0, every selected item's
+    realized price at its selection, then the terminal cost."""
+    keys, costs, seen = hedged_view(instance, labels, realization.prices)
+    inspected, selected, total, _ = engine(keys, costs)(seen, realization.prices)
     order = tuple(n for n in inspected if labels[n])
-    total = added(instance.items[n].cost for n in order) + added(realization.prices[n] for n in selected) + terminal
     return PolicyTrace(
         inspection_order=order,
         selected=frozenset(selected),

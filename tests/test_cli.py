@@ -164,6 +164,31 @@ def test_ratio_fail_line_closes_ratio_block():
     ]
 
 
+class TestFloatRange:
+    """A float instance whose totals would leave the float range is refused
+    by name with exit 2, before any command runs: not a traceback, and not
+    ``Infinity`` in a JSON report."""
+
+    COSTLY = {"cost": 1e307, "dist": [{"value": 0.0, "prob": 0.5}, {"value": 1.7e308, "prob": 0.5}]}
+    HIGH = {"cost": 0.5, "dist": [{"value": 1.6e308, "prob": 0.5}, {"value": 1.7e308, "prob": 0.5}]}
+    REFUSED = "instance: the largest total (costs, largest values, distances) leaves the float range"
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"version": "1", **doc}))
+        return str(path)
+
+    def test_matroid_bounds(self, capsys, tmp_path):
+        doc = {"items": [self.COSTLY, self.HIGH, self.HIGH], "model": {"family": {"kind": "uniform_matroid", "k": 2}}}
+        code, out, err = run_cli(capsys, "bounds", self.write(tmp_path, doc), "--json")
+        assert code == 2 and out == "" and self.REFUSED in err
+
+    def test_weitzman_monte_carlo(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"items": [self.COSTLY, self.HIGH]})
+        code, out, err = run_cli(capsys, "simulate", path, "--policy", "weitzman", "--trials", "50", "--json")
+        assert code == 2 and out == "" and self.REFUSED in err
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
     def test_bad_budget_flag_exit_2(self, capsys, value):

@@ -71,9 +71,10 @@ def _facility(n, family):
 
 
 def _wide_float():
-    """Twelve float items with off-grid values: ids past a Python set's first
-    table, so that local hedging's sum over the selected set runs in the
-    set's own order, not by id, and rounds differently."""
+    """Twelve float items with off-grid values, several selected per trial:
+    a selected price charged out of event order (by id, or in the order of a
+    Python set, which differs from id order once ids pass 7) rounds
+    differently."""
     rng = random.Random(12)
     items = []
     for n in range(12):
@@ -156,6 +157,21 @@ def test_float_sums_add_left_to_right():
     batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
     assert batch(np.zeros((3, 1)), np.ones((3, 1), dtype=bool)) == [three]
     assert combinatorial.surrogate_cost(model, [0.3, 0.1, 0.2])[0] == three
+    # U(2) over point masses 0.2 (cost 0.1) and 0.7 (cost 0.3): item 0 is
+    # inspected and selected before item 1's key is reached, so local hedging
+    # adds 0.1, 0.2, 0.3, 0.7 in that event order (the costs first, then the
+    # prices would give another float) in the trace, kernel and reference
+    (c0, v0), (c1, v1) = (0.1, 0.2), (0.3, 0.7)
+    events = c0 + v0 + c1 + v1
+    assert events != (c0 + c1) + (v0 + v1)
+    inst = Instance([Item(0, c0, DiscreteDist.point_mass(v0)), Item(1, c1, DiscreteDist.point_mass(v1))])
+    model = CombModel(UniformMatroid(2), ZeroTerminal(), 2)
+    realization, labels = Realization((v0, v1)), HedgeCoins((True, True))
+    trace = prepare_comb_policy(model, inst, "local-hedging").run(realization, labels)
+    assert trace.inspection_order == (0, 1) and trace.total_cost == events
+    batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
+    assert batch(np.array([[v0], [v1]]), np.ones((2, 1), dtype=bool)) == [events]
+    assert reference_comb_policy(model, inst, "local-hedging")(realization, labels).total_cost == events
 
 
 def test_cases_reach_the_inspected_first_tie(monkeypatch):
@@ -164,8 +180,8 @@ def test_cases_reach_the_inspected_first_tie(monkeypatch):
     test the tie rule."""
     real = combinatorial._greedy_select
 
-    def slot_first(bases, pool, threshold, take):
-        real(bases, pool, None if threshold is None else threshold - 1, take)
+    def slot_first(bases, pool, threshold, prices, spent):
+        real(bases, pool, None if threshold is None else threshold - 1, prices, spent)
 
     monkeypatch.setattr(combinatorial, "_greedy_select", slot_first)
     changed = 0

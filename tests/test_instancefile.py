@@ -169,6 +169,33 @@ class TestRejectedInputs:
             load_instance(path)
 
     @pytest.mark.parametrize(
+        "item",
+        [
+            # u_rsv = 1e308 + 1.7e308 overflows
+            {"cost": 1e308, "dist": [{"value": 1.7e308, "prob": 1}]},
+            # an exact value past the float range, weighted by a float probability
+            {"cost": "1", "dist": [{"value": "1e400", "prob": 1.0}]},
+            {"cost": 0.5, "dist": [{"value": 0, "prob": 0.5}, {"value": 10**400, "prob": 0.5}]},
+        ],
+    )
+    def test_indices_past_the_float_range(self, item):
+        doc = json.loads(json.dumps(GOLDEN_DOC))
+        doc["items"].append(item)
+        with pytest.raises(InstanceFormatError, match=r"items\[2\]: indices leave the float range"):
+            parse_document(doc)
+
+    def test_largest_distance_past_the_float_range(self):
+        term = {"kind": "facility_location", "distances": [[0, 1.7e308], [1e308, 0]]}
+        with pytest.raises(InstanceFormatError, match="instance: the largest total .* leaves the float range"):
+            parse_document(model_doc({"kind": "uniform_matroid", "k": 1}, term))
+
+    def test_exact_numbers_past_the_float_range_are_kept(self):
+        doc = json.loads(json.dumps(GOLDEN_DOC))
+        doc["items"][1]["dist"][1]["value"] = "1e400"
+        doc["items"][0]["cost"] = "1e400"
+        assert parse_document(doc).instance.items[1].dist.values[1] == 10**400
+
+    @pytest.mark.parametrize(
         "family, where",
         [
             ({"kind": "uniform_matroid", "k": True}, r"model\.family\.k"),

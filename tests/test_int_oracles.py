@@ -264,9 +264,9 @@ def test_mixed_int_and_float_prices_pool_in_float64(monkeypatch):
     pools, draws = [], []
     real_select, real_sample = combinatorial._greedy_select, combinatorial.sample_columns
 
-    def select(bases, pool, threshold, take):
+    def select(bases, pool, threshold, prices, spent):
         pools.append(pool.dtype)
-        return real_select(bases, pool, threshold, take)
+        return real_select(bases, pool, threshold, prices, spent)
 
     def sample(*args):
         draws.append(args[-1])
