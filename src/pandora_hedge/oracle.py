@@ -30,6 +30,7 @@ in the same order of operations.  The optimum leaves by
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -39,7 +40,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
 from .distkit import Numeric, running_sum
 from .instance import Instance
-from .policies import IntegerGrid, _exact_columns, _weighted_sum, prepare_policy
+from .policies import IntegerGrid, _digits, _exact_columns, _weighted_sum, prepare_policy
 from .sampling import trial_chunks
 
 
@@ -118,19 +119,18 @@ def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
     return math.prod(s + 1 for s in sizes) * running_sum(sizes)
 
 
-def _stop_values(grid: IntegerGrid, rows: list[tuple], strides: list[int], size: int) -> list:
-    """The stop value of each observation state 0..size-1 in units of 1/D:
+def _stop_values(grid: IntegerGrid, rows: list[tuple]) -> list:
+    """The stop value of each observation state in units of 1/D:
     ``surrogate_costs`` on the states as columns, one ``trial_chunks`` chunk
-    at a time, item m's price (in units of 1/L) being ``rows[m][state //
-    strides[m] % len(rows[m])]``, times D/L (exact on ints, 1 in float mode)."""
+    at a time, item m's price (in units of 1/L) being ``rows[m]`` at the
+    state's m-th ``_digits``, times D/L (exact on ints, 1 in float mode)."""
     dtype, pool = _surrogate_dtypes(grid.model, rows)
-    lookup = [np.array(row, dtype=dtype) for row in rows]
+    lookup, sizes = [np.array(row, dtype=dtype) for row in rows], [len(row) for row in rows]
     costs, unit = surrogate_costs(grid.model, pool), grid.D // grid.L
     stops = []
-    for start, count in trial_chunks(size):
-        states = np.arange(start, start + count)
-        prices = np.array([row[states // stride % len(row)] for row, stride in zip(lookup, strides)], dtype=dtype)
-        stops += [unit * c for c in costs(prices)]
+    for start, count in trial_chunks(math.prod(sizes)):
+        digits = _digits(np.arange(start, start + count), sizes)
+        stops += [unit * c for c in costs(np.array([row[d] for row, d in zip(lookup, digits)], dtype=dtype))]
     return stops
 
 
@@ -143,21 +143,22 @@ def opt_value_comb_noi(
     item's code (uninspected, or observed at its k-th support value), and
     its stop value is the one-shot optimum over its prices, an item's price
     being its observed value, or its mean while uninspected
-    (``_stop_values``).  An inspect branch leads to states of larger index,
-    so one backward sweep over the indices solves the DP."""
+    (``_stop_values``).  The codes are a state's ``_digits``, the last item
+    fastest, so an inspect branch of item m leads to state + k x stride_m,
+    a larger index, and one backward sweep over the indices solves the DP."""
     if model.n_items != len(instance):
         raise ValueError("model and instance disagree on the number of items")
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
     grid = IntegerGrid(instance, model)
     items = _dp_items(grid, instance)
     rows = [(ix.mu, *item.dist.values) for item, ix in zip(grid.instance.items, grid.instance.indices)]
-    strides = [math.prod(len(row) for row in rows[:m]) for m in range(len(rows))]
-    size = math.prod(len(row) for row in rows)
-    val = _stop_values(grid, rows, strides, size)
-    for state in reversed(range(size)):
+    sizes = [len(row) for row in rows]
+    strides = [math.prod(sizes[m + 1 :]) for m in range(len(rows))]
+    val = _stop_values(grid, rows)
+    for state in reversed(range(len(val))):
         best = val[state]
-        for (inspect, atoms, q, _), stride, row in zip(items, strides, rows):
-            if state // stride % len(row):
+        for (inspect, atoms, q, _), digit, stride in zip(items, _digits(state, sizes), strides):
+            if digit:
                 continue  # observed
             for k, (_, p) in enumerate(atoms, 1):
                 inspect = inspect + p * val[state + k * stride]
@@ -172,14 +173,14 @@ def pi_surrogate_bound(instance: Instance, policy: str, budget: int = DEFAULT_BU
     """The exact policy-dependent one-shot lower bound E[min W^pi]: W^pi_n is
     max(X_n, u_rsv) if the policy's trace inspected item n, else mu_n, on
     object arrays of ``evaluate_exact``'s columns, by ``_weighted_sum``."""
-    prepared = prepare_policy(IntegerGrid(instance).instance, policy)  # labelled once, on the grid's numbers
+    prepared = prepare_policy(instance, policy)  # labelled once; its traces run on the instance's own numbers
     grid, denominator, chunks = _exact_columns(instance, None, prepared.label_probs, budget, "pi-surrogate bound")
 
     def w_pi(prices, labels):
-        traces = prepared.traces(prices, labels if prepared.draws_coins else None)
+        traces = prepared.traces(prices * Fraction(1, grid.L), labels if prepared.draws_coins else None)
         for row, trace in zip(prices.T.tolist(), traces):
             inspected = set(trace.inspection_order)
-            pairs = enumerate(zip(row, prepared.instance.indices))
+            pairs = enumerate(zip(row, grid.instance.indices))
             yield grid.number(min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in pairs))
 
     return _weighted_sum(grid, denominator, chunks(object), w_pi)

@@ -9,7 +9,6 @@ sampling contract, so estimates do not depend on execution order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -421,30 +420,14 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
 EXACT_CHUNK = 512  # weighted columns run at once: bounds exact evaluation's memory
 
 
-def _weighted_columns(atoms: Sequence[tuple], p_label: Sequence[Numeric], shares: Sequence[tuple], base: list):
-    """Yield (weight, price row, labels) over the label vectors of
-    ``p_label``, the rows of one vector sharing its one labels list: a label
-    of probability 1 or 0 is fixed, the others branch.
-    A vector's rows run over the product of its labelled items' ``atoms``;
-    every other item keeps its ``base`` price, its mean, the expectation of
-    a price that no trial inspects.  A weight multiplies the branching
-    items' ``IntegerGrid.label_weights`` shares and the labelled atoms'
-    weights: int numerators in exact mode, probabilities in float mode."""
-    varying = [n for n, p in enumerate(p_label) if 0 < p < 1]
-    for combo in itertools.product((True, False), repeat=len(varying)):
-        labels = [p == 1 for p in p_label]
-        weight = 1
-        for n, lab in zip(varying, combo):
-            labels[n] = lab
-            weight = weight * shares[n][0 if lab else 1]
-        ids = [n for n, lab in enumerate(labels) if lab]
-        for picked in itertools.product(*(atoms[n] for n in ids)):
-            prob = weight
-            row = list(base)
-            for n, (v, p) in zip(ids, picked):
-                row[n] = v
-                prob = prob * p
-            yield prob, row, labels
+def _digits(index, sizes: Sequence) -> list:
+    """The package's one mixed-radix digit rule: the digits of ``index`` (an
+    int or an int array) over ``sizes`` (ints or arrays), the last fastest."""
+    digits = []
+    for size in reversed(sizes):
+        index, digit = divmod(index, size)
+        digits.append(digit)
+    return digits[::-1]
 
 
 def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, what: str, dists=None):
@@ -452,26 +435,45 @@ def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, wh
     ``dists[n]`` (by default its own distribution), labelled with
     probability ``p_label[n]``: 1 enumerates its atoms, 0 prices it at its
     mean, anything else branches on both labels.  The product over p != 0 of
-    (|dist| + [p != 1]) is charged against ``budget`` before anything is
-    built.  Returns the ``IntegerGrid``, the denominator that a weighted sum
-    of grid totals leaves by, and ``chunks(dtype)``: ``EXACT_CHUNK``
-    ``_weighted_columns`` at a time as (weights, prices, labels), the prices
-    an (items x columns) array in ``dtype`` (by default ``array_dtype``)."""
+    (|dist| + [p != 1]) is charged against ``budget`` (at most 2^63 - 1)
+    before anything is built.  Returns the ``IntegerGrid``, the denominator
+    that a weighted sum of grid totals leaves by, and ``chunks(dtype)``:
+    ``EXACT_CHUNK`` columns at a time as (weights, prices, labels), the
+    prices an (items x columns) array in ``dtype`` (by default
+    ``array_dtype``).  Column j's label vector (``itertools.product((True,
+    False))`` order over the branching items) is the last to start at or
+    before j, its atoms are the ``_digits`` of j minus that start over the
+    labelled items' sizes, and its weight is its vector's ``label_weights``
+    shares times its atoms'."""
     dists = [item.dist for item in instance.items] if dists is None else dists
-    check_budget(math.prod([len(d) + (p != 1) for d, p in zip(dists, p_label) if p != 0]), budget, what)
+    branches = math.prod([len(d) + (p != 1) for d, p in zip(dists, p_label) if p != 0])
+    check_budget(branches, min(budget, 2**63 - 1), what)  # a column's index is an int64
     grid = IntegerGrid(instance, model)
     qs, atoms = zip(*map(grid.atoms, dists))
     shares, denominator = grid.label_weights(p_label, qs)
     means = [ix.mu for ix in grid.instance.indices] if any(p != 1 for p in p_label) else [None] * len(dists)
+    counts, weights = np.ones(1, dtype=np.int64), np.ones(1, dtype=object)  # per label vector
+    for a, p, share in zip(atoms, p_label, shares):  # its labels' column counts, first item slowest
+        counts = np.outer(counts, [len(a)] * (p != 0) + [1] * (p != 1)).ravel()
+        if 0 < p < 1:
+            weights = np.outer(weights, np.array(share, dtype=object)).ravel()
+    starts, total = np.cumsum(counts) - counts, int(counts.sum())
+    probs = [np.array([p for _, p in a] + [1], dtype=object) for a in atoms]  # 1 for an unlabelled column
 
     def chunks(dtype=None):
         dtype = array_dtype(grid.instance) if dtype is None else dtype
-        columns = _weighted_columns(atoms, p_label, shares, means)
-        while chunk := list(itertools.islice(columns, EXACT_CHUNK)):
-            weights, rows, labels = zip(*chunk)
-            starts = [i for i in range(len(labels)) if i == 0 or labels[i] is not labels[i - 1]]
-            vectors = np.array([labels[i] for i in starts], dtype=bool).T
-            yield weights, np.array(rows, dtype=dtype).T, vectors.repeat(np.diff([*starts, len(labels)]), axis=1)
+        values = [np.array([v for v, _ in a] + [mu] * (p != 1), dtype=dtype) for a, mu, p in zip(atoms, means, p_label)]
+        for start in range(0, total, EXACT_CHUNK):
+            j = np.arange(start, min(start + EXACT_CHUNK, total))
+            v = np.searchsorted(starts, j, side="right") - 1
+            bits = _digits(v, [2 if 0 < p < 1 else 1 for p in p_label])  # 0: labelled, where p != 0
+            labels = np.array([(b == 0) & (p != 0) for b, p in zip(bits, p_label)])
+            digits = _digits(j - starts[v], [np.where(lab, len(a), 1) for lab, a in zip(labels, atoms)])
+            at = [np.where(lab, d, len(a)) for lab, d, a in zip(labels, digits, atoms)]  # len(a): the mean
+            w = weights[v]
+            for prob, i in zip(probs, at):
+                w = w * prob[i]
+            yield w.tolist(), np.array([vals[i] for vals, i in zip(values, at)], dtype=dtype), labels
 
     return grid, denominator, chunks
 

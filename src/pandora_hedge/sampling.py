@@ -91,8 +91,13 @@ def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=
 
 def mc_summary(values: Iterable) -> tuple[float, float]:
     """Mean and standard error of per-trial Monte Carlo values (as floats);
-    ``values`` is an iterable of numbers or an array of them."""
+    ``values`` is an iterable of numbers or an array of them.  A result that
+    overflows on finite values x is m x its value on x / m, m = max |x|."""
     vals = np.asarray(values, dtype=np.float64) if isinstance(values, np.ndarray) else np.fromiter(values, np.float64)
-    mean_v = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return mean_v, stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_v = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    if math.isfinite(mean_v + stderr) or not np.isfinite(vals).all():
+        return mean_v, stderr
+    m = float(np.abs(vals).max())
+    return tuple(r if math.isfinite(r) else m * s for r, s in zip((mean_v, stderr), mc_summary(vals / m)))

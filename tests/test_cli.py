@@ -189,6 +189,33 @@ class TestFloatRange:
         assert code == 2 and out == "" and self.REFUSED in err
 
 
+class TestMonteCarloOverflow:
+    """A float instance that parses but whose Monte Carlo mean or variance
+    overflows in float64 still reports finite JSON numbers."""
+
+    WIDE = {"cost": 1.0, "dist": [{"value": 0.0, "prob": 0.5}, {"value": 1e200, "prob": 0.5}]}
+    HIGH = {"cost": 1.0, "dist": [{"value": 1e307, "prob": 0.5}, {"value": 1.5e307, "prob": 0.5}]}
+
+    def simulate(self, capsys, tmp_path, item):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"version": "1", "items": [item]}))
+        code, out, _ = run_cli(capsys, "simulate", str(path), "--policy", "weitzman", "--trials", "50", "--json")
+        assert code == 0
+        return json.loads(out, parse_constant=self.reject)["policy"]
+
+    @staticmethod
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in JSON output")
+
+    def test_variance_overflow(self, capsys, tmp_path):
+        policy = self.simulate(capsys, tmp_path, self.WIDE)
+        assert 0 < policy["mean"] < 1e200 and 0 < policy["stderr"] < 1e200
+
+    def test_mean_overflow(self, capsys, tmp_path):
+        policy = self.simulate(capsys, tmp_path, self.HIGH)
+        assert 1e307 <= policy["mean"] <= 1.5e307 + 1 and 0 < policy["stderr"] < 1e307
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
     def test_bad_budget_flag_exit_2(self, capsys, value):

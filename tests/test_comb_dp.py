@@ -139,9 +139,9 @@ def test_certify_matroid_files(seed, tmp_path, monkeypatch):
     sizes = []
     real = oracle._stop_values
 
-    def spy(grid, rows, strides, size):
-        sizes.append(size)
-        return real(grid, rows, strides, size)
+    def spy(grid, rows):
+        sizes.append(math.prod(len(row) for row in rows))
+        return real(grid, rows)
 
     monkeypatch.setattr(oracle, "_stop_values", spy)
     _bench_gen().generate("certify", seed, tmp_path)

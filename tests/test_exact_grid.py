@@ -21,6 +21,7 @@ from pandora_hedge import (
     prepare_comb_policy,
 )
 from pandora_hedge import policies
+from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.combinatorial import COMB_POLICIES, rule_for_model
 from pandora_hedge.instance import hedged_view
 from pandora_hedge.policies import (
@@ -157,7 +158,7 @@ def test_all_never_inspect_weights_are_ints():
     p_hedge = [ix.p_hedge for ix in inst.indices]
     _, _, chunks = policies._exact_columns(inst, None, p_hedge, 1, "hedged policy evaluation")
     ((weights, _, _),) = chunks(object)
-    assert weights == (1,) and type(weights[0]) is int
+    assert weights == [1] and type(weights[0]) is int
     for policy in SINGLE_POLICIES:
         expected = reference_value(inst, policy)
         _assert_same(evaluate_exact(prepare_policy(inst, policy)), expected)
@@ -178,6 +179,35 @@ def test_hedged_enumeration_includes_the_all_unlabelled_vector():
     _assert_same(evaluate_exact(prepare_policy(inst, "local-hedging")), reference_value(inst, "local-hedging"))
     model = uniform(1, len(inst))
     _assert_same(evaluate_exact(prepare_comb_policy(model, inst, "local-hedging")), reference_value(inst, "local-hedging", model))
+
+
+def test_columns_follow_the_reference_order(monkeypatch):
+    """Float local hedging over an item of p = 1, one of p = 0 and three
+    branching items, in chunks of 7 that straddle the label vectors: the
+    chunks concatenate to the reference enumeration column by column, each
+    weight the reference's own float product (the shares, then the labelled
+    atoms, in item order) bit for bit.  Float sums rest on this order."""
+    supports = [
+        (0.0, ((1.0, 0.5), (3.0, 0.5))),
+        (0.3, ((0.5, 0.25), (2.0, 0.25), (4.5, 0.5))),
+        (9.0, ((1.0, 0.5), (2.5, 0.5))),
+        (0.2, ((0.7, 0.3), (1.9, 0.7))),
+        (0.1, ((1.2, 0.6), (2.2, 0.4))),
+    ]
+    inst = Instance([Item(n, cost, DiscreteDist(atoms)) for n, (cost, atoms) in enumerate(supports)])
+    p_hedge = [ix.p_hedge for ix in inst.indices]
+    assert p_hedge[0] == 1 and p_hedge[2] == 0 and sum(0 < p < 1 for p in p_hedge) == 3
+    monkeypatch.setattr(policies, "EXACT_CHUNK", 7)
+    _, _, chunks = policies._exact_columns(inst, None, p_hedge, 10**6, "hedged policy evaluation")
+    got = [
+        column
+        for weights, prices, labels in chunks()
+        for column in zip(weights, prices.T.tolist(), labels.T.tolist())
+    ]
+    expected = list(reference_weighted_columns(inst, p_hedge))
+    assert len(got) == len(expected) == 2 * 4 * 3 * 3
+    for (w, row, labels), (ref_w, ref_row, ref_labels) in zip(got, expected):
+        assert type(w) is float and w == ref_w and row == ref_row and labels == ref_labels
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -299,6 +329,15 @@ def test_never_inspect_is_one_column():
     inst = _fourteen_items()
     expected = min(ix.mu for ix in inst.indices)
     _assert_same(evaluate_exact(prepare_policy(inst, "never-inspect"), budget=1), F(expected))
+
+
+def test_columns_beyond_int64_are_refused():
+    """Column indices are int64: 2^64 realizations are refused under any
+    budget, not enumerated with wrapped indices."""
+    inst = Instance([Item(n, F(1, 10), DiscreteDist(((F(0), F(1, 2)), (F(n + 1), F(1, 2))))) for n in range(64)])
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate_exact(prepare_policy(inst, "weitzman"), budget=10**30)
+    assert info.value.required == 2**64 and info.value.budget == 2**63 - 1
 
 
 def test_enumeration_is_charged_the_policy_labels_only(monkeypatch):

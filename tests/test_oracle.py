@@ -21,6 +21,7 @@ from pandora_hedge import (
     pi_surrogate_bound,
     prepare_policy,
 )
+from pandora_hedge import oracle, policies
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import surrogate_dist
@@ -136,6 +137,18 @@ class TestPiSurrogateBound:
         noi = mean(min_of_independent([surrogate_dist(it, SurrogateKind.NOI) for it in inst.items]))
         assert noi == F(9, 2) and type(bound) is F
         assert noi <= bound <= evaluate_exact(prepare_policy(inst, "local-hedging"))
+
+    def test_budget_is_charged_before_the_grid_is_built(self, monkeypatch):
+        """A refused bound builds no grid: the charge comes first."""
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built before the budget charge")
+
+        monkeypatch.setattr(oracle, "IntegerGrid", no_grid)
+        monkeypatch.setattr(policies, "IntegerGrid", no_grid)
+        inst = Instance([two_point_item(item_id=0), two_point_item(item_id=1)])
+        with pytest.raises(BudgetExceededError):
+            pi_surrogate_bound(inst, "weitzman", budget=1)
 
     def test_bound_below_policy_cost_random(self):
         rng = random.Random(13)
