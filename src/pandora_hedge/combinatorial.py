@@ -22,7 +22,7 @@ from .distkit import Numeric, running_sum
 from .indices import SurrogateKind
 from .instance import Instance, PolicyTrace, hedged_view
 from .policies import IntegerGrid, PreparedPolicy, _column_traces, _slots, plain_dtype
-from .sampling import SURROGATE_STREAM, mc_summary, sample_columns, trial_chunks
+from .sampling import SURROGATE_STREAM, Columns, Lanes, mc_summary, trial_chunks
 
 
 class RuleError(RuntimeError):
@@ -278,8 +278,9 @@ def expected_surrogate_cost_mc(
     lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in dists]
     columns, pool = _surrogate_dtypes(grid.model, [values for values, _ in lanes])
     costs, dtype = surrogate_costs(grid.model, pool), columns if grid.exact else pool
-    drawn = (sample_columns(lanes, seed, SURROGATE_STREAM, start, size, dtype) for start, size in trial_chunks(trials))
-    return mc_summary(np.concatenate([grid.float_totals(costs(prices)) for prices in drawn]))
+    drawn = Lanes(lanes, seed, SURROGATE_STREAM, dtype)  # every lane is read: each chunk is drawn whole
+    chunks = (np.asarray(Columns(drawn, start, size)) for start, size in trial_chunks(trials))
+    return mc_summary(np.concatenate([grid.float_totals(costs(prices)) for prices in chunks]))
 
 
 class GreedyRule:
@@ -530,7 +531,8 @@ def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
             return [trace.total_cost for trace in traces(prices, coins)]
 
     def batch(prices, coins):  # exact small ints (drawn as float64) run as int64: totals leave as Python ints
-        return run(prices.astype(np.int64 if grid.exact and prices.dtype != object else prices.dtype, copy=False), coins)
+        prices = np.asarray(prices, dtype=np.int64 if grid.exact and prices.dtype != object else prices.dtype)
+        return run(prices, None if coins is None else np.asarray(coins))  # every slot reads its coins
 
     return batch
 

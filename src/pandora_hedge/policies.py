@@ -22,7 +22,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import DiscreteDist, Numeric, _is_exact, capped_min_means, expected_excess, running_sum
 from .indices import Item, SurrogateKind
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
-from .sampling import COIN_STREAM, PRICE_STREAM, mc_summary, sample_columns, trial_chunks
+from .sampling import COIN_STREAM, PRICE_STREAM, Columns, Lanes, mc_summary, sample_columns, trial_chunks
 
 
 class Action(Enum):
@@ -177,8 +177,10 @@ class PreparedPolicy:
     ``model`` (the combinatorial model of a combinatorial policy, else
     None): a function that maps an (items x trials) array of the grid's
     prices in ``array_dtype(grid.instance)`` (and the labels) to the
-    trials' totals on the grid.  Monte Carlo and exact evaluation run the
-    array form; ``--trace`` and ``pi_surrogate_bound`` (on exact
+    trials' totals on the grid.  Monte Carlo hands it ``sampling.Columns``,
+    which draw a row when it is indexed: a form that reads every row takes
+    ``np.asarray`` of them.  Monte Carlo and exact evaluation run the array
+    form; ``--trace`` and ``pi_surrogate_bound`` (on exact
     evaluation's columns) run the traces.
     """
 
@@ -411,7 +413,7 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
         return PreparedPolicy(
             instance,
             _column_traces(inspect_all),
-            lambda grid: lambda prices, coins: running_sum(i.cost for i in grid.instance.items) + prices.min(axis=0),
+            lambda grid: lambda prices, coins: running_sum(i.cost for i in grid.instance.items) + np.asarray(prices).min(axis=0),
             (True,) * len(instance),
         )
     raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(SINGLE_POLICIES)}")
@@ -500,18 +502,25 @@ def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Nu
     return _weighted_sum(grid, denominator, chunks(), lambda p, lab: map(grid.number, batch(p, lab if hedged else None)))
 
 
+def _price_lanes(instance: Instance) -> list:
+    return [(item.dist.values, item.dist.probs) for item in instance.items]
+
+
+def _coin_lanes(instance: Instance) -> list:
+    """Item n's labels: labelled with probability p_hedge."""
+    return [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices]
+
+
 def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:
     """Prices of trials start..start+count-1 as an (items x trials) array of
     ``dtype``."""
-    lanes = [(item.dist.values, item.dist.probs) for item in instance.items]
-    return sample_columns(lanes, seed, PRICE_STREAM, start, count, dtype)
+    return sample_columns(_price_lanes(instance), seed, PRICE_STREAM, start, count, dtype)
 
 
 def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.ndarray:
     """Hedge labels of trials start..start+count-1 as an (items x trials)
     bool array: item n is labelled with probability p_hedge."""
-    lanes = [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices]
-    return sample_columns(lanes, seed, COIN_STREAM, start, count, bool)
+    return sample_columns(_coin_lanes(instance), seed, COIN_STREAM, start, count, bool)
 
 
 def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
@@ -530,14 +539,15 @@ def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float
 
     The trials run one chunk at a time through the policy's array form on the
     ``IntegerGrid`` of its instance: prices are drawn from the grid's
-    supports, and totals leave the grid as floats."""
+    supports as ``Columns``, so a lane is drawn only if the array form reads
+    it, and totals leave the grid as floats."""
     instance = prepared.instance
     grid = IntegerGrid(instance, prepared.model)
     batch = prepared.batch(grid)
-    dtype = array_dtype(grid.instance)
+    prices = Lanes(_price_lanes(grid.instance), seed, PRICE_STREAM, array_dtype(grid.instance))
+    coins = Lanes(_coin_lanes(instance), seed, COIN_STREAM, bool) if prepared.draws_coins else None
     totals = []
     for start, size in trial_chunks(trials):
-        prices = price_columns(grid.instance, seed, start, size, dtype)
-        coins = coin_columns(instance, seed, start, size) if prepared.draws_coins else None
-        totals.append(grid.float_totals(batch(prices, coins)))
+        labels = Columns(coins, start, size) if coins is not None else None
+        totals.append(grid.float_totals(batch(Columns(prices, start, size), labels)))
     return mc_summary(np.concatenate(totals))

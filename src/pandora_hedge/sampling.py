@@ -4,6 +4,11 @@ Every uniform draw is a pure function of (seed, item id, stream, trial index):
 the Philox counter-based generator is keyed by (seed, item*NSTREAMS + stream)
 and the trial indexes a 256-bit counter block.  Workers may therefore compute
 any subset of trials in any order and still reproduce bit-identical results.
+
+A lane is one (item, stream) pair's draws over a chunk of trials.  Monte
+Carlo evaluation hands a policy ``Columns``, which draw a lane the first
+time a kernel reads it: a search that stops after a few items draws only
+those items' lanes, with the same values an eager draw gives.
 """
 
 from __future__ import annotations
@@ -62,11 +67,15 @@ def uniforms(seed: int, item: int, stream: int, n: int, start: int = 0) -> np.nd
     return _to_unit(raw)
 
 
+def _cumulative(probs) -> np.ndarray:
+    cum = np.cumsum(np.asarray([float(p) for p in probs], dtype=np.float64))
+    cum[-1] = 1.0  # guard against float shortfall in the last bin
+    return cum
+
+
 def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
     """Map uniforms to support indices via the cumulative distribution."""
-    cum = np.cumsum(np.asarray(cum_probs, dtype=np.float64))
-    cum[-1] = 1.0  # guard against float shortfall in the last bin
-    return np.searchsorted(cum, us, side="right")
+    return np.searchsorted(_cumulative(cum_probs), us, side="right")
 
 
 def trial_chunks(count: int) -> list[tuple[int, int]]:
@@ -77,16 +86,55 @@ def trial_chunks(count: int) -> list[tuple[int, int]]:
     return [(start, min(MC_CHUNK, count - start)) for start in range(0, count, MC_CHUNK)]
 
 
+class Lanes:
+    """The lanes (seed, n, stream) of ``lanes[n] = (values, probs)``: each
+    lane's values in ``dtype`` and its cumulative table are built the first
+    time it is drawn, once per ``Lanes``."""
+
+    def __init__(self, lanes, seed: int, stream: int, dtype=object):
+        self.lanes, self.seed, self.stream, self.dtype = lanes, seed, stream, np.dtype(dtype)
+        self._tables: dict = {}
+
+    def draw(self, n: int, start: int, count: int) -> np.ndarray:
+        """Lane n's values for trials start..start+count-1: the package's one lane draw."""
+        if n not in self._tables:
+            values, probs = self.lanes[n]
+            self._tables[n] = np.asarray(values, dtype=self.dtype), _cumulative(probs)
+        values, cum = self._tables[n]
+        return values[np.searchsorted(cum, uniforms(self.seed, n, self.stream, count, start=start), side="right")]
+
+
+class Columns:
+    """The (lanes x trials) array of ``Lanes`` for trials
+    start..start+count-1, each row drawn the first time a read's first index
+    selects it; ``np.asarray`` draws every row."""
+
+    def __init__(self, lanes: Lanes, start: int, count: int):
+        self._lanes, self._start = lanes, start
+        self._rows = np.empty((len(lanes.lanes), count), dtype=lanes.dtype)
+        self._ids, self._drawn = np.arange(len(lanes.lanes)), set()
+        self.shape, self.dtype = self._rows.shape, self._rows.dtype
+
+    def _draw(self, rows) -> None:
+        for n in set(np.ravel(self._ids[rows]).tolist()) - self._drawn:
+            self._rows[n] = self._lanes.draw(n, self._start, self.shape[1])
+            self._drawn.add(n)
+
+    def __getitem__(self, key):
+        self._draw(key[0] if isinstance(key, tuple) else key)
+        return self._rows[key]
+
+    def __array__(self, dtype=None, copy=None):
+        self._draw(slice(None))
+        return self._rows.astype(self.dtype if dtype is None else dtype, copy=bool(copy))
+
+
 def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=object) -> np.ndarray:
     """(lanes x trials) array for trials start..start+count-1: row n holds
     draws of ``lanes[n] = (values, probs)`` on lane (seed, n, stream).
 
     With ``dtype=object`` the entries are the values themselves."""
-    out = np.empty((len(lanes), count), dtype=dtype)
-    for n, (values, probs) in enumerate(lanes):
-        us = uniforms(seed, n, stream, count, start=start)
-        out[n] = np.asarray(values, dtype=dtype)[sample_price_indices([float(p) for p in probs], us)]
-    return out
+    return np.asarray(Columns(Lanes(lanes, seed, stream, dtype), start, count))
 
 
 def mc_summary(values: Iterable) -> tuple[float, float]:

@@ -262,18 +262,18 @@ def test_mixed_int_and_float_prices_pool_in_float64(monkeypatch):
     either way, draws float64 columns; every value equals its reference."""
     inst = Instance([Item(n, 0.5, DiscreteDist(((v, 0.5), (v + 2.5, 0.5)))) for n, v in enumerate((3, 4, 5, 3))])
     pools, draws = [], []
-    real_select, real_sample = combinatorial._greedy_select, combinatorial.sample_columns
+    real_select, real_lanes = combinatorial._greedy_select, combinatorial.Lanes
 
     def select(bases, pool, threshold, prices, spent):
         pools.append(pool.dtype)
         return real_select(bases, pool, threshold, prices, spent)
 
-    def sample(*args):
+    def lanes(*args):
         draws.append(args[-1])
-        return real_sample(*args)
+        return real_lanes(*args)
 
     monkeypatch.setattr(combinatorial, "_greedy_select", select)
-    monkeypatch.setattr(combinatorial, "sample_columns", sample)
+    monkeypatch.setattr(combinatorial, "Lanes", lanes)
     for model in (uniform(2, len(inst)), square_with_diagonals(len(inst))):
         _assert_same(opt_value_comb_noi(model, inst), reference_opt_value_comb_noi(model, inst))
         for kind in SurrogateKind:
