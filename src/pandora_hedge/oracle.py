@@ -1,56 +1,34 @@
 """Exact optimal adaptive policies by dynamic programming, plus the exact
 policy-dependent one-shot lower bound E[min W^pi] (``pi_surrogate_bound``).
 
-The single-item recursions compress the observation history to the best
-observed price, which is sufficient because only the cheapest inspected item
-is ever worth selecting.  The best-observed sentinel is an algebraic top
-element (None), never a floating-point infinity.  The combinatorial DP
-defers every selection to the stop: selecting reveals nothing and costs the
-same whenever it happens, so a state is only each item's observation
-(uninspected, or observed at one support value), prod (s_m + 1) states, and
-its stop value is the one-shot optimum over its prices, which
-``combinatorial.surrogate_costs`` gives for a batch of states at once.
-
-The DPs run on the instance's ``IntegerGrid``.  In exact mode they
-run on Python ints over one common denominator D = L x Q_1 x ... x Q_N
-(Q_n: the lcm of item n's probability denominators).  Every DP value is a
-multiple of 1/D, and the value of a state whose uninspected items are U is
-even a multiple of 1/(L x prod of Q_n over U), so an inspect branch of item
-m is
-
-    cost_D + (sum_k Q_m p_k x val_D(child_k)) // Q_m,
-
-computed as (Q_m cost_D + sum_k ...) // Q_m, and the division is exact:
+Every optimum is one DP, ``_opt_value``: single-item selection is the rank-1
+uniform matroid.  Selecting reveals nothing and costs the same whenever it
+happens, so every selection is deferred to the stop (Doval, JET 2018).  The
+DP runs on the instance's ``IntegerGrid``: in exact mode on Python ints over
+one common denominator D = L x Q_1 x ... x Q_N (Q_n: the lcm of item n's
+probability denominators).  The value of a state whose uninspected items are
+U is a multiple of 1/(L x prod of Q_n over U), so an inspect branch of item
+m, (Q_m cost_D + sum_k Q_m p_k x val_D(child_k)) // Q_m, divides exactly:
 item m is no longer uninspected in any child.  In float mode the grid passes
-the instance's own numbers through with D = Q_m = 1, so the same DP runs
-in the same order of operations.  The optimum leaves by
-``IntegerGrid.leave``.
+the instance's own numbers through with D = Q_m = 1, so the same DP runs in
+the same order of operations.  The optimum leaves by ``IntegerGrid.leave``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .combinatorial import CombModel, _surrogate_dtypes, surrogate_costs
-from .distkit import Numeric, running_sum
+from .combinatorial import CombModel, UniformMatroid, ZeroTerminal, _surrogate_dtypes, surrogate_costs
+from .distkit import Numeric, expected_shortfall, running_sum
 from .instance import Instance
 from .policies import IntegerGrid, _digits, _exact_columns, _weighted_sum, prepare_policy
 from .sampling import trial_chunks
-
-
-def _tmin(a, b):
-    """min with None as the top element."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
 
 
 def _single_dp_cost(instance: Instance) -> int:
@@ -61,12 +39,14 @@ def _single_dp_cost(instance: Instance) -> int:
 
 def opt_value_single_noi(instance: Instance, budget: int = DEFAULT_BUDGET) -> Numeric:
     """Optimal expected cost when uninspected items may be selected."""
-    return _opt_value_single(instance, budget, allow_uninspected=True)
+    check_budget(_single_dp_cost(instance), budget, "single-item DP")
+    return _opt_value(CombModel(UniformMatroid(1), ZeroTerminal(), len(instance)), instance, True)
 
 
 def opt_value_single_oi(instance: Instance, budget: int = DEFAULT_BUDGET) -> Numeric:
     """Optimal expected cost when only inspected items may be selected."""
-    return _opt_value_single(instance, budget, allow_uninspected=False)
+    check_budget(_single_dp_cost(instance), budget, "single-item DP")
+    return _opt_value(CombModel(UniformMatroid(1), ZeroTerminal(), len(instance)), instance, False)
 
 
 def _dp_items(grid: IntegerGrid, instance: Instance) -> list[tuple]:
@@ -79,37 +59,6 @@ def _dp_items(grid: IntegerGrid, instance: Instance) -> list[tuple]:
         (q * unit * item.cost, tuple((v * unit, p) for v, p in atoms), q, unit * ix.mu)
         for item, ix, (q, atoms) in zip(scaled.items, scaled.indices, pairs)
     ]
-
-
-def _opt_value_single(instance: Instance, budget: int, allow_uninspected: bool) -> Numeric:
-    check_budget(_single_dp_cost(instance), budget, "single-item DP")
-    grid = IntegerGrid(instance)
-    items = _dp_items(grid, instance)
-    n = len(items)
-
-    @lru_cache(maxsize=None)
-    def val(mask: int, best: Optional[Numeric]) -> Numeric:
-        options = [best] if best is not None else []
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            m = bit.bit_length() - 1
-            rest ^= bit
-            inspect, atoms, q, mu = items[m]
-            if allow_uninspected:
-                options.append(mu)
-            for v, p in atoms:
-                inspect = inspect + p * val(mask ^ bit, _tmin(best, v))
-            options.append(inspect if q == 1 else inspect // q)
-        if not options:
-            raise AssertionError("no action available: empty mask with no observation")
-        return min(options)
-
-    try:
-        opt = val((1 << n) - 1, None)
-    finally:
-        val.cache_clear()
-    return grid.leave(opt, grid.D)
 
 
 def _comb_dp_cost(model: CombModel, instance: Instance) -> int:
@@ -138,35 +87,86 @@ def opt_value_comb_noi(
     model: CombModel, instance: Instance, budget: int = DEFAULT_BUDGET
 ) -> Numeric:
     """Optimal expected cost of combinatorial selection with nonobligatory
-    inspection.  Selecting reveals nothing and costs the same whenever it
-    happens, so every selection is deferred to the stop: a state is each
-    item's code (uninspected, or observed at its k-th support value), and
-    its stop value is the one-shot optimum over its prices, an item's price
-    being its observed value, or its mean while uninspected
-    (``_stop_values``).  The codes are a state's ``_digits``, the last item
-    fastest, so an inspect branch of item m leads to state + k x stride_m,
-    a larger index, and one backward sweep over the indices solves the DP."""
+    inspection (``_opt_value``)."""
     if model.n_items != len(instance):
         raise ValueError("model and instance disagree on the number of items")
     check_budget(_comb_dp_cost(model, instance), budget, "combinatorial DP")
+    return _opt_value(model, instance, True)
+
+
+def _opt_value(model: CombModel, instance: Instance, allow_uninspected: bool) -> Numeric:
+    """The optimal expected cost of selecting a feasible set of ``model``, an
+    uninspected item being selectable at its mean (NOI) or not at all (OI):
+    a memoized recursion over (uninspected mask, observed prices), whose stop
+    is the one-shot optimum over the state's prices and whose inspect branch
+    of item m pays c_m and averages over X_m.
+
+    - A uniform matroid of rank k with a zero terminal keeps the k lowest
+      observed values, sorted: an observed item above them is never
+      selected.  The stop adds the k lowest of those values and, under NOI,
+      the uninspected means; under OI it waits for k observed items.  At
+      k = 1 the state is (mask, best observed).
+    - Any other model (NOI only) keeps each item's code as a ``_stop_values``
+      index: observing item m at its j-th value adds j x stride_m, and the
+      stop reads the batched table.
+
+    Under NOI an item with c_n >= E[(mu_n - X_n)^+] (``expected_shortfall``
+    on the instance's own numbers) never enters the mask, its mean joins
+    every stop and its table row is that mean alone.  Some optimal policy
+    never inspects it: given any policy pi, let pi' draw an independent copy
+    X'_n for free where pi would inspect n, and select n uninspected where pi
+    selects it.  Both select the same sets; pi' saves c_n P(pi inspects n)
+    and pays at most E[(mu_n - X'_n)^+ 1{pi inspects n}] = P(pi inspects n)
+    E[(mu_n - X_n)^+] more, since pi decides to inspect before X'_n shows.
+    The argument selects uninspected items, so OI never prunes."""
     grid = IntegerGrid(instance, model)
     items = _dp_items(grid, instance)
-    rows = [(ix.mu, *item.dist.values) for item, ix in zip(grid.instance.items, grid.instance.indices)]
-    sizes = [len(row) for row in rows]
-    strides = [math.prod(sizes[m + 1 :]) for m in range(len(rows))]
-    val = _stop_values(grid, rows)
-    for state in reversed(range(len(val))):
-        best = val[state]
-        for (inspect, atoms, q, _), digit, stride in zip(items, _digits(state, sizes), strides):
-            if digit:
-                continue  # observed
-            for k, (_, p) in enumerate(atoms, 1):
-                inspect = inspect + p * val[state + k * stride]
-            inspect = inspect if q == 1 else inspect // q
-            if inspect < best:
-                best = inspect
-        val[state] = best
-    return grid.leave(val[0], grid.D)
+    pairs = zip(instance.items, instance.indices)
+    kept = [not allow_uninspected or item.cost < expected_shortfall(item.dist, ix.mu) for item, ix in pairs]
+    if type(model.family) is UniformMatroid and type(model.terminal) is ZeroTerminal:
+        k, start = model.family.k, ()
+        fixed = sorted(mu for (*_, mu), keep in zip(items, kept) if not keep)[:k]
+        by_mean = sorted((mu, m) for m, ((*_, mu), keep) in enumerate(zip(items, kept)) if keep and allow_uninspected)
+
+        def stop(mask, lows):
+            means = [mu for mu, m in by_mean if mask >> m & 1][:k]
+            prices = sorted((*lows, *fixed, *means))[:k]
+            return [running_sum(prices)] if len(prices) == k else []
+
+        def child(lows, m, v):
+            if len(lows) == k and v >= lows[-1]:
+                return lows
+            at = bisect_right(lows, v)
+            return lows[:at] + (v,) + lows[at : k - 1]
+
+    else:
+        scaled = zip(grid.instance.items, grid.instance.indices, kept)
+        rows = [(ix.mu, *item.dist.values) if keep else (ix.mu,) for item, ix, keep in scaled]
+        strides, start = [math.prod(len(row) for row in rows[m + 1 :]) for m in range(len(rows))], 0
+        table = _stop_values(grid, rows)
+        stop = lambda mask, index: [table[index]]
+        offsets = [{v: j * s for j, (v, _) in enumerate(atoms, 1)} for (_, atoms, *_), s in zip(items, strides)]
+        child = lambda index, m, v: index + offsets[m][v]
+
+    @lru_cache(maxsize=None)
+    def val(mask: int, key) -> Numeric:
+        options = stop(mask, key)  # none under OI before k items are observed
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            m = bit.bit_length() - 1
+            rest ^= bit
+            inspect, atoms, q, _ = items[m]
+            for v, p in atoms:
+                inspect = inspect + p * val(mask ^ bit, child(key, m, v))
+            options.append(inspect if q == 1 else inspect // q)
+        return min(options)
+
+    try:
+        opt = val(running_sum(1 << m for m, keep in enumerate(kept) if keep), start)
+    finally:
+        val.cache_clear()
+    return grid.leave(opt, grid.D)
 
 
 def pi_surrogate_bound(instance: Instance, policy: str, budget: int = DEFAULT_BUDGET) -> Numeric:

@@ -30,6 +30,7 @@ from pandora_hedge import (
 )
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.cli import main
+from pandora_hedge.distkit import expected_shortfall
 from pandora_hedge.instancefile import load_instance
 from pandora_hedge.policies import IntegerGrid
 from pandora_hedge.verify import TOL
@@ -134,8 +135,10 @@ def _bench_gen():
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_certify_matroid_files(seed, tmp_path, monkeypatch):
     """The benchmark's certify matroid files: the same optimum as the
-    recursion over the prod (s_m + 1) observation states, not the prod
-    (s_m + 2) states of the recursion."""
+    recursion over the prod (s_m + 2) states that track selections.  The
+    uniform files build no stop table, since their states keep the k lowest
+    observed values; a graphic file's table has prod (s_m + 1) entries over
+    the hedged items only, a never-inspect item's row being its mean."""
     sizes = []
     real = oracle._stop_values
 
@@ -146,10 +149,19 @@ def test_certify_matroid_files(seed, tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "_stop_values", spy)
     _bench_gen().generate("certify", seed, tmp_path)
     models = [loaded for loaded in map(load_instance, sorted(tmp_path.glob("*.json"))) if loaded.model]
-    assert len(models) == 4
+    assert sorted(type(loaded.model.family).__name__ for loaded in models) == ["GraphicMatroid"] * 2 + ["UniformMatroid"] * 2
+    tables = []
     for loaded in models:
         assert_equals_recursion(loaded.model, loaded.instance)
-        assert sizes.pop() == math.prod(len(item.dist) + 1 for item in loaded.instance.items) == 1728
+        if isinstance(loaded.model.family, GraphicMatroid):
+            pairs = zip(loaded.instance.items, loaded.instance.indices)
+            hedged = [len(item.dist) + 1 for item, ix in pairs if item.cost < expected_shortfall(item.dist, ix.mu)]
+            assert sizes == [math.prod(hedged)]
+            tables += sizes
+        else:
+            assert sizes == []
+        sizes.clear()
+    assert min(tables) < max(tables) == 1728  # one graphic file has a never-inspect item (432 or 576), one none
 
 
 @settings(max_examples=60, deadline=None)
