@@ -251,13 +251,12 @@ def expected_surrogate_cost(
     budget: int = DEFAULT_BUDGET,
 ) -> Numeric:
     """E[Z] for the chosen surrogate kind: ``policies._exact_columns`` of the
-    surrogate distributions, every item labelled, through ``surrogate_costs``
+    surrogates on the grid, every item labelled, through ``surrogate_costs``
     on the grid's model, summed by ``policies._weighted_sum``.  Each cost
     keeps the type ``surrogate_cost`` gives (``_surrogate_dtypes``)."""
-    dists = [item.surrogate(kind) for item in instance.items]
     what = "surrogate cost enumeration"
-    grid, denominator, chunks = policies._exact_columns(instance, model, [1] * len(dists), budget, what, dists)
-    dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in grid.atoms(d)[1]] for d in dists])
+    grid, denominator, chunks = policies._exact_columns(instance, model, [1] * len(instance), budget, what, kind)
+    dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in atoms] for _, atoms in grid.surrogates(kind)])
     costs = surrogate_costs(grid.model, pool)
     return policies._weighted_sum(grid, denominator, chunks(dtype), lambda prices, _: costs(prices))
 
@@ -270,12 +269,13 @@ def expected_surrogate_cost_mc(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[Z] with standard error: one chunk of trials
-    at a time drawn on the instance's ``IntegerGrid`` and run through
-    ``surrogate_costs``.  Only a float leaves, so float mode draws in the pool's
-    ``plain_dtype`` even where int and float prices mix."""
-    grid = IntegerGrid(instance, model)
-    dists = [item.surrogate(kind) for item in instance.items]
-    lanes = [(tuple(map(grid.scale, d.values)), d.probs) for d in dists]
+    at a time drawn from the surrogates on the instance's ``IntegerGrid``
+    (each weight w over q drawn with probability w / q, the correctly
+    rounded float of the surrogate's own probability) and run through
+    ``surrogate_costs``.  Only a float leaves, so float mode draws in the
+    pool's ``plain_dtype`` even where int and float prices mix."""
+    grid = IntegerGrid.of(instance, model)
+    lanes = [tuple(zip(*((v, w / q) for v, w in atoms))) for q, atoms in grid.surrogates(kind)]
     columns, pool = _surrogate_dtypes(grid.model, [values for values, _ in lanes])
     costs, dtype = surrogate_costs(grid.model, pool), columns if grid.exact else pool
     drawn = Lanes(lanes, seed, SURROGATE_STREAM, dtype)  # every lane is read: each chunk is drawn whole

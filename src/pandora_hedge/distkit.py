@@ -69,12 +69,7 @@ class DiscreteDist:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Numeric, Numeric]]) -> "DiscreteDist":
         """Build a distribution from unsorted pairs, merging equal values."""
-        merged: dict[Numeric, Numeric] = {}
-        for value, prob in pairs:
-            if prob == 0:
-                continue
-            merged[value] = merged.get(value, 0) + prob
-        return cls(tuple(sorted(merged.items())))
+        return cls(_merged(pairs))
 
     @classmethod
     def point_mass(cls, value: Numeric) -> "DiscreteDist":
@@ -101,6 +96,18 @@ class DiscreteDist:
         return len(self.atoms)
 
 
+def _merged(pairs: Iterable[tuple[Numeric, Numeric]]) -> tuple:
+    """(value, weight) pairs sorted by value, equal values merged by adding
+    their weights in pair order (the first value's object kept) and zero
+    weights dropped: the package's one merge."""
+    merged: dict = {}
+    for value, weight in pairs:
+        if weight == 0:
+            continue
+        merged[value] = merged.get(value, 0) + weight
+    return tuple(sorted(merged.items()))
+
+
 def running_sum(values: Iterable[Numeric]) -> Numeric:
     """``values`` added left to right from the int 0: the package's one sum.
     Builtin ``sum`` compensates float rounding from Python 3.12 on, so its
@@ -115,18 +122,29 @@ def mean(d: DiscreteDist) -> Numeric:
 
 def expected_shortfall(d: DiscreteDist, u: Numeric) -> Numeric:
     """E[(u - V)+]: the price shortfall below an outside option u."""
+    return _shortfall(d.atoms, u)
+
+
+def expected_excess(d: DiscreteDist, u: Numeric) -> Numeric:
+    """E[(V - u)+]: the price excess above an outside option u."""
+    return _excess(d.atoms, u)
+
+
+def _shortfall(atoms: Sequence[tuple], u: Numeric) -> Numeric:
+    """The sum of w (u - v)+ over ascending (value, weight) ``atoms``."""
     total = 0
-    for v, p in d.atoms:
+    for v, p in atoms:
         if v >= u:
             break
         total = total + p * (u - v)
     return total
 
 
-def expected_excess(d: DiscreteDist, u: Numeric) -> Numeric:
-    """E[(V - u)+]: the price excess above an outside option u."""
+def _excess(atoms: Sequence[tuple], u: Numeric) -> Numeric:
+    """The sum of w (v - u)+ over ascending (value, weight) ``atoms``, from
+    the top."""
     total = 0
-    for v, p in reversed(d.atoms):
+    for v, p in reversed(atoms):
         if v <= u:
             break
         total = total + p * (v - u)
@@ -189,13 +207,12 @@ def min_with_constant_expectation(d: DiscreteDist, r: Numeric) -> Numeric:
     return mean(d) - expected_excess(d, r)
 
 
-def _tails(d: DiscreteDist, grid: Sequence[Numeric]) -> list:
-    """tail[j] = P(V >= grid[j]) over an ascending grid, accumulated from the
-    top atom down: each entry is the same sum, in the same order, on any grid
-    that holds the support."""
+def _tails(atoms: Sequence[tuple], grid: Sequence[Numeric]) -> list:
+    """tail[j] = the weight of ``atoms`` at or above grid[j] over an
+    ascending grid, accumulated from the top atom down: each entry is the
+    same sum, in the same order, on any grid that holds the support."""
     tail = []
     acc = 0
-    atoms = d.atoms
     j = len(atoms) - 1
     for g in reversed(grid):
         while j >= 0 and atoms[j][0] >= g:
@@ -210,11 +227,13 @@ def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
     """Exact distribution of the minimum of independent draws.
 
     Computed as the survival-function product over the merged support grid.
+    The one-shot values reduce the same product by ``_min_mean``; this form
+    remains as the tests' reference.
     """
     if not dists:
         raise ValueError("need at least one distribution")
     grid = sorted({v for d in dists for v in d.values})
-    tails = [_tails(d, grid) for d in dists]
+    tails = [_tails(d.atoms, grid) for d in dists]
     pairs = []
     prev = None
     for j in range(len(grid)):
@@ -226,6 +245,26 @@ def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
         prev = ge
     pairs.append((grid[-1], prev))
     return DiscreteDist.from_pairs(pairs)
+
+
+def _min_mean(dists: Sequence[Sequence[tuple]]) -> Numeric:
+    """E[min] of independent draws, each given by its ascending (value,
+    weight) atoms, times the product of their total weights: the survival
+    product of ``min_of_independent`` reduced like ``mean``, with its order
+    of operations on whatever numbers the atoms hold.  Each grid value
+    times its mass P(min >= it) - P(min >= the next) is added in grid
+    order from the int 0, and a zero mass adds nothing."""
+    grid = sorted({v for atoms in dists for v, _ in atoms})
+    tails = [_tails(atoms, grid) for atoms in dists]
+    total, prev = 0, None
+    for j in range(len(grid)):
+        ge = 1
+        for tail in tails:
+            ge = ge * tail[j]
+        if prev is not None and prev - ge != 0:
+            total = total + grid[j - 1] * (prev - ge)
+        prev = ge
+    return total + grid[-1] * prev if prev != 0 else total
 
 
 def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> list[Numeric]:
@@ -274,7 +313,7 @@ def capped_min_means(dists: Sequence[DiscreteDist], caps: Sequence[Numeric]) -> 
     prods = np.ones((n_items + 1, len(grid)), dtype=dtype)
     for n, d in enumerate(dists):
         keep = prods[n + 1].copy()
-        prods *= np.array(_tails(d, grid), dtype=dtype)
+        prods *= np.array(_tails(d.atoms, grid), dtype=dtype)
         prods[n + 1] = keep
     for n, cap in enumerate(caps):
         prods[n + 1, bisect_right(grid, cap) :] *= 0

@@ -169,8 +169,19 @@ def surrogate_dist(item: Item, kind: SurrogateKind) -> DiscreteDist:
     return DiscreteDist.from_pairs(pairs)
 
 
+def surrogate_size(item: Item, kind: SurrogateKind) -> int:
+    """``len(surrogate_dist(item, kind))``, counted on the item's own numbers
+    without building it: its distinct surrogate values."""
+    idx = item.indices
+    if (kind is SurrogateKind.LH and idx.p_hedge == 0) or (kind is SurrogateKind.NOI and idx.u_rsv >= idx.u_bkp):
+        return 1
+    values = {surrogate_value(item, kind, v, True) for v in item.dist.values}
+    return len(values) + (kind is SurrogateKind.LH and idx.p_hedge != 1 and idx.mu not in values)
+
+
 def capped_expectation(item: Item, kind: SurrogateKind, r: Numeric) -> Numeric:
-    """E[min{W, r}] for the item's surrogate price W."""
+    """E[min{W, r}] for the item's surrogate price W.  ``verify`` sweeps it
+    on the grid's ints; this form remains as the tests' reference."""
     d = item.surrogate(kind)
     return running_sum(p * min(v, r) for v, p in d.atoms)
 

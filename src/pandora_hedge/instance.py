@@ -12,8 +12,12 @@ from .indices import Item, ItemIndices
 class Instance:
     """A list of items with eagerly cached per-item indices.
 
-    Item ids must be exactly 0..N-1 in order.  All fields are immutable after
-    construction, so instances are safe to share across threads.
+    Item ids must be exactly 0..N-1 in order.  All fields but ``grids`` are
+    immutable after construction.  ``grids`` is the memo of
+    ``policies.IntegerGrid.of``: each grid of the instance, built once per
+    model object and freed with the instance.  Two threads may each build a
+    grid that the other already built; the results are equal, so instances
+    are safe to share across threads.
     """
 
     def __init__(self, items: Sequence[Item], indices: Optional[Sequence[ItemIndices]] = None):
@@ -32,6 +36,7 @@ class Instance:
                 raise ValueError("one indices record per item required")
         self.indices = indices
         self.reservation_prices = tuple(ix.u_rsv for ix in indices)
+        self.grids: dict = {}
 
     def __len__(self) -> int:
         return len(self.items)

@@ -261,7 +261,32 @@ def document_for(loaded: LoadedInstance) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline: the
+    package's one JSON renderer, for instance files and reports alike."""
+    return _indented(doc, "\n") + "\n"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))  # rendered on one line by any encoder
+
+
+def _indented(doc, pad: str) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with every line break
+    followed by ``pad``'s indentation, on the C encoder.  A non-empty list,
+    or dict with string keys, whose values are all ``_SCALARS`` (by exact
+    type, read in C) is one ``json.dumps`` call that puts each of them on its
+    own line; another one joins its values' renderings; anything else is
+    rendered whole."""
+    inner = pad + "  "
+    if type(doc) is dict and doc and set(map(type, doc)) == {str}:
+        if _SCALARS.issuperset(map(type, doc.values())):
+            return "{" + inner + json.dumps(doc, sort_keys=True, separators=("," + inner, ": "))[1:-1] + pad + "}"
+        rows = (json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(doc.items()))
+        return "{" + inner + ("," + inner).join(rows) + pad + "}"
+    if type(doc) in (list, tuple) and doc:
+        if _SCALARS.issuperset(map(type, doc)):
+            return "[" + inner + json.dumps(doc, separators=("," + inner, ": "))[1:-1] + pad + "]"
+        return "[" + inner + ("," + inner).join(_indented(v, inner) for v in doc) + pad + "]"
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def write_instance(loaded: LoadedInstance, path: str | Path) -> None:

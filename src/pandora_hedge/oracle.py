@@ -54,10 +54,9 @@ def _dp_items(grid: IntegerGrid, instance: Instance) -> list[tuple]:
     the start is Q_m x cost and the atoms are (value, Q_m x probability)
     pairs, ints in exact mode and the instance's own numbers in float mode."""
     unit, scaled = grid.D // grid.L, grid.instance
-    pairs = (grid.atoms(item.dist) for item in instance.items)
     return [
         (q * unit * item.cost, tuple((v * unit, p) for v, p in atoms), q, unit * ix.mu)
-        for item, ix, (q, atoms) in zip(scaled.items, scaled.indices, pairs)
+        for item, ix, (q, atoms) in zip(scaled.items, scaled.indices, grid.dists)
     ]
 
 
@@ -119,7 +118,7 @@ def _opt_value(model: CombModel, instance: Instance, allow_uninspected: bool) ->
     and pays at most E[(mu_n - X'_n)^+ 1{pi inspects n}] = P(pi inspects n)
     E[(mu_n - X_n)^+] more, since pi decides to inspect before X'_n shows.
     The argument selects uninspected items, so OI never prunes."""
-    grid = IntegerGrid(instance, model)
+    grid = IntegerGrid.of(instance, model)
     items = _dp_items(grid, instance)
     pairs = zip(instance.items, instance.indices)
     kept = [not allow_uninspected or item.cost < expected_shortfall(item.dist, ix.mu) for item, ix in pairs]

@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import DiscreteDist, Numeric, _is_exact, capped_min_means, expected_excess, running_sum
-from .indices import Item, SurrogateKind
+from .distkit import DiscreteDist, Numeric, _div, _is_exact, _merged, capped_min_means, expected_excess, running_sum
+from .indices import Item, SurrogateKind, surrogate_size
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, Columns, Lanes, mc_summary, sample_columns, trial_chunks
 
@@ -76,12 +78,19 @@ class IntegerGrid:
     unchanged.  A Monte Carlo total t leaves as ``t / L`` in int true
     division, which rounds correctly; exact values run on ints over D = L x
     Q_1 x ... x Q_N (Q_n: the lcm of item n's probability denominators) and
-    leave by ``leave``.  In float mode the grid passes the instance's own
-    numbers through with L = D = Q_n = 1, and it never calls ``scale``.
+    leave by ``leave`` or ``distkit._div``.  Each item's distribution
+    (``dists``) and surrogates (``surrogates``) are put on the grid once.
+    In float mode the grid passes the instance's own numbers through with
+    L = D = Q_n = 1, and it never calls ``scale``.
+
+    ``of`` is the package's way to get a grid: one per (instance, model)
+    pair of objects, kept on the instance, so that every exact value of one
+    loaded instance shares it and nothing outlives the instance.
     """
 
     def __init__(self, instance: Instance, model=None):
         self._instance, self._model = instance, model
+        self._surrogates: dict = {}  # per kind
         self._distances = [d for row in model.terminal.distances for d in row] if model else []
         pairs = list(zip(instance.items, instance.indices))
         numbers = [x for item, ix in pairs for x in (item.cost, *item.dist.values, ix.mu, ix.u_rsv, ix.u_bkp)]
@@ -91,6 +100,22 @@ class IntegerGrid:
         self.L = math.lcm(*(x.denominator for x in numbers)) if self.exact else 1
         self.D = self.L * math.prod(_prob_lcm(item.dist) for item in instance.items) if self.exact else 1
         self.number = int if self.exact else float  # a grid total as a Python number
+
+    @classmethod
+    def of(cls, instance: Instance, model=None) -> "IntegerGrid":
+        """The grid of ``instance`` and ``model``, built once per pair of
+        objects and kept in ``instance.grids``.  A model without
+        facility-location distances puts no number on the grid, so its grid
+        takes the scaled instance, distributions and surrogates of
+        ``of(instance)``."""
+        memo = instance.grids
+        if id(model) not in memo:  # the memo keeps the model alive, so its id stays its own
+            grid = cls(instance, model)
+            if model is not None and not grid._distances:
+                plain = cls.of(instance)
+                grid.instance, grid.dists, grid._surrogates = plain.instance, plain.dists, plain._surrogates
+            memo[id(model)] = model, grid
+        return memo[id(model)][1]
 
     def scale(self, x: Numeric) -> Numeric:
         return x.numerator * (self.L // x.denominator) if self.exact else x
@@ -103,6 +128,53 @@ class IntegerGrid:
             return 1, dist.atoms
         q = _prob_lcm(dist)
         return q, tuple((self.scale(v), p.numerator * (q // p.denominator)) for v, p in dist.atoms)
+
+    @cached_property
+    def dists(self) -> list:
+        """Each item's distribution on the grid: its ``atoms``."""
+        return [self.atoms(item.dist) for item in self._instance.items]
+
+    def surrogates(self, kind: SurrogateKind) -> list:
+        """Each item's ``surrogate_dist`` of ``kind`` on the grid as (q,
+        atoms), built once per kind: the scaled values with int weights over
+        q, equal values merged by ``distkit._merged`` as
+        ``DiscreteDist.from_pairs`` merges them.  OI and NOI (a never-inspect
+        item's NOI point mass at mu has weight q) have the item's own q; LH
+        weighs the OI atoms and the mean by the item's ``label_weights``,
+        over q h, h being p_hedge's denominator.  In float mode, 1 and the
+        surrogate's own atoms."""
+        if kind not in self._surrogates:
+            if self.exact:
+                self._surrogates[kind] = [self._surrogate(n, kind) for n in range(len(self._instance))]
+            else:
+                self._surrogates[kind] = [(1, item.surrogate(kind).atoms) for item in self._instance.items]
+        return self._surrogates[kind]
+
+    def _surrogate(self, n: int, kind: SurrogateKind) -> tuple[int, tuple]:
+        ix, (q, atoms) = self.instance.indices[n], self.dists[n]
+        if kind is SurrogateKind.LH:
+            ((labelled, unlabelled),), _ = self.label_weights([ix.p_hedge], [q])
+            pairs = [(v, w * labelled) for v, w in self.surrogates(SurrogateKind.OI)[n][1]]
+            return labelled * q + unlabelled, _merged(pairs + [(ix.mu, unlabelled)])
+        if kind is SurrogateKind.OI:
+            return q, _merged((max(v, ix.u_rsv), w) for v, w in atoms)
+        if ix.u_rsv >= ix.u_bkp:
+            return q, ((ix.mu, q),)
+        return q, _merged((min(max(v, ix.u_rsv), ix.u_bkp), w) for v, w in atoms)
+
+    def ratio(self, alpha: Numeric) -> tuple:
+        """A ratio alpha as (a, b, f): in exact mode its numerator, its
+        denominator and their product, the refinement of the grid on which
+        alpha and 1 / alpha map grid numbers to grid numbers (alpha f x = a
+        (a x) and f x / alpha = b (b x)); in float mode (alpha, 1, 1)."""
+        if not self.exact:
+            return alpha, 1, 1
+        return alpha.numerator, alpha.denominator, alpha.numerator * alpha.denominator
+
+    def quotient(self, x: Numeric, y: Numeric) -> Numeric:
+        """x / y where it lies on the grid: ``//`` on exact mode's ints,
+        ``distkit._div`` in float mode."""
+        return x // y if self.exact else _div(x, y)
 
     def label_weights(self, p_label: Sequence[Numeric], qs: Sequence[int]) -> tuple[list, int]:
         """Each item's (labelled, unlabelled) weight under its labelling
@@ -432,35 +504,38 @@ def _digits(index, sizes: Sequence) -> list:
     return digits[::-1]
 
 
-def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, what: str, dists=None):
-    """The package's one exact enumeration: item n's price follows
-    ``dists[n]`` (by default its own distribution), labelled with
-    probability ``p_label[n]``: 1 enumerates its atoms, 0 prices it at its
-    mean, anything else branches on both labels.  The product over p != 0 of
-    (|dist| + [p != 1]) is charged against ``budget`` (at most 2^63 - 1)
-    before anything is built.  Returns the ``IntegerGrid``, the denominator
-    that a weighted sum of grid totals leaves by, and ``chunks(dtype)``:
-    ``EXACT_CHUNK`` columns at a time as (weights, prices, labels), the
-    prices an (items x columns) array in ``dtype`` (by default
-    ``array_dtype``).  Column j's label vector (``itertools.product((True,
+def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, what: str, kind=None):
+    """The package's one exact enumeration: item n's price follows its own
+    distribution, or its surrogate of ``kind`` (``IntegerGrid.surrogates``),
+    labelled with probability ``p_label[n]``: 1 enumerates its atoms, 0
+    prices it at its mean, anything else branches on both labels.  The
+    product over p != 0 of (|dist| + [p != 1]) is charged against ``budget``
+    (at most 2^63 - 1) before anything is built, the surrogates' sizes
+    counted by ``surrogate_size``.  Returns ``IntegerGrid.of`` the instance
+    and ``model``, the denominator that a weighted sum of grid totals leaves
+    by, and ``chunks(dtype)``: ``EXACT_CHUNK`` columns at a time as
+    (weights, prices, labels), the prices an (items x columns) array in
+    ``dtype`` (by default ``array_dtype``).  Column j's label vector (``itertools.product((True,
     False))`` order over the branching items) is the last to start at or
     before j, its atoms are the ``_digits`` of j minus that start over the
     labelled items' sizes, and its weight is its vector's ``label_weights``
     shares times its atoms'."""
-    dists = [item.dist for item in instance.items] if dists is None else dists
-    branches = math.prod([len(d) + (p != 1) for d, p in zip(dists, p_label) if p != 0])
+    sizes = [len(item.dist) if kind is None else surrogate_size(item, kind) for item in instance.items]
+    branches = math.prod([size + (p != 1) for size, p in zip(sizes, p_label) if p != 0])
     check_budget(branches, min(budget, 2**63 - 1), what)  # a column's index is an int64
-    grid = IntegerGrid(instance, model)
-    qs, atoms = zip(*map(grid.atoms, dists))
+    grid = IntegerGrid.of(instance, model)
+    qs, atoms = zip(*(grid.dists if kind is None else grid.surrogates(kind)))
     shares, denominator = grid.label_weights(p_label, qs)
-    means = [ix.mu for ix in grid.instance.indices] if any(p != 1 for p in p_label) else [None] * len(dists)
+    means = [ix.mu for ix in grid.instance.indices] if any(p != 1 for p in p_label) else [None] * len(sizes)
     counts, weights = np.ones(1, dtype=np.int64), np.ones(1, dtype=object)  # per label vector
     for a, p, share in zip(atoms, p_label, shares):  # its labels' column counts, first item slowest
         counts = np.outer(counts, [len(a)] * (p != 0) + [1] * (p != 1)).ravel()
         if 0 < p < 1:
             weights = np.outer(weights, np.array(share, dtype=object)).ravel()
     starts, total = np.cumsum(counts) - counts, int(counts.sum())
-    probs = [np.array([p for _, p in a] + [1], dtype=object) for a in atoms]  # 1 for an unlabelled column
+    # atom weight products run in int64 where they fit: exact ints, in any order
+    narrow = grid.exact and math.prod(max(p for _, p in a) for a in atoms) < 2**63
+    probs = [np.array([p for _, p in a] + [1], dtype=np.int64 if narrow else object) for a in atoms]  # 1: unlabelled
 
     def chunks(dtype=None):
         dtype = array_dtype(grid.instance) if dtype is None else dtype
@@ -472,9 +547,11 @@ def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, wh
             labels = np.array([(b == 0) & (p != 0) for b, p in zip(bits, p_label)])
             digits = _digits(j - starts[v], [np.where(lab, len(a), 1) for lab, a in zip(labels, atoms)])
             at = [np.where(lab, d, len(a)) for lab, d, a in zip(labels, digits, atoms)]  # len(a): the mean
-            w = weights[v]
+            w = np.ones(len(j), dtype=np.int64) if narrow else weights[v]
             for prob, i in zip(probs, at):
                 w = w * prob[i]
+            if narrow:
+                w = weights[v] * w
             yield w.tolist(), np.array([vals[i] for vals, i in zip(values, at)], dtype=dtype), labels
 
     return grid, denominator, chunks
@@ -482,13 +559,10 @@ def _exact_columns(instance: Instance, model, p_label: Sequence, budget: int, wh
 
 def _weighted_sum(grid: IntegerGrid, denominator: int, chunks, values: Callable) -> Numeric:
     """The package's one weighted sum: weight x ``values(prices, labels)``
-    over ``_exact_columns``' chunks in enumeration order, leaving by
-    ``IntegerGrid.leave``."""
-    total = 0
-    for weights, prices, labels in chunks:
-        for w, v in zip(weights, values(prices, labels)):
-            total = total + w * v
-    return grid.leave(total, denominator)
+    over ``_exact_columns``' chunks, added in enumeration order by
+    ``running_sum``, leaving by ``IntegerGrid.leave``."""
+    terms = (map(mul, weights, values(prices, labels)) for weights, prices, labels in chunks)
+    return grid.leave(running_sum(chain.from_iterable(terms)), denominator)
 
 
 def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Numeric:
@@ -542,7 +616,7 @@ def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float
     supports as ``Columns``, so a lane is drawn only if the array form reads
     it, and totals leave the grid as floats."""
     instance = prepared.instance
-    grid = IntegerGrid(instance, prepared.model)
+    grid = IntegerGrid.of(instance, prepared.model)
     batch = prepared.batch(grid)
     prices = Lanes(_price_lanes(grid.instance), seed, PRICE_STREAM, array_dtype(grid.instance))
     coins = Lanes(_coin_lanes(instance), seed, COIN_STREAM, bool) if prepared.draws_coins else None

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .instance import Instance
-from .instancefile import _encode_number as _num
+from .instancefile import _encode_number as _num, dumps_canonical
 
 RATIO_TOL = 1e-12
 
@@ -51,7 +50,7 @@ class Report:
             value = getattr(self, name)
             if value is not None:
                 doc[name] = value
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dumps_canonical(doc)
 
     def to_text(self) -> str:
         lines = []

@@ -4,12 +4,20 @@ Every check restates an identity or inequality the package guarantees and
 reports its largest violation against the one tolerance ``TOL`` (zero on
 exact-rational instances); none samples or keeps a tolerance of its own.
 The per-item sweeps are proofs on each item's kink set (``_breakpoints``).
+They and the single-item one-shot values (``expected_min``) run on the
+gridded distributions and surrogates of the instance's ``IntegerGrid``: in
+exact mode on ints, each swept difference over its int denominator leaving
+by ``distkit._div``; in float mode on the instance's own numbers, in the
+order of operations of their references ``capped_expectation``,
+``one_item_value``, ``expected_excess`` and ``min_of_independent``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -25,13 +33,14 @@ from .combinatorial import (
     prepare_comb_policy,
     surrogate_costs,
 )
-from .distkit import _div, expected_excess, expected_shortfall, mean, min_of_independent
-from .indices import ALPHA_CEILING, SurrogateKind, capped_expectation, hedging_losses
+from .distkit import _div, _excess, _min_mean, _shortfall, running_sum
+from .indices import ALPHA_CEILING, SurrogateKind, hedging_losses
 from .instance import Instance
 from .oracle import opt_value_comb_noi, opt_value_single_noi, opt_value_single_oi
-from .policies import IntegerGrid, _exact_columns, _slots, evaluate_exact, one_item_value, prepare_policy, reservation_batch
+from .policies import IntegerGrid, _exact_columns, _slots, evaluate_exact, prepare_policy, reservation_batch
 
 TOL = 1e-12
+OI, NOI, LH = SurrogateKind.OI, SurrogateKind.NOI, SurrogateKind.LH
 BUDGET_SKIP = "skipped (budget)"
 
 
@@ -70,6 +79,7 @@ class ExactValues:
         self.instance = instance
         self.model = model
         self.budget = budget
+        self.grid = IntegerGrid.of(instance, model)
         self.oi_policy = "weitzman" if model is None else "frugal-oi"
         # per-table caches of immutable numbers, freed with the table
         self.one_shot = functools.cache(self._one_shot)
@@ -81,7 +91,7 @@ class ExactValues:
 
     def _one_shot(self, kind: SurrogateKind):
         if self.model is None:
-            return mean(min_of_independent([item.surrogate(kind) for item in self.instance.items]))
+            return expected_min(self.instance, kind)
         return expected_surrogate_cost(self.model, self.instance, kind, self.budget)
 
     def _policy(self, name: str):
@@ -103,76 +113,122 @@ class ExactValues:
         return None
 
 
+def expected_min(instance: Instance, kind: SurrogateKind):
+    """E[min W^kind] over the items' surrogates on the instance's
+    ``IntegerGrid``, by the survival product ``distkit._min_mean``: the
+    value and type of ``mean(min_of_independent(...))`` of the surrogates
+    themselves.  In float mode that is the sum itself.  In exact mode it is
+    the int sum over L x the surrogates' qs as a ``Fraction``, unless every
+    surrogate is a point mass of int probability: then the lowest of their
+    own values, which that mean is, in that value's own type."""
+    grid = IntegerGrid.of(instance)
+    surrogates = grid.surrogates(kind)
+    total = _min_mean([atoms for _, atoms in surrogates])
+    if not grid.exact:
+        return total
+    if all(len(atoms) == 1 for _, atoms in surrogates):
+        points = [item.surrogate(kind).atoms[0] for item in instance.items]
+        if all(type(p) is int for _, p in points):
+            return min(v for v, _ in points)
+    return Fraction(total, grid.L * math.prod(q for q, _ in surrogates))
+
+
 def _tolerance(instance: Instance, model: Optional[CombModel]):
-    return 0 if IntegerGrid(instance, model).exact else TOL
+    return 0 if IntegerGrid.of(instance, model).exact else TOL
 
 
-def _breakpoints(instance: Instance, n: int, scale=None):
-    """Item n's kink set: 0, its support values v and its own mu, u_rsv and
-    u_bkp (its surrogates' source), with ``scale`` the NOI atoms times it,
-    and one past the largest.
+def _breakpoints(grid: IntegerGrid, n: int, alpha=None):
+    """Item n's kink set on ``grid``: 0, its support values and its own mu,
+    u_rsv and u_bkp (its surrogates' source), with ``alpha`` the NOI atoms
+    times it, and one past the largest (+ L).  With ``alpha`` the points lie
+    on the grid refined by f of ``IntegerGrid.ratio(alpha)``: each number
+    times f, and alpha v as a (a v) // b for a NOI atom v times f.
 
     Evaluating these points alone is a proof.  Each swept difference is
     piecewise linear with its kinks in the set: E[(u - X)+] and E[(X - u)+]
     bend at the v; E[min(W, r)] at the atoms of W, each a v, u_rsv, u_bkp or
     mu; alpha E[min(W, r / alpha)] at alpha times them; a one-item value
-    min(c + mu - E[(X - r)+], r[, mu]) at the v and where its branches cross,
-    at u_rsv, u_bkp or mu.  Each is constant past the largest point.  So zero
-    (or at most 0) at every point holds on all of [min point, infinity),
-    which reaches below 0 when u_bkp is negative."""
-    item = instance.items[n]
-    pts = {0, item.indices.mu, item.indices.u_rsv, item.indices.u_bkp, *item.dist.values}
-    if scale is not None:
-        pts.update(scale * v for v in item.surrogate(SurrogateKind.NOI).values)
-    pts.add(max(pts) + 1)
+    min(c + mu - E[(X - r)+], r[, mu]) at the v and where its branches
+    cross, at u_rsv, u_bkp or mu.  Each is constant past the largest point.
+    So zero (or at most 0) at every point holds on all of [min point,
+    infinity), which reaches below 0 when u_bkp is negative."""
+    item, ix = grid.instance.items[n], grid.instance.indices[n]
+    a, b, f = (1, 1, 1) if alpha is None else grid.ratio(alpha)
+    pts = {f * x for x in (0, ix.mu, ix.u_rsv, ix.u_bkp, *item.dist.values)}
+    if alpha is not None:
+        pts.update(grid.quotient(a * f * v, b) for v, _ in grid.surrogates(NOI)[n][1])
+    pts.add(max(pts) + f * grid.L)
     return sorted(pts)
+
+
+def _capped(atoms, r):
+    """The sum of w min(v, r) over (value, weight) ``atoms``: E[min(W, r)]
+    times W's total weight."""
+    return running_sum(w * min(v, r) for v, w in atoms)
+
+
+def _mean(atoms):
+    return running_sum(v * w for v, w in atoms)
 
 
 def check_parity(values: ExactValues, tol):
     """E[(u - X)+] - E[(X - u)+] = u - mu on the kink set."""
-    instance = values.instance
-    worst = 0
-    for n, item in enumerate(instance.items):
-        for u in _breakpoints(instance, n):
-            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - instance.indices[n].mu)
-            worst = max(worst, abs(float(gap)))
+    grid, worst = values.grid, 0
+    for n, ix in enumerate(grid.instance.indices):
+        q, atoms = grid.dists[n]
+        for u in _breakpoints(grid, n):
+            gap = _shortfall(atoms, u) - _excess(atoms, u) - q * (u - ix.mu)
+            worst = max(worst, abs(float(_div(gap, q * grid.L))))
     return worst <= tol, worst
 
 
 def check_surrogate_means(values: ExactValues, tol):
-    worst = 0
-    for item, idx in zip(values.instance.items, values.instance.indices):
+    """The surrogates' means: mu + c (OI), mu (NOI) and mu + p_hedge c (LH)."""
+    grid, worst = values.grid, 0
+    scaled = grid.instance
+    for n, (item, ix) in enumerate(zip(scaled.items, scaled.indices)):
+        (q, oi), (_, noi), (q_lh, lh) = (grid.surrogates(kind)[n] for kind in (OI, NOI, LH))
+        ((labelled, _),), _ = grid.label_weights([ix.p_hedge], [q])
         gaps = (
-            mean(item.surrogate(SurrogateKind.OI)) - (idx.mu + item.cost),
-            mean(item.surrogate(SurrogateKind.NOI)) - idx.mu,
-            mean(item.surrogate(SurrogateKind.LH)) - (idx.mu + idx.p_hedge * item.cost),
+            _div(_mean(oi) - q * (ix.mu + item.cost), q * grid.L),
+            _div(_mean(noi) - q * ix.mu, q * grid.L),
+            _div(_mean(lh) - (q_lh * ix.mu + q * labelled * item.cost), q_lh * grid.L),
         )
         worst = max(worst, max(abs(float(g)) for g in gaps))
     return worst <= tol, worst
 
 
 def check_one_item_identities(values: ExactValues, tol):
-    """E[min(W, r)] is the one-item value at r, for OI and NOI, on the kink set."""
-    instance = values.instance
-    worst = 0
-    for n, item in enumerate(instance.items):
-        for r in _breakpoints(instance, n):
-            gap_oi = capped_expectation(item, SurrogateKind.OI, r) - one_item_value(item, r, SurrogateKind.OI)
-            gap_noi = capped_expectation(item, SurrogateKind.NOI, r) - one_item_value(item, r, SurrogateKind.NOI)
-            worst = max(worst, abs(float(gap_oi)), abs(float(gap_noi)))
+    """E[min(W, r)] is the one-item value at r (``one_item_value``), for OI
+    and NOI, on the kink set: every term times the item's q."""
+    grid, worst = values.grid, 0
+    scaled = grid.instance
+    for n, (item, ix) in enumerate(zip(scaled.items, scaled.indices)):
+        q, atoms = grid.dists[n]
+        (_, oi), (_, noi) = grid.surrogates(OI)[n], grid.surrogates(NOI)[n]
+        for r in _breakpoints(grid, n):
+            inspect = q * item.cost + (q * ix.mu - _excess(atoms, r))
+            gap_oi = _capped(oi, r) - min(inspect, q * r)
+            gap_noi = _capped(noi, r) - min(inspect, q * r, q * ix.mu)
+            worst = max(worst, abs(float(_div(gap_oi, q * grid.L))), abs(float(_div(gap_noi, q * grid.L))))
     return worst <= tol, worst
 
 
 def check_local_approximation(values: ExactValues, tol):
-    """E[min(W^LH, r)] <= alpha E[min(W^NOI, r / alpha)] on the kink set."""
-    instance = values.instance
-    worst = 0
-    for n, item in enumerate(instance.items):
-        alpha = instance.indices[n].alpha_local
-        for r in _breakpoints(instance, n, scale=alpha):
-            noi = alpha * capped_expectation(item, SurrogateKind.NOI, _div(r, alpha))
-            gap = capped_expectation(item, SurrogateKind.LH, r) - noi
-            worst = max(worst, float(gap))
+    """E[min(W^LH, r)] <= alpha E[min(W^NOI, r / alpha)] on the kink set.
+
+    With alpha = a / b on the grid refined by f = a b (``IntegerGrid.ratio``),
+    r / alpha = r b / a and the NOI atoms times alpha are grid numbers, and
+    the gap times b f L Q_LH Q_NOI is b Q_NOI E_LH(r) - a Q_LH E_NOI(r b /
+    a), E being ``_capped`` on the atoms times f."""
+    grid, worst = values.grid, 0
+    for n, ix in enumerate(grid.instance.indices):
+        a, b, f = grid.ratio(ix.alpha_local)
+        (q_lh, lh), (q_noi, noi) = grid.surrogates(LH)[n], grid.surrogates(NOI)[n]
+        lh, noi = [(f * v, w) for v, w in lh], [(f * v, w) for v, w in noi]
+        for r in _breakpoints(grid, n, ix.alpha_local):
+            gap = b * q_noi * _capped(lh, r) - a * q_lh * _capped(noi, grid.quotient(r * b, a))
+            worst = max(worst, float(_div(gap, b * f * grid.L * q_lh * q_noi)))
     return worst <= tol, worst
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace, Realization, hedged_view
 from pandora_hedge.combinatorial import RuleError, rule_for_model, surrogate_cost
-from pandora_hedge.distkit import mean, min_of_independent
-from pandora_hedge.indices import SurrogateKind, compute_indices, surrogate_dist
+from pandora_hedge.distkit import _div, expected_excess, expected_shortfall, mean, min_of_independent
+from pandora_hedge.indices import SurrogateKind, capped_expectation, compute_indices, surrogate_dist
 from pandora_hedge.oracle import _dp_items
-from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, price_columns
+from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, one_item_value, price_columns
 
 
 def brute_min_atoms(dists):
@@ -462,3 +462,75 @@ def reference_expected_surrogate_cost(model, instance: Instance, kind):
     for prob, prices in reference_price_rows(dists, range(len(dists)), [None] * len(dists)):
         total = total + prob * surrogate_cost(model, prices)[0]
     return total
+
+
+def reference_breakpoints(instance: Instance, n: int, scale=None):
+    """Item n's kink set on its own numbers: 0, its support values and its
+    mu, u_rsv and u_bkp, with ``scale`` the NOI atoms times it, and one past
+    the largest."""
+    item, idx = instance.items[n], instance.indices[n]
+    pts = {0, idx.mu, idx.u_rsv, idx.u_bkp, *item.dist.values}
+    if scale is not None:
+        pts.update(scale * v for v in item.surrogate(SurrogateKind.NOI).values)
+    pts.add(max(pts) + 1)
+    return sorted(pts)
+
+
+def reference_parity(instance: Instance, tol):
+    """``verify.check_parity`` on the instance's own numbers."""
+    worst = 0
+    for n, item in enumerate(instance.items):
+        for u in reference_breakpoints(instance, n):
+            gap = expected_shortfall(item.dist, u) - expected_excess(item.dist, u) - (u - instance.indices[n].mu)
+            worst = max(worst, abs(float(gap)))
+    return worst <= tol, worst
+
+
+def reference_surrogate_means(instance: Instance, tol):
+    """``verify.check_surrogate_means`` on the surrogate distributions."""
+    worst = 0
+    for item, idx in zip(instance.items, instance.indices):
+        gaps = (
+            mean(item.surrogate(SurrogateKind.OI)) - (idx.mu + item.cost),
+            mean(item.surrogate(SurrogateKind.NOI)) - idx.mu,
+            mean(item.surrogate(SurrogateKind.LH)) - (idx.mu + idx.p_hedge * item.cost),
+        )
+        worst = max(worst, max(abs(float(g)) for g in gaps))
+    return worst <= tol, worst
+
+
+def reference_one_item_identities(instance: Instance, tol):
+    """``verify.check_one_item_identities`` by ``capped_expectation`` and
+    ``one_item_value``."""
+    worst = 0
+    for n, item in enumerate(instance.items):
+        for r in reference_breakpoints(instance, n):
+            for kind in (SurrogateKind.OI, SurrogateKind.NOI):
+                gap = capped_expectation(item, kind, r) - one_item_value(item, r, kind)
+                worst = max(worst, abs(float(gap)))
+    return worst <= tol, worst
+
+
+def reference_local_approximation(instance: Instance, tol):
+    """``verify.check_local_approximation`` by ``capped_expectation``."""
+    worst = 0
+    for n, item in enumerate(instance.items):
+        alpha = instance.indices[n].alpha_local
+        for r in reference_breakpoints(instance, n, scale=alpha):
+            noi = alpha * capped_expectation(item, SurrogateKind.NOI, _div(r, alpha))
+            worst = max(worst, float(capped_expectation(item, SurrogateKind.LH, r) - noi))
+    return worst <= tol, worst
+
+
+REFERENCE_SWEEPS = {
+    "shortfall-excess parity": reference_parity,
+    "surrogate means": reference_surrogate_means,
+    "one-item surrogate identities": reference_one_item_identities,
+    "local approximation sweep": reference_local_approximation,
+}
+
+
+def reference_one_shot(instance: Instance, kind):
+    """E[min W^kind] as the mean of ``min_of_independent`` of the surrogate
+    distributions."""
+    return mean(min_of_independent([item.surrogate(kind) for item in instance.items]))

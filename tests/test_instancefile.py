@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pandora_hedge.combinatorial import (
     FacilityLocationTerminal,
@@ -239,3 +241,33 @@ class TestRoundTrip:
         path = tmp_path / "f.json"
         path.write_text(first)
         assert dumps_canonical(document_for(load_instance(path))) == first
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(),  # non-ASCII included
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(DOCS)
+@example({"a": [], "b": {}, "c": [float("nan"), float("inf"), -float("inf")], "d": {"é": None, "e": True}})
+@example([np.float64(0.1), np.float64("nan"), {"☃": [np.float64(-0.0)]}])
+@example({})
+@example([[], {}])
+def test_one_renderer_is_json_dumps_indented(doc):
+    """The package's renderer writes what ``json.dumps(doc, sort_keys=True,
+    indent=2)`` writes, on the C encoder, for reports and instance files."""
+    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,7 @@ from pandora_hedge import CombModel, DiscreteDist, Instance, Item, SurrogateKind
 from pandora_hedge.distkit import expected_excess, expected_shortfall, mean
 from pandora_hedge.indices import capped_expectation
 from pandora_hedge.oracle import opt_value_comb_noi
-from pandora_hedge.policies import one_item_value
+from pandora_hedge.policies import IntegerGrid, one_item_value
 
 from helpers import golden_pair
 from test_distkit import TWO_POINT, dists, rationals
@@ -45,11 +45,13 @@ def free_items():
 def swept_terms(item):
     """(points, terms) of each per-item sweep of ``verify``: the swept
     difference is the first term minus the others.  Each term maps to an
-    exact ``Fraction``."""
-    instance = Instance([item])
+    exact ``Fraction``, and the points are ``verify._breakpoints`` on the
+    item's grid, taken off it."""
+    grid = IntegerGrid.of(Instance([item]))
     idx = item.indices
     alpha = idx.alpha_local
-    plain = verify._breakpoints(instance, 0)
+    plain = [F(x, grid.L) for x in verify._breakpoints(grid, 0)]
+    refined = [F(x, grid.ratio(alpha)[2] * grid.L) for x in verify._breakpoints(grid, 0, alpha)]
     sweeps = [
         (
             plain,
@@ -60,7 +62,7 @@ def swept_terms(item):
         (plain, lambda r: capped_expectation(item, OI, r), lambda r: one_item_value(item, r, OI)),
         (plain, lambda r: capped_expectation(item, NOI, r), lambda r: one_item_value(item, r, NOI)),
         (
-            verify._breakpoints(instance, 0, scale=alpha),
+            refined,
             lambda r: capped_expectation(item, LH, r),
             lambda r: alpha * capped_expectation(item, NOI, r / alpha),
         ),
@@ -88,7 +90,8 @@ def test_swept_terms_are_affine_between_kinks(item):
 def test_negative_backup_price_extends_the_swept_range():
     item = Item(0, F(6), TWO_POINT)
     assert item.indices.u_bkp == -1
-    assert verify._breakpoints(Instance([item]), 0)[0] == -1
+    grid = IntegerGrid.of(Instance([item]))
+    assert verify._breakpoints(grid, 0)[0] == -grid.L
 
 
 def _rank2_instance():
@@ -141,15 +144,17 @@ def test_combinatorial_sandwich_reads_both_policies(monkeypatch):
 
 def test_exact_local_approximation_sweep_passes_no_float_cap(monkeypatch):
     """A never-inspect item's alpha_local is the int 1, so r / alpha at the
-    kink r = 0 must not become the float 0.0 in exact mode."""
+    kink r = 0 must not become the float 0.0 in exact mode: every cap and
+    atom of the int sweep is an int."""
     caps = []
 
-    def recording(item, kind, r):
-        caps.append(r)
-        return capped_expectation(item, kind, r)
+    def recording(atoms, r):
+        caps.append((r, atoms))
+        return capped(atoms, r)
 
-    monkeypatch.setattr(verify, "capped_expectation", recording)
+    capped = verify._capped
+    monkeypatch.setattr(verify, "_capped", recording)
     instance = golden_pair()
     assert instance.indices[0].alpha_local == 1 and type(instance.indices[0].alpha_local) is int
     assert all(r.passed for r in verify.run_checks(instance))
-    assert caps and not [r for r in caps if isinstance(r, float)]
+    assert caps and all(type(x) is int for r, atoms in caps for x in (r, *(x for atom in atoms for x in atom)))
