@@ -33,7 +33,7 @@ from .indices import (
     surrogate_dist,
     surrogate_value,
 )
-from .instance import HedgeCoins, Instance, PolicyTrace, Realization, hedged_view
+from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
     Action,
     evaluate_exact,
@@ -47,13 +47,11 @@ from .combinatorial import (
     ExplicitFamily,
     FacilityLocationTerminal,
     GraphicMatroid,
-    GreedyRule,
     UniformMatroid,
     ZeroTerminal,
     expected_surrogate_cost,
     expected_surrogate_cost_mc,
     prepare_comb_policy,
-    surrogate_cost,
 )
 from .oracle import (
     opt_value_comb_noi,

@@ -1,5 +1,5 @@
 """Combinatorial selection: constraint families, surrogate costs, and the
-frugal composition of greedy rules with adaptive inspection.
+frugal composition of a matroid's greedy rule with adaptive inspection.
 
 A combinatorial model is an upward-closed family of feasible item sets plus a
 nonnegative terminal cost.  The one-shot surrogate cost minimizes the sum of
@@ -11,8 +11,8 @@ their tentative prices sit at the reservation price.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -20,18 +20,14 @@ from . import policies
 from .budget import DEFAULT_BUDGET
 from .distkit import Numeric, running_sum
 from .indices import SurrogateKind
-from .instance import Instance, PolicyTrace, hedged_view
-from .policies import IntegerGrid, PreparedPolicy, _column_traces, _slots, plain_dtype
+from .instance import Instance, PolicyTrace
+from .policies import IntegerGrid, PreparedPolicy, _slots, plain_dtype
 from .sampling import SURROGATE_STREAM, Columns, Lanes, mc_summary, trial_chunks
-
-
-class RuleError(RuntimeError):
-    """A greedy rule violated its contract (e.g. proposed a selected item)."""
 
 
 def _spanning_forest(edges, vertices, ids):
     """Union-find over ``vertices``: walk the edge ids in order and keep each
-    edge that joins two components.  Returns (kept ids, find)."""
+    edge that joins two components.  Returns the kept ids."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -46,7 +42,7 @@ def _spanning_forest(edges, vertices, ids):
         if a != b:
             parent[a] = b
             kept.append(n)
-    return kept, find
+    return kept
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,11 @@ class GraphicMatroid:
         return frozenset(v for e in self.edges for v in e)
 
     def is_feasible(self, selected: frozenset[int], n_items: int) -> bool:
-        kept, _ = _spanning_forest(self.edges, self.vertices, selected)
-        return len(kept) == len(self.vertices) - 1
+        return len(_spanning_forest(self.edges, self.vertices, selected)) == len(self.vertices) - 1
 
 
 Family = Union[ExplicitFamily, UniformMatroid, GraphicMatroid]
+MATROIDS = (UniformMatroid, GraphicMatroid)  # the families with a greedy rule
 
 
 @dataclass(frozen=True)
@@ -162,32 +158,6 @@ class CombModel:
         return self.terminal.cost(selected)
 
 
-def surrogate_cost(model: CombModel, prices: Sequence[Numeric]) -> tuple[Numeric, frozenset[int]]:
-    """One-shot optimum: minimize price sum plus terminal cost over feasible
-    sets.  Ties resolve to the lexicographically smallest sorted id tuple.
-    """
-    if any(p < 0 for p in prices):
-        raise ValueError("surrogate prices must be nonnegative")
-    family = model.family
-    if isinstance(family, (UniformMatroid, GraphicMatroid)) and isinstance(model.terminal, ZeroTerminal):
-        # Kruskal in (price, id) order: the first k items, or a spanning forest
-        by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
-        if isinstance(family, UniformMatroid):
-            chosen = by_price[: family.k]
-        else:
-            chosen, _ = _spanning_forest(family.edges, family.vertices, by_price)
-        return running_sum(prices[n] for n in chosen), frozenset(chosen)
-    # generic desk-scale path: enumerate subsets, ties to the first
-    best = None
-    for s, terminal in _feasible_sets(model):
-        value = running_sum(prices[n] for n in s) + terminal
-        if best is None or value < best[0]:
-            best = value, s
-    if best is None:
-        raise ValueError("model has no feasible set")
-    return best
-
-
 def _feasible_sets(model: CombModel):
     """An iterator over the feasible sets and their terminal costs in the
     lexicographic order of sorted ids: one ``is_feasible`` call per subset."""
@@ -207,9 +177,9 @@ def _feasible_sets(model: CombModel):
 def _surrogate_dtypes(model: CombModel, values: Sequence[Sequence[Numeric]]):
     """The dtypes of ``surrogate_costs`` price columns drawn from ``values[n]``
     for item n and of its pool: the pool is ``plain_dtype`` of every price and
-    distance, float64 where that orders them exactly.  The columns keep the
-    value and type that ``surrogate_cost`` gives: int64 or float64 when every
-    number is an int or every one a float within that bound, else object."""
+    distance, float64 where that orders them exactly.  The columns keep each
+    sum's own value and type: int64 or float64 when every number is an int
+    or every one a float within that bound, else object."""
     numbers = [x for row in values for x in row] + [d for row in model.terminal.distances for d in row]
     kinds, pool = set(map(type, numbers)), plain_dtype(numbers, model.n_items)
     columns = object if len(kinds) > 1 or pool is object else np.int64 if kinds == {int} else np.float64
@@ -218,13 +188,14 @@ def _surrogate_dtypes(model: CombModel, values: Sequence[Sequence[Numeric]]):
 
 def surrogate_costs(model: CombModel, pool):
     """The package's one batch of one-shot optima: ``costs(prices)`` is the
-    ``surrogate_cost`` value of each column of an (items x columns) price
-    array (in ``_surrogate_dtypes``), summed in its dtype.  A uniform or
+    least price sum plus terminal cost over the feasible sets of each column
+    of an (items x columns) price array (in ``_surrogate_dtypes``), summed in
+    its dtype, a tie to the lexicographically smallest sorted id tuple.  A uniform or
     graphic matroid with a zero terminal runs ``_greedy_select`` with every
     item in a ``pool``-dtype copy, which is Kruskal in (price, id) order; any
     other model takes each column's minimum over its ``_feasible_sets``,
     enumerated once per call."""
-    if type(model.family) in _KERNEL_FAMILIES.values() and type(model.terminal) is ZeroTerminal:
+    if isinstance(model.family, MATROIDS) and type(model.terminal) is ZeroTerminal:
 
         def greedy(prices):
             spent = np.zeros(prices.shape[1], dtype=prices.dtype)
@@ -236,7 +207,7 @@ def surrogate_costs(model: CombModel, pool):
 
     def enumerated(prices):
         best = None
-        for s, terminal in sets:  # a tie keeps the earlier set, as in surrogate_cost
+        for s, terminal in sets:  # a tie keeps the earlier set
             value = running_sum(prices[n] for n in s) + terminal
             best = value if best is None else np.where(value < best, value, best)
         return best.tolist()
@@ -253,7 +224,7 @@ def expected_surrogate_cost(
     """E[Z] for the chosen surrogate kind: ``policies._exact_columns`` of the
     surrogates on the grid, every item labelled, through ``surrogate_costs``
     on the grid's model, summed by ``policies._weighted_sum``.  Each cost
-    keeps the type ``surrogate_cost`` gives (``_surrogate_dtypes``)."""
+    keeps its sum's type (``_surrogate_dtypes``)."""
     what = "surrogate cost enumeration"
     grid, denominator, chunks = policies._exact_columns(instance, model, [1] * len(instance), budget, what, kind)
     dtype, pool = _surrogate_dtypes(grid.model, [[v for v, _ in atoms] for _, atoms in grid.surrogates(kind)])
@@ -283,133 +254,18 @@ def expected_surrogate_cost_mc(
     return mc_summary(np.concatenate([grid.float_totals(costs(prices)) for prices in chunks]))
 
 
-class GreedyRule:
-    """Plugin interface for the frugal composition.
-
-    ``frugal_trace`` asks the rule for each step: given tentative prices, the
-    currently selected and inspected sets, and the model, propose the next
-    item id or return None to declare completion.  Proposals must keep the
-    selected set extensible to a feasible set.
-
-    Traces pass the instance's own prices.  Monte Carlo and exact evaluation
-    may pass tentative prices (and a model whose terminal costs are) scaled
-    by a positive constant (see ``IntegerGrid``), so a rule may only compare
-    and add them; a rule that uses their size otherwise can give Monte Carlo
-    results and exact values that differ from its traces.
-
-    Monte Carlo and exact evaluation of the shipped rules (exactly
-    ``UniformMatroidRule`` or ``GraphicMatroidRule`` on its own family) run
-    the array kernel of ``frugal_batch`` and call no ``propose``; a plugin or
-    a subclass runs ``frugal_trace`` one trial at a time.
-    """
-
-    def propose(
-        self,
-        tau: Sequence[Numeric],
-        selected: frozenset[int],
-        inspected: frozenset[int],
-        model: CombModel,
-    ) -> Optional[int]:
-        raise NotImplementedError
-
-
-def _proposal_key(tau, inspected, n):
-    # ascending tentative price; at ties prefer already-inspected items (their
-    # price is final, so selecting them never wastes an inspection), then the
-    # lowest id
-    return (tau[n], 0 if n in inspected else 1, n)
-
-
-class UniformMatroidRule(GreedyRule):
-    def propose(self, tau, selected, inspected, model):
-        k = model.family.k
-        if len(selected) >= k:
-            return None
-        candidates = [n for n in range(model.n_items) if n not in selected]
-        return min(candidates, key=lambda n: _proposal_key(tau, inspected, n))
-
-
-class GraphicMatroidRule(GreedyRule):
-    def propose(self, tau, selected, inspected, model):
-        family = model.family
-        kept, find = _spanning_forest(family.edges, family.vertices, selected)
-        if len(kept) == len(family.vertices) - 1:
-            return None
-        candidates = [
-            n
-            for n in range(model.n_items)
-            if n not in selected and find(family.edges[n][0]) != find(family.edges[n][1])
-        ]
-        if not candidates:
-            raise RuleError("no edge can extend the selected forest")
-        return min(candidates, key=lambda n: _proposal_key(tau, inspected, n))
-
-
-_KERNEL_FAMILIES = {UniformMatroidRule: UniformMatroid, GraphicMatroidRule: GraphicMatroid}
-
-
-def rule_for_model(model: CombModel) -> GreedyRule:
-    if isinstance(model.family, UniformMatroid):
-        return UniformMatroidRule()
-    if isinstance(model.family, GraphicMatroid):
-        return GraphicMatroidRule()
-    raise ValueError(
-        "no shipped greedy rule for this family; supply a GreedyRule plugin"
-    )
-
-
-def frugal_trace(
-    model: CombModel, rule: GreedyRule, instance: Instance, prices: Sequence[Numeric], labels=None
-) -> PolicyTrace:
-    """One trial of the frugal composition of ``rule`` on the ``hedged_view``
-    of ``labels`` (None: frugal-oi, every item labelled): tentative prices
-    start at the keys; a proposed uninspected item is inspected (its
-    tentative price becomes its view price, floored at its key), a proposed
-    inspected item is selected.  The trial is charged in event order (see
-    ``PolicyTrace``), as the array kernel charges it."""
-    view = (True,) * len(instance) if labels is None else labels
-    keys, costs, seen = hedged_view(instance, view, prices)
-    tau = list(keys)
-    inspected: set[int] = set()
-    selected: set[int] = set()
-    order: list[int] = []
-    total = 0
-    for _ in range(2 * len(keys) + 1):
-        prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
-        if prop is None:
-            break
-        if prop in selected:
-            raise RuleError(f"rule proposed already-selected item {prop}")
-        if prop not in inspected:
-            inspected.add(prop)
-            order.append(prop)
-            total = total + costs[prop]
-            v = seen[prop]
-            tau[prop] = v if v > keys[prop] else keys[prop]
-        else:
-            selected.add(prop)
-            total = total + prices[prop]
-    else:
-        raise RuleError("rule failed to terminate")
-    if not model.is_feasible(frozenset(selected)):
-        raise RuleError("rule declared completion with an infeasible set")
-    order, selected = tuple(n for n in order if view[n]), frozenset(selected)
-    # every selected item was inspected, on the view at least
-    return PolicyTrace(order, selected, selected.difference(order), total + model.terminal_cost(selected), labels)
-
-
 COMB_POLICIES = ("frugal-oi", "local-hedging")
 
 
 class _Bases:
-    """The greedy state of each trial in a chunk, for a shipped matroid: how
-    many items it selected (``count``) and which, in selection order
+    """The greedy state of each trial in a chunk, for a uniform or graphic
+    matroid: how many items it selected (``count``) and which, in selection order
     (``picked``, rank x trials); for a graphic matroid also each vertex's
     component label (``labels``, trials x vertices)."""
 
     def __init__(self, family: Union[UniformMatroid, GraphicMatroid], trials: int):
         self.ends = None
-        if type(family) is GraphicMatroid:
+        if isinstance(family, GraphicMatroid):
             index = {v: i for i, v in enumerate(sorted(family.vertices))}
             self.ends = np.array([[index[a] for a, _ in family.edges], [index[b] for _, b in family.edges]])
             self.labels = np.tile(np.arange(len(index)), (trials, 1))
@@ -469,86 +325,99 @@ def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, prices: np.ndarra
         spent[rows] += prices[ns, rows]
 
 
-def _frugal_kernel(grid: IntegerGrid):
-    """Array form of the frugal composition of a shipped matroid rule on
-    ``grid``, bit for bit ``frugal_trace``'s totals.
+def _frugal_kernel(instance: Instance, model: CombModel):
+    """Array form of the frugal composition of a matroid's greedy rule, the
+    package's one frugal search: Monte Carlo and exact evaluation run it on
+    the ``IntegerGrid``, traces on object arrays of the instance's own
+    numbers.
 
-    The rule proposes the lowest (tentative price, inspected first, id) item
-    that extends the selection, and an uninspected item's tentative price is
-    its key.  So the kernel walks the sorted (key, id, labelled) slots of
-    ``reservation_batch`` (frugal-oi: every slot labelled; local hedging:
-    the slots its coins make active).  Before each slot it selects, by
+    The greedy rule takes next the lowest (tentative price, inspected
+    first, id) item that extends the selection, and an uninspected item's
+    tentative price is its key.  So the kernel walks the sorted (key, id,
+    labelled) slots of ``reservation_batch`` (frugal-oi: every slot
+    labelled; local hedging: the slots its coins make active).  Before each slot it selects, by
     ``_greedy_select``, every pooled (inspected) item whose tentative price
     is at most the slot's key; then it inspects the slot where it is active
     and still extends the selection, pooling the item at max(view price,
-    key).  After the last slot it selects with no threshold.
+    key).  After the last slot it selects with no threshold, which
+    completes every trial's basis: each item reaches one active slot.
 
     Both policies charge in event order (see ``PolicyTrace``): a labelled
     slot's cost when it is inspected, a selection's realized price when it
     is made, then the terminal cost of the selected set, unless it is a
-    ``ZeroTerminal``.  Exact-mode totals are Python ints."""
-    instance, model = grid.instance, grid.model
+    ``ZeroTerminal``.  ``search(prices, coins)`` returns the trials'
+    totals, their ``_Bases`` (the selected items) and, for each labelled
+    slot in slot order, its item and the trials that inspected it."""
     costs = [item.cost for item in instance.items]
 
-    def batch(prices, coins):
+    def search(prices, coins):
         slots = _slots(instance, None if coins is not None else (True,) * len(instance))
         trials = prices.shape[1]
         cols = np.arange(trials)
         bases = _Bases(model.family, trials)
         pool = np.full(prices.shape, np.inf, dtype=object if prices.dtype == object else np.float64)
         spent = np.zeros(trials, dtype=prices.dtype)
+        inspected = []
         for key, n, lab in slots:
             _greedy_select(bases, pool, key, prices, spent)
             go = bases.open() & bases.joins(n, cols)
             if coins is not None:
                 go &= coins[n] == lab
             if lab:
+                inspected.append((n, go))
                 spent[go] += costs[n]
                 seen = prices[n, go]
                 pool[n, go] = np.where(seen > key, seen, key)
             else:  # view price and key are the mean
                 pool[n, go] = key
         _greedy_select(bases, pool, None, prices, spent)
-        if type(model.terminal) is ZeroTerminal:
-            return spent.tolist()
-        return [s + model.terminal_cost(frozenset(p)) for s, p in zip(spent.tolist(), bases.picked.T.tolist())]
+        totals = spent.tolist()
+        if type(model.terminal) is not ZeroTerminal:
+            totals = [s + model.terminal_cost(frozenset(p)) for s, p in zip(totals, bases.picked.T.tolist())]
+        return totals, bases, inspected
 
-    return batch
+    return search
 
 
-def frugal_batch(rule: GreedyRule, grid: IntegerGrid):
-    """Array form of a frugal policy on ``grid``: for a shipped rule on its
-    own family (``type(rule)`` exactly ``UniformMatroidRule`` or
-    ``GraphicMatroidRule``) the array kernel ``_frugal_kernel``; for a plugin
-    or a subclass, ``frugal_trace`` on the grid's model once per trial column,
-    with the column's labels if it draws coins."""
-    if _KERNEL_FAMILIES.get(type(rule)) is type(grid.model.family):
-        run = _frugal_kernel(grid)
-    else:
-        traces = _column_traces(partial(frugal_trace, grid.model, rule, grid.instance))
+def frugal_batch(grid: IntegerGrid):
+    """``_frugal_kernel``'s totals on ``grid``: exact small ints (drawn as
+    float64) run as int64, so exact-mode totals leave as Python ints."""
+    search = _frugal_kernel(grid.instance, grid.model)
 
-        def run(prices, coins):
-            return [trace.total_cost for trace in traces(prices, coins)]
-
-    def batch(prices, coins):  # exact small ints (drawn as float64) run as int64: totals leave as Python ints
+    def batch(prices, coins):
         prices = np.asarray(prices, dtype=np.int64 if grid.exact and prices.dtype != object else prices.dtype)
-        return run(prices, None if coins is None else np.asarray(coins))  # every slot reads its coins
+        return search(prices, None if coins is None else np.asarray(coins))[0]  # every slot reads its coins
 
     return batch
 
 
-def prepare_comb_policy(
-    model: CombModel, instance: Instance, policy: str, rule: Optional[GreedyRule] = None
-) -> PreparedPolicy:
+def prepare_comb_policy(model: CombModel, instance: Instance, policy: str) -> PreparedPolicy:
     """Prepare a combinatorial policy by name: ``frugal-oi`` (the frugal
     composition with obligatory inspection, charged its own total) or
     ``local-hedging`` (two stages: commit labels, then run the frugal
-    composition on the induced obligatory-inspection view).  Monte Carlo and
-    exact evaluation run either on the ``IntegerGrid``."""
+    composition on the induced obligatory-inspection view), on a uniform or
+    graphic matroid.  Traces, Monte Carlo and exact evaluation all run
+    ``_frugal_kernel``.  A trace inspects its labelled slots in slot order
+    and selects its basis; an unlabelled item it selects is selected
+    without inspection."""
     if policy not in COMB_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
-    rule = rule_for_model(model) if rule is None else rule
-    traces = _column_traces(partial(frugal_trace, model, rule, instance))
-    labels = None if policy == "local-hedging" else (True,) * len(instance)
-    return PreparedPolicy(instance, traces, partial(frugal_batch, rule), labels, model)
+    if not isinstance(model.family, MATROIDS):
+        raise ValueError("no greedy rule for this family: the frugal policies need a uniform or graphic matroid")
+    search = _frugal_kernel(instance, model)
 
+    def traces(prices, coins):
+        totals, bases, inspected = search(prices, coins)
+        orders = [[] for _ in totals]
+        for n, go in inspected:
+            for t in np.flatnonzero(go).tolist():
+                orders[t].append(n)
+        labelings = [None] * len(totals) if coins is None else [tuple(c) for c in coins.T.tolist()]
+        out = []
+        for order, picked, total, labs in zip(orders, bases.picked.T.tolist(), totals, labelings):
+            selected = frozenset(picked)
+            out.append(PolicyTrace(tuple(order), selected, selected.difference(order), total, labs))
+        return out
+
+    labels = None if policy == "local-hedging" else (True,) * len(instance)
+    return PreparedPolicy(instance, traces, frugal_batch, labels, model)

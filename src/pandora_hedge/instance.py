@@ -85,26 +85,3 @@ class PolicyTrace:
         if not self.selected_without_inspection <= self.selected:
             raise ValueError("selected_without_inspection must be a subset of selected")
 
-
-def hedged_view(
-    instance: Instance, labels: Sequence[bool], prices: Sequence[Numeric]
-) -> tuple[list[Numeric], list[Numeric], list[Numeric]]:
-    """Sort keys, inspection costs and prices an engine sees under hedge labels.
-
-    A labelled (obligatory-inspection) item keeps its reservation price, its
-    cost and its realized price.  Any other item acts as a free point mass at
-    its mean: key and price are the mean (the reservation price of a point
-    mass at zero cost) and its cost is 0.
-    """
-    keys, costs, seen = [], [], []
-    for n, item in enumerate(instance.items):
-        if labels[n]:
-            keys.append(instance.indices[n].u_rsv)
-            costs.append(item.cost)
-            seen.append(prices[n])
-        else:
-            mu = instance.indices[n].mu
-            keys.append(mu)
-            costs.append(0)
-            seen.append(mu)
-    return keys, costs, seen

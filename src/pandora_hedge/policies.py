@@ -24,7 +24,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .distkit import DiscreteDist, Numeric, _div, _is_exact, _merged, capped_min_means, expected_excess, running_sum
 from .indices import Item, SurrogateKind, surrogate_size
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
-from .sampling import COIN_STREAM, PRICE_STREAM, Columns, Lanes, mc_summary, sample_columns, trial_chunks
+from .sampling import COIN_STREAM, PRICE_STREAM, Columns, Lanes, mc_summary, trial_chunks
 
 
 class Action(Enum):
@@ -585,27 +585,19 @@ def _coin_lanes(instance: Instance) -> list:
     return [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices]
 
 
-def price_columns(instance: Instance, seed: int, start: int, count: int, dtype) -> np.ndarray:
-    """Prices of trials start..start+count-1 as an (items x trials) array of
-    ``dtype``."""
-    return sample_columns(_price_lanes(instance), seed, PRICE_STREAM, start, count, dtype)
-
-
-def coin_columns(instance: Instance, seed: int, start: int, count: int) -> np.ndarray:
-    """Hedge labels of trials start..start+count-1 as an (items x trials)
-    bool array: item n is labelled with probability p_hedge."""
-    return sample_columns(_coin_lanes(instance), seed, COIN_STREAM, start, count, bool)
-
-
 def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
     """Yield (realization, trace) for trials 0..count-1 on the prepared
-    policy's instance: its traces, one chunk of drawn columns at a time;
+    policy's instance: its traces, one chunk of drawn columns at a time,
+    the instance's own prices drawn as ``evaluate_mc`` draws the grid's;
     coins are drawn only for a policy that draws them."""
+    instance = prepared.instance
+    prices = Lanes(_price_lanes(instance), seed, PRICE_STREAM)
+    coins = Lanes(_coin_lanes(instance), seed, COIN_STREAM, bool) if prepared.draws_coins else None
     for start, size in trial_chunks(count):
-        prices = price_columns(prepared.instance, seed, start, size, object)
-        coins = coin_columns(prepared.instance, seed, start, size) if prepared.draws_coins else None
-        realizations = (Realization(tuple(row)) for row in prices.T.tolist())
-        yield from zip(realizations, prepared.traces(prices, coins))
+        drawn = np.asarray(Columns(prices, start, size))
+        labels = np.asarray(Columns(coins, start, size)) if coins is not None else None
+        realizations = (Realization(tuple(row)) for row in drawn.T.tolist())
+        yield from zip(realizations, prepared.traces(drawn, labels))
 
 
 def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:

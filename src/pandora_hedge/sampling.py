@@ -129,14 +129,6 @@ class Columns:
         return self._rows.astype(self.dtype if dtype is None else dtype, copy=bool(copy))
 
 
-def sample_columns(lanes, seed: int, stream: int, start: int, count: int, dtype=object) -> np.ndarray:
-    """(lanes x trials) array for trials start..start+count-1: row n holds
-    draws of ``lanes[n] = (values, probs)`` on lane (seed, n, stream).
-
-    With ``dtype=object`` the entries are the values themselves."""
-    return np.asarray(Columns(Lanes(lanes, seed, stream, dtype), start, count))
-
-
 def mc_summary(values: Iterable) -> tuple[float, float]:
     """Mean and standard error of per-trial Monte Carlo values (as floats);
     ``values`` is an iterable of numbers or an array of them.  A result that

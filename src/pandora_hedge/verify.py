@@ -24,8 +24,8 @@ import numpy as np
 
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .combinatorial import (
+    MATROIDS,
     CombModel,
-    GraphicMatroid,
     UniformMatroid,
     ZeroTerminal,
     _surrogate_dtypes,
@@ -261,9 +261,6 @@ def check_alpha(values: ExactValues, tol):
             gaps += [1 + loss - idx.alpha_local for loss in hedging_losses(idx, item.cost, idx.p_hedge)]
         worst = max(worst, max(abs(float(g)) for g in gaps))
     return ok and worst <= tol, worst
-
-
-MATROIDS = (UniformMatroid, GraphicMatroid)  # the families with a shipped greedy rule
 
 
 def _attains_one_shot(model: Optional[CombModel]) -> bool:

@@ -14,12 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, PolicyTrace, Realization, hedged_view
-from pandora_hedge.combinatorial import RuleError, rule_for_model, surrogate_cost
+from pandora_hedge import DiscreteDist, GraphicMatroid, HedgeCoins, Instance, Item, PolicyTrace, Realization
+from pandora_hedge.combinatorial import MATROIDS, UniformMatroid, ZeroTerminal, _feasible_sets
 from pandora_hedge.distkit import _div, expected_excess, expected_shortfall, mean, min_of_independent
 from pandora_hedge.indices import SurrogateKind, capped_expectation, compute_indices, surrogate_dist
 from pandora_hedge.oracle import _dp_items
-from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, commit_enum_labeling, one_item_value, price_columns
+from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, one_item_value
+from pandora_hedge.sampling import COIN_STREAM, PRICE_STREAM, sample_price_indices, uniforms
 
 
 def brute_min_atoms(dists):
@@ -98,9 +99,43 @@ def reservation_engine(keys, costs):
     return run
 
 
-def frugal_engine(model, rule):
-    """The frugal composition of ``rule`` as an engine on a key/cost view,
-    one trial at a time.
+def _forest(edges, ids):
+    """Union-find of the edges ``ids`` of a graph: ``find`` of a vertex is
+    its component's root."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for n in ids:
+        a, b = find(edges[n][0]), find(edges[n][1])
+        if a != b:
+            parent[a] = b
+    return find
+
+
+def greedy_proposal(model, tau, selected, inspected):
+    """The greedy rule of a uniform or graphic matroid: None once the
+    selected set is a basis, else the lowest (tentative price, inspected
+    first, id) item that extends it.  At a tie an inspected item's price is
+    final, so selecting it never wastes an inspection."""
+    family = model.family
+    if isinstance(family, GraphicMatroid):
+        find = _forest(family.edges, selected)
+        fits = [n for n in range(model.n_items) if find(family.edges[n][0]) != find(family.edges[n][1])]
+    else:
+        fits = [n for n in range(model.n_items) if n not in selected] if len(selected) < family.k else []
+    if not fits:
+        return None
+    return min(fits, key=lambda n: (tau[n], 0 if n in inspected else 1, n))
+
+
+def frugal_engine(model):
+    """The frugal composition of the model's greedy rule
+    (``greedy_proposal``) as an engine on a key/cost view, one trial at a
+    time.
 
     ``engine(keys, costs)`` returns ``run(prices, paid=prices)``: tentative
     prices start at the keys; a proposed uninspected item is inspected (its
@@ -119,15 +154,8 @@ def frugal_engine(model, rule):
             selected: set[int] = set()
             order: list[int] = []
             total = 0
-            for _ in range(2 * len(keys) + 1):
-                prop = rule.propose(tau, frozenset(selected), frozenset(inspected), model)
-                if prop is None:
-                    if not model.is_feasible(frozenset(selected)):
-                        raise RuleError("rule declared completion with an infeasible set")
-                    terminal = model.terminal_cost(frozenset(selected))
-                    return order, selected, total + terminal, terminal
-                if prop in selected:
-                    raise RuleError(f"rule proposed already-selected item {prop}")
+            while (prop := greedy_proposal(model, tau, selected, inspected)) is not None:
+                assert prop not in selected
                 if prop not in inspected:
                     inspected.add(prop)
                     order.append(prop)
@@ -137,7 +165,9 @@ def frugal_engine(model, rule):
                 else:
                     selected.add(prop)
                     total = total + paid[prop]
-            raise RuleError("rule failed to terminate")
+            assert model.is_feasible(frozenset(selected))
+            terminal = model.terminal_cost(frozenset(selected))
+            return order, selected, total + terminal, terminal
 
         return run
 
@@ -164,6 +194,28 @@ def added(values):
     for v in values:
         total = total + v
     return total
+
+
+def hedged_view(instance: Instance, labels, prices):
+    """Sort keys, inspection costs and prices an engine sees under hedge labels.
+
+    A labelled (obligatory-inspection) item keeps its reservation price, its
+    cost and its realized price.  Any other item acts as a free point mass at
+    its mean: key and price are the mean (the reservation price of a point
+    mass at zero cost) and its cost is 0.
+    """
+    keys, costs, seen = [], [], []
+    for n, item in enumerate(instance.items):
+        if labels[n]:
+            keys.append(instance.indices[n].u_rsv)
+            costs.append(item.cost)
+            seen.append(prices[n])
+        else:
+            mu = instance.indices[n].mu
+            keys.append(mu)
+            costs.append(0)
+            seen.append(mu)
+    return keys, costs, seen
 
 
 def hedged_trace(instance: Instance, engine, realization: Realization, labels) -> PolicyTrace:
@@ -208,10 +260,10 @@ def reference_policy(instance: Instance, policy: str):
     return lambda realization, coins=None: PolicyTrace((), frozenset({sel}), frozenset({sel}), realization.prices[sel])
 
 
-def reference_comb_policy(model, instance: Instance, policy: str, rule=None):
+def reference_comb_policy(model, instance: Instance, policy: str):
     """One-trial ``run(realization, coins=None)`` of a combinatorial policy
     on the reference frugal engine."""
-    engine = frugal_engine(model, rule_for_model(model) if rule is None else rule)
+    engine = frugal_engine(model)
     if policy == "frugal-oi":
         return obligatory_run(instance, engine)
     assert policy == "local-hedging"
@@ -240,11 +292,28 @@ def enumerate_lh_cost(instance: Instance):
     return total
 
 
+def draw_columns(source, seed: int, start: int, count: int, dtype=object, stream=PRICE_STREAM):
+    """The (lanes x trials) draws of trials start..start+count-1, drawn
+    eagerly: row n maps lane (seed, n, stream)'s uniforms through lane n's
+    (values, probs) table, as ``sampling.Columns`` draws a row.  ``source``
+    is a list of (values, probs) lanes, or an instance: its prices in
+    ``dtype`` on ``PRICE_STREAM``, its hedge labels (bool, labelled with
+    probability p_hedge) on ``COIN_STREAM``."""
+    if isinstance(source, Instance) and stream == COIN_STREAM:
+        source, dtype = [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in source.indices], bool
+    elif isinstance(source, Instance):
+        source = [(item.dist.values, item.dist.probs) for item in source.items]
+    rows = np.empty((len(source), count), dtype=dtype)
+    for n, (values, probs) in enumerate(source):
+        rows[n] = np.asarray(values, dtype=dtype)[sample_price_indices(probs, uniforms(seed, n, stream, count, start))]
+    return rows
+
+
 def seeded_trials(instance: Instance, seed: int, start: int, count: int):
     """Realizations and hedge coins of trials start..start+count-1: the
-    columns of ``price_columns`` and ``coin_columns``, one row per trial."""
-    prices = price_columns(instance, seed, start, count, object).T.tolist()
-    coins = coin_columns(instance, seed, start, count).T.tolist()
+    columns of ``draw_columns``, one row per trial."""
+    prices = draw_columns(instance, seed, start, count).T.tolist()
+    coins = draw_columns(instance, seed, start, count, stream=COIN_STREAM).T.tolist()
     return [Realization(tuple(r)) for r in prices], [HedgeCoins(tuple(c)) for c in coins]
 
 
@@ -374,6 +443,37 @@ def recursive_opt_value_comb_noi(model, instance: Instance):
         return min(options)
 
     return grid.leave(val((UNINSPECTED,) * n, 0), grid.D)
+
+
+def surrogate_cost(model, prices):
+    """One-shot optimum: minimize price sum plus terminal cost over feasible
+    sets.  Ties resolve to the lexicographically smallest sorted id tuple.
+    The one-row reference for ``combinatorial.surrogate_costs``: Kruskal in
+    (price, id) order on a uniform or graphic matroid with a zero terminal,
+    else every feasible set.
+    """
+    if any(p < 0 for p in prices):
+        raise ValueError("surrogate prices must be nonnegative")
+    family = model.family
+    if isinstance(family, MATROIDS) and isinstance(model.terminal, ZeroTerminal):
+        by_price = sorted(range(model.n_items), key=lambda n: (prices[n], n))
+        if isinstance(family, UniformMatroid):
+            chosen = by_price[: family.k]
+        else:
+            chosen = []
+            for n in by_price:
+                find = _forest(family.edges, chosen)
+                if find(family.edges[n][0]) != find(family.edges[n][1]):
+                    chosen.append(n)
+        return added(prices[n] for n in chosen), frozenset(chosen)
+    best = None
+    for s, terminal in _feasible_sets(model):
+        value = added(prices[n] for n in s) + terminal
+        if best is None or value < best[0]:
+            best = value, s
+    if best is None:
+        raise ValueError("model has no feasible set")
+    return best
 
 
 def reference_opt_value_comb_noi(model, instance: Instance):

@@ -23,15 +23,13 @@ from pandora_hedge.policies import (
     SINGLE_POLICIES,
     IntegerGrid,
     array_dtype,
-    coin_columns,
     prepare_policy,
-    price_columns,
 )
 from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.randgen import random_comb_instance, random_instance
 from pandora_hedge.sampling import COIN_STREAM, mc_summary, uniforms
 
-from helpers import all_int, big_grid, reference_policy, seeded_trials, wide_grid
+from helpers import all_int, big_grid, draw_columns, reference_policy, seeded_trials, wide_grid
 
 SEED = 7
 
@@ -91,8 +89,8 @@ def _batch_totals(instance, policy, count, seed=SEED):
     """Totals of the array form on the instance's grid, and the grid's L."""
     prepared = prepare_policy(instance, policy)
     grid = IntegerGrid(instance)
-    prices = price_columns(grid.instance, seed, 0, count, array_dtype(grid.instance))
-    coins = coin_columns(instance, seed, 0, count) if prepared.draws_coins else None
+    prices = draw_columns(grid.instance, seed, 0, count, array_dtype(grid.instance))
+    coins = draw_columns(instance, seed, 0, count, stream=COIN_STREAM) if prepared.draws_coins else None
     return prepared.batch(grid)(prices, coins).tolist(), grid.L
 
 
@@ -100,7 +98,7 @@ def _batch_totals(instance, policy, count, seed=SEED):
 def test_coin_columns_follow_the_threshold_rule(p_hedge):
     inst = single_item("float")
     inst = Instance(inst.items, [replace(inst.indices[0], p_hedge=p_hedge)])
-    labels = coin_columns(inst, SEED, 5, 300)[0]
+    labels = draw_columns(inst, SEED, 5, 300, stream=COIN_STREAM)[0]
     assert labels.tolist() == (uniforms(SEED, 0, COIN_STREAM, 300, start=5) < float(p_hedge)).tolist()
 
 

@@ -24,16 +24,14 @@ from pandora_hedge import (
     expected_surrogate_cost_mc,
     prepare_comb_policy,
     prepare_policy,
-    surrogate_cost,
 )
 from pandora_hedge import policies
 from pandora_hedge.budget import BudgetExceededError
-from pandora_hedge.combinatorial import RuleError, rule_for_model
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
-from helpers import added, golden_pair, price_realizations, two_point_item
+from helpers import added, golden_pair, price_realizations, surrogate_cost, two_point_item
 
 
 def rank_model(k, n):
@@ -255,19 +253,12 @@ class TestFrugalPolicy:
         trace = prepare_comb_policy(triangle_model(), inst, "frugal-oi").run(Realization((F(1), F(2), F(3))))
         assert trace.selected == frozenset({0, 1})
 
-    def test_rule_error_on_bad_plugin(self):
-        class BadRule:
-            def propose(self, tau, selected, inspected, model):
-                return 0  # proposes forever, including selected items
-
-        inst = three_deterministic_items()
-        with pytest.raises(RuleError, match="already-selected"):
-            prepare_comb_policy(rank_model(1, 3), inst, "frugal-oi", rule=BadRule()).run(Realization((F(1), F(2), F(3))))
-
     def test_no_rule_for_explicit_family(self):
         model = CombModel(ExplicitFamily((frozenset({0}), frozenset({0, 1}), frozenset({1}))), ZeroTerminal(), 2)
-        with pytest.raises(ValueError, match="plugin"):
-            rule_for_model(model)
+        inst = Instance([two_point_item(item_id=0), two_point_item(item_id=1)])
+        for policy in ("frugal-oi", "local-hedging"):
+            with pytest.raises(ValueError, match="no greedy rule"):
+                prepare_comb_policy(model, inst, policy)
 
 
 class TestCombinatorialHedging:

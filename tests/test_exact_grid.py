@@ -22,25 +22,25 @@ from pandora_hedge import (
 )
 from pandora_hedge import policies
 from pandora_hedge.budget import BudgetExceededError
-from pandora_hedge.combinatorial import COMB_POLICIES, rule_for_model
-from pandora_hedge.instance import hedged_view
+from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.policies import (
     SINGLE_POLICIES,
     IntegerGrid,
     array_dtype,
-    coin_columns,
     commit_enum_labeling,
     evaluate_exact,
     prepare_policy,
-    price_columns,
 )
+from pandora_hedge.sampling import COIN_STREAM
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
 from helpers import (
     all_int,
     big_grid,
+    draw_columns,
     enumerate_lh_cost,
     frugal_engine,
+    hedged_view,
     reference_comb_policy,
     reference_policy,
     reference_weighted_columns,
@@ -211,11 +211,17 @@ def test_columns_follow_the_reference_order(monkeypatch):
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_support_product_beyond_one_chunk(exact):
+def test_support_product_beyond_one_chunk(exact, monkeypatch):
+    """Columns that span several chunks, whatever ``EXACT_CHUNK`` is: the
+    chunk is patched below the support product of a searched instance."""
+    monkeypatch.setattr(policies, "EXACT_CHUNK", 37)
     rng = random.Random(77)
-    inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
-    while math.prod(len(item.dist) for item in inst.items) <= policies.EXACT_CHUNK:
+    for _ in range(50):
         inst = random_instance(rng, n_items=5, max_support=4, exact=exact)
+        if math.prod(len(item.dist) for item in inst.items) > 3 * policies.EXACT_CHUNK:
+            break
+    else:
+        pytest.fail("no instance spans three chunks")
     for policy in SINGLE_POLICIES:
         _assert_same(evaluate_exact(prepare_policy(inst, policy)), reference_value(inst, policy))
     model = uniform(2, len(inst))
@@ -228,7 +234,7 @@ def _view_order_value(model, inst):
     """Combinatorial local hedging summed in the frugal engine's own order
     (inspection costs and selected prices interleaved, then the terminal
     cost) on the view's prices, weighted by the reference weights."""
-    engine = frugal_engine(model, rule_for_model(model))
+    engine = frugal_engine(model)
     total = 0
     for prob, row, labels in reference_weighted_columns(inst, _label_probs(inst, "local-hedging")):
         keys, costs, prices = hedged_view(inst, labels, row)
@@ -281,8 +287,8 @@ class TestArrayDtypeBound:
             prepared = prepare_policy(inst, policy)
             realizations, coins = seeded_trials(inst, 3, 0, 200)
             expected = [reference_policy(inst, policy)(r, c).total_cost for r, c in zip(realizations, coins)]
-            prices = price_columns(scaled, 3, 0, 200, np.float64)
-            got = prepared.batch(grid)(prices, coin_columns(inst, 3, 0, 200))
+            prices = draw_columns(scaled, 3, 0, 200, np.float64)
+            got = prepared.batch(grid)(prices, draw_columns(inst, 3, 0, 200, stream=COIN_STREAM))
             assert got.dtype == np.float64 and [int(t) for t in got] == [t * grid.L for t in expected]
             _assert_same(evaluate_exact(prepare_policy(inst, policy)), reference_value(inst, policy))
 

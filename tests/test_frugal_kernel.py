@@ -1,15 +1,12 @@
-"""The array kernel behind the shipped matroid rules: ``frugal_batch`` with
-``UniformMatroidRule`` or ``GraphicMatroidRule`` gives every total of the
-per-trial reference engine (``helpers.frugal_engine``), equal in value and
-type, on tie-heavy uniform and graphic models, exact, float and object price
-arrays, a facility-location terminal and across a chunk boundary; and Monte
-Carlo with a shipped rule calls no ``propose``, and no E[Z] on a shipped
-matroid calls ``surrogate_cost``."""
+"""The array kernel of the matroids' greedy rule: ``frugal_batch`` gives
+every total of the per-trial reference engine (``helpers.frugal_engine``),
+equal in value and type, on tie-heavy uniform and graphic models, exact,
+float and object price arrays, a facility-location terminal and across a
+chunk boundary; and the traces it records on the instance's own numbers
+equal the engine's in every field."""
 
 import random
-from collections import Counter
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,34 +21,26 @@ from pandora_hedge import (
     Instance,
     Item,
     Realization,
-    SurrogateKind,
     UniformMatroid,
     ZeroTerminal,
     combinatorial,
-    evaluate_exact,
     evaluate_mc,
-    expected_surrogate_cost,
-    expected_surrogate_cost_mc,
     prepare_comb_policy,
     sampling,
 )
-from pandora_hedge.cli import main
-from pandora_hedge.combinatorial import (
-    COMB_POLICIES,
-    GraphicMatroidRule,
-    UniformMatroidRule,
-    frugal_batch,
-    rule_for_model,
-)
-from pandora_hedge.policies import IntegerGrid, array_dtype, coin_columns, price_columns
-from pandora_hedge.sampling import mc_summary
+from pandora_hedge.combinatorial import COMB_POLICIES, frugal_batch
+from pandora_hedge.policies import IntegerGrid, array_dtype
+from pandora_hedge.randgen import random_comb_instance
+from pandora_hedge.sampling import COIN_STREAM, mc_summary
 
-from helpers import all_int, big_grid, reference_comb_policy, seeded_trials
+from helpers import all_int, big_grid, draw_columns, reference_comb_policy, seeded_trials, surrogate_cost
 from test_batch_mc import tie_heavy
+from test_grid_mc import facility, square_with_diagonals
 from test_grid_mc import tie_heavy as tie_heavy_exact
+from test_kernel_traces import _assert_same_traces
 
 SEED = 23
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+RANDOM_CASES = 100
 # seven edges with parallel pairs on four vertices: many tied keys per cut
 MULTIGRAPH = ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (2, 3), (2, 3))
 # K4 plus a pendant edge
@@ -110,9 +99,9 @@ def assert_kernel_matches_engine(model, inst, policy, count, dtype=None):
     (in ``dtype``, by default the one Monte Carlo draws) against the
     reference engine run on the same numbers, one trial at a time."""
     grid = IntegerGrid(inst, model)
-    prices = price_columns(grid.instance, SEED, 0, count, dtype or array_dtype(grid.instance))
-    coins = coin_columns(inst, SEED, 0, count)
-    got = frugal_batch(rule_for_model(model), grid)(prices, coins if policy == "local-hedging" else None)
+    prices = draw_columns(grid.instance, SEED, 0, count, dtype or array_dtype(grid.instance))
+    coins = draw_columns(inst, SEED, 0, count, stream=COIN_STREAM)
+    got = frugal_batch(grid)(prices, coins if policy == "local-hedging" else None)
     run = reference_comb_policy(grid.model, grid.instance, policy)
     rows = prices.T.tolist()
     if grid.exact:  # the grid's ints, drawn as float64 when small
@@ -154,9 +143,9 @@ def test_float_sums_add_left_to_right():
     labels = HedgeCoins((True,) * 3)
     trace = prepare_comb_policy(model, inst, "local-hedging").run(Realization((0.0,) * 3), labels)
     assert trace.inspection_order == (0, 1, 2) and trace.total_cost == three
-    batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
+    batch = frugal_batch(IntegerGrid(inst, model))
     assert batch(np.zeros((3, 1)), np.ones((3, 1), dtype=bool)) == [three]
-    assert combinatorial.surrogate_cost(model, [0.3, 0.1, 0.2])[0] == three
+    assert surrogate_cost(model, [0.3, 0.1, 0.2])[0] == three
     # U(2) over point masses 0.2 (cost 0.1) and 0.7 (cost 0.3): item 0 is
     # inspected and selected before item 1's key is reached, so local hedging
     # adds 0.1, 0.2, 0.3, 0.7 in that event order (the costs first, then the
@@ -169,9 +158,44 @@ def test_float_sums_add_left_to_right():
     realization, labels = Realization((v0, v1)), HedgeCoins((True, True))
     trace = prepare_comb_policy(model, inst, "local-hedging").run(realization, labels)
     assert trace.inspection_order == (0, 1) and trace.total_cost == events
-    batch = frugal_batch(UniformMatroidRule(), IntegerGrid(inst, model))
+    batch = frugal_batch(IntegerGrid(inst, model))
     assert batch(np.array([[v0], [v1]]), np.ones((2, 1), dtype=bool)) == [events]
     assert reference_comb_policy(model, inst, "local-hedging")(realization, labels).total_cost == events
+
+
+def _trace_cases():
+    """(model, instance, trials): ``_cases``, the exact tie-heavy instance
+    under a graphic square with diagonals and under a facility-location
+    terminal over U(1), and random models over random instances, exact and
+    float."""
+    for model, inst in _cases():
+        yield model, inst, 150
+    inst = tie_heavy_exact()
+    yield square_with_diagonals(len(inst)), inst, 150
+    yield facility(len(inst)), inst, 150
+    for exact in (True, False):
+        rng = random.Random(71 if exact else 70)
+        for _ in range(RANDOM_CASES):
+            yield (*random_comb_instance(rng, exact=exact), 30)
+
+
+@pytest.mark.parametrize("policy", COMB_POLICIES)
+def test_comb_traces_equal_the_reference_engine(policy):
+    """The traces that the kernel records on object arrays of the instance's
+    own numbers equal the reference engine's in every field: inspection
+    order, selected set, selected without inspection, total and its type,
+    and labels (None for frugal-oi)."""
+    for model, inst, count in _trace_cases():
+        prepared = prepare_comb_policy(model, inst, policy)
+        prices = draw_columns(inst, SEED, 0, count, object)
+        coins = draw_columns(inst, SEED, 0, count, stream=COIN_STREAM)
+        got = prepared.traces(prices, coins if prepared.draws_coins else None)
+        reference = reference_comb_policy(model, inst, policy)
+        expected = [
+            reference(Realization(tuple(row)), HedgeCoins(tuple(labels)))
+            for row, labels in zip(prices.T.tolist(), coins.T.tolist())
+        ]
+        _assert_same_traces(got, expected)
 
 
 def test_cases_reach_the_inspected_first_tie(monkeypatch):
@@ -234,52 +258,3 @@ def test_kernel_equals_engine_property(case, policy):
     model, inst = case
     assert_kernel_matches_engine(model, inst, policy, 40)
     assert_kernel_matches_engine(model, inst, policy, 40, object)
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of ``propose`` on the shipped rules and of ``surrogate_cost``."""
-    seen = Counter()
-
-    def counting(name, real):
-        def counted(*args, **kwargs):
-            seen[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
-
-    for rule in (UniformMatroidRule, GraphicMatroidRule):
-        monkeypatch.setattr(rule, "propose", counting("propose", rule.propose))
-    monkeypatch.setattr(combinatorial, "surrogate_cost", counting("surrogate_cost", combinatorial.surrogate_cost))
-    return seen
-
-
-def test_shipped_rules_call_no_propose(calls, capsys):
-    inst = tie_heavy_exact()
-    n = len(inst)
-    for family in (UniformMatroid(2), GraphicMatroid(K4_PENDANT[:n])):
-        model = CombModel(family, ZeroTerminal(), n)
-        for policy in COMB_POLICIES:
-            evaluate_mc(prepare_comb_policy(model, inst, policy), 50, SEED)
-            evaluate_exact(prepare_comb_policy(model, inst, policy))
-        for kind in SurrogateKind:
-            expected_surrogate_cost_mc(model, inst, kind, 50, SEED)
-            expected_surrogate_cost(model, inst, kind)
-    for name in ("matroid_rank2.json", "graphic_triangle.json"):
-        path = str(CORPUS / name)
-        assert main(["simulate", path, "--policy", "local-hedging", "--trials", "50"]) == 0
-        assert main(["bounds", path, "--mc", "--budget", "2", "--trials", "50"]) in (0, 1)
-    capsys.readouterr()
-    assert not calls
-
-
-def test_subclass_of_a_shipped_rule_runs_per_trial(calls):
-    class Subclass(UniformMatroidRule):
-        pass
-
-    inst = tie_heavy_exact()
-    model = CombModel(UniformMatroid(2), ZeroTerminal(), len(inst))
-    plain = evaluate_mc(prepare_comb_policy(model, inst, "local-hedging"), 20, SEED)
-    assert not calls
-    assert evaluate_mc(prepare_comb_policy(model, inst, "local-hedging", rule=Subclass()), 20, SEED) == plain
-    assert calls["propose"] > 0

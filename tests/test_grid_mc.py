@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pandora_hedge import (
@@ -30,30 +31,22 @@ from pandora_hedge import (
     opt_value_single_oi,
     pi_surrogate_bound,
     prepare_comb_policy,
-    surrogate_cost,
 )
-from pandora_hedge import sampling
+from pandora_hedge import combinatorial, sampling
 from pandora_hedge.cli import main
-from pandora_hedge.combinatorial import (
-    COMB_POLICIES,
-    GraphicMatroidRule,
-    RuleError,
-    UniformMatroidRule,
-)
+from pandora_hedge.combinatorial import COMB_POLICIES
 from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.instancefile import load_instance
 from pandora_hedge.policies import (
     IntegerGrid,
     array_dtype,
-    coin_columns,
     iter_trials,
     prepare_policy,
-    price_columns,
 )
 from pandora_hedge.randgen import random_comb_instance, random_instance
-from pandora_hedge.sampling import SURROGATE_STREAM, mc_summary, sample_columns
+from pandora_hedge.sampling import COIN_STREAM, SURROGATE_STREAM, mc_summary
 
-from helpers import all_int, big_grid, reference_comb_policy, seeded_trials
+from helpers import all_int, big_grid, draw_columns, reference_comb_policy, seeded_trials, surrogate_cost
 
 SEED = 5
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -133,16 +126,16 @@ def _grid(model, instance):
     return IntegerGrid(instance, model)
 
 
-def _reference_totals(model, instance, policy, count, rule=None):
+def _reference_totals(model, instance, policy, count):
     """Per-trial totals of the reference frugal engine on the seeded draws."""
-    run = reference_comb_policy(model, instance, policy, rule)
+    run = reference_comb_policy(model, instance, policy)
     realizations, coins = seeded_trials(instance, SEED, 0, count)
     return [run(r, c).total_cost for r, c in zip(realizations, coins)]
 
 
 def _reference_surrogate(model, instance, kind, count):
     lanes = [(d.values, d.probs) for d in (surrogate_dist(item, kind) for item in instance.items)]
-    rows = zip(*sample_columns(lanes, SEED, SURROGATE_STREAM, 0, count).tolist())
+    rows = zip(*draw_columns(lanes, SEED, 0, count, stream=SURROGATE_STREAM).tolist())
     return [surrogate_cost(model, row)[0] for row in rows]
 
 
@@ -182,8 +175,8 @@ class TestPoliciesOnTheGrid:
             assert all(isinstance(t, (F, int)) for t in expected)
             prepared = prepare_comb_policy(model, inst, policy)
             grid = IntegerGrid(inst, prepared.model)
-            prices = price_columns(grid.instance, SEED, 0, count, array_dtype(grid.instance))
-            coins = coin_columns(inst, SEED, 0, count) if prepared.draws_coins else None
+            prices = draw_columns(grid.instance, SEED, 0, count, array_dtype(grid.instance))
+            coins = draw_columns(inst, SEED, 0, count, stream=COIN_STREAM) if prepared.draws_coins else None
             totals = prepared.batch(grid)(prices, coins)
             assert all(type(t) is int for t in totals) and totals == [t * grid.L for t in expected]
             assert [t / grid.L for t in totals] == [float(t) for t in expected]
@@ -207,32 +200,23 @@ class TestPoliciesOnTheGrid:
             expected = mc_summary(_reference_totals(model, inst, policy, 60))
             assert evaluate_mc(prepare_comb_policy(model, inst, policy), 60, SEED) == expected
 
-    def test_rules_see_ints_in_exact_mode(self, policy):
+    def test_rules_see_ints_in_exact_mode(self, policy, monkeypatch):
+        """The greedy rule's array form selects on the grid's ints: every
+        realized price it adds is an int64 or a Python int."""
         seen = set()
+        real = combinatorial._greedy_select
 
-        class Recording(UniformMatroidRule):
-            def propose(self, tau, selected, inspected, model):
-                seen.update(type(t) for t in tau)
-                return super().propose(tau, selected, inspected, model)
+        def recording(bases, pool, threshold, prices, spent):
+            seen.update({prices.dtype} if prices.dtype != object else set(map(type, prices.ravel().tolist())))
+            real(bases, pool, threshold, prices, spent)
 
+        monkeypatch.setattr(combinatorial, "_greedy_select", recording)
         inst = tie_heavy()
-        evaluate_mc(prepare_comb_policy(uniform(2, len(inst)), inst, policy, rule=Recording()), 20, SEED)
-        assert seen == {int}
-
-    def test_misbehaving_rule_raises_from_mc(self, policy):
-        class Repeats(GraphicMatroidRule):
-            def propose(self, tau, selected, inspected, model):
-                return next(iter(selected)) if selected else super().propose(tau, selected, inspected, model)
-
-        class QuitsEarly(UniformMatroidRule):
-            def propose(self, tau, selected, inspected, model):
-                return None
-
-        inst = tie_heavy()
-        with pytest.raises(RuleError, match="already-selected"):
-            evaluate_mc(prepare_comb_policy(square_with_diagonals(len(inst)), inst, policy, rule=Repeats()), 20, SEED)
-        with pytest.raises(RuleError, match="infeasible"):
-            evaluate_mc(prepare_comb_policy(uniform(2, len(inst)), inst, policy, rule=QuitsEarly()), 20, SEED)
+        for model in (uniform(2, len(inst)), square_with_diagonals(len(inst))):
+            evaluate_mc(prepare_comb_policy(model, inst, policy), 20, SEED)
+        big = big_grid()
+        evaluate_mc(prepare_comb_policy(uniform(2, len(big)), big, policy), 20, SEED)
+        assert seen == {np.dtype(np.int64), int}
 
 
 def _surrogate_cases(exact):

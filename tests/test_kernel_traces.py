@@ -15,10 +15,11 @@ import pytest
 from pandora_hedge import DiscreteDist, HedgeCoins, Instance, Item, Realization, policies, verify
 from pandora_hedge.cli import main
 from pandora_hedge.instancefile import LoadedInstance, write_instance
-from pandora_hedge.policies import coin_columns, prepare_policy, price_columns
+from pandora_hedge.policies import prepare_policy
+from pandora_hedge.sampling import COIN_STREAM
 from pandora_hedge.randgen import random_instance
 
-from helpers import all_int, big_grid, reference_policy, wide_grid
+from helpers import all_int, big_grid, draw_columns, reference_policy, wide_grid
 from test_batch_mc import single_item, tie_heavy
 
 SEED = 19
@@ -50,8 +51,8 @@ def _assert_same_traces(got, expected):
 def test_traces_equal_the_reference_engine(policy):
     for inst, count in _cases():
         prepared = prepare_policy(inst, policy)
-        prices = price_columns(inst, SEED, 0, count, object)
-        coins = coin_columns(inst, SEED, 0, count)
+        prices = draw_columns(inst, SEED, 0, count, object)
+        coins = draw_columns(inst, SEED, 0, count, stream=COIN_STREAM)
         got = prepared.traces(prices, coins if prepared.draws_coins else None)
         reference = reference_policy(inst, policy)
         expected = [
@@ -67,7 +68,7 @@ def test_cases_reach_ties_where_the_first_slot_is_not_the_lowest_id():
     the trace's lowest-id rule and the kernel's first-slot rule part."""
     parted = 0
     for inst, count in _cases():
-        prices = price_columns(inst, SEED, 0, count, object)
+        prices = draw_columns(inst, SEED, 0, count, object)
         for row, trace in zip(prices.T.tolist(), prepare_policy(inst, "weitzman").traces(prices, None)):
             low = min(row[n] for n in trace.inspection_order)
             tied = [n for n in trace.inspection_order if row[n] == low]
@@ -80,7 +81,7 @@ def test_weitzman_keeps_no_labels_and_commit_enum_keeps_all_true_labels():
     inst = tie_heavy("exact")
     labels = policies.commit_enum_labeling(inst).labels
     assert all(labels)  # commit-enum labels every item here
-    prices = price_columns(inst, SEED, 0, 5, object)
+    prices = draw_columns(inst, SEED, 0, 5, object)
     assert all(t.labels is None for t in prepare_policy(inst, "weitzman").traces(prices, None))
     assert all(t.labels == labels for t in prepare_policy(inst, "commit-enum").traces(prices, None))
 

@@ -17,9 +17,7 @@ from pandora_hedge.policies import (
     IntegerGrid,
     _FIRST_BLOCK,
     array_dtype,
-    coin_columns,
     prepare_policy,
-    price_columns,
 )
 from pandora_hedge.randgen import random_instance
 from pandora_hedge.sampling import (
@@ -29,11 +27,12 @@ from pandora_hedge.sampling import (
     Columns,
     Lanes,
     mc_summary,
-    sample_columns,
     sample_price_indices,
     trial_chunks,
     uniforms,
 )
+
+from helpers import draw_columns
 
 SEED = 19
 DTYPES = {
@@ -80,7 +79,7 @@ def _same(got, expected):
 )
 def test_lazy_reads_equal_the_eager_draw(lanes_of, stream, start, count, data):
     dtype, lanes = lanes_of
-    eager = sample_columns(lanes, SEED, stream, start, count, dtype)
+    eager = draw_columns(lanes, SEED, start, count, dtype, stream=stream)
     for n, (values, probs) in enumerate(lanes):  # each row: its lane's uniforms through its support
         us = uniforms(SEED, n, stream, count, start=start)
         _same(eager[n], np.asarray(values, dtype=dtype)[sample_price_indices(probs, us)])
@@ -105,7 +104,7 @@ def test_columns_of_consecutive_chunks_join_at_the_boundary(dtype):
     head = Columns(table, MC_CHUNK - 3, 3)
     tail = Columns(table, MC_CHUNK, 5)
     joined = np.concatenate([head[1:2], np.asarray(tail)[1:2]], axis=1)
-    _same(joined, sample_columns(lanes, SEED, PRICE_STREAM, MC_CHUNK - 3, 8, dtype)[1:2])
+    _same(joined, draw_columns(lanes, SEED, MC_CHUNK - 3, 8, dtype, stream=PRICE_STREAM)[1:2])
 
 
 def _big(exact):
@@ -118,8 +117,8 @@ def _eager_mc(prepared, trials, seed):
     batch, dtype = prepared.batch(grid), array_dtype(grid.instance)
     totals = []
     for start, size in trial_chunks(trials):
-        prices = price_columns(grid.instance, seed, start, size, dtype)
-        coins = coin_columns(prepared.instance, seed, start, size) if prepared.draws_coins else None
+        prices = draw_columns(grid.instance, seed, start, size, dtype)
+        coins = draw_columns(prepared.instance, seed, start, size, stream=COIN_STREAM) if prepared.draws_coins else None
         totals.append(grid.float_totals(batch(prices, coins)))
     return mc_summary(np.concatenate(totals))
 

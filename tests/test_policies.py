@@ -28,10 +28,10 @@ from pandora_hedge import (
 from pandora_hedge.budget import BudgetExceededError
 from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import compute_indices, surrogate_dist
-from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, prepare_policy, price_columns
+from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, prepare_policy
 from pandora_hedge.randgen import random_instance
 
-from helpers import enumerate_lh_cost, golden_pair, price_realizations, two_point_item
+from helpers import draw_columns, enumerate_lh_cost, golden_pair, price_realizations, two_point_item
 
 
 class TestOneItemSubproblem:
@@ -159,7 +159,7 @@ class TestLocalHedgingTraces:
             inst = random_instance(rng, max_items=5, exact=exact)
             grid = IntegerGrid(inst)
             prices = np.array(list(price_realizations(inst)), dtype=object).T
-            on_grid = price_columns(grid.instance, 5, 0, 64, array_dtype(grid.instance))
+            on_grid = draw_columns(grid.instance, 5, 0, 64, array_dtype(grid.instance))
             for policy in ("weitzman", "commit-enum", "never-inspect"):
                 prepared = prepare_policy(inst, policy)
                 coins = draw.random(prices.shape) < 0.5

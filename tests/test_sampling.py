@@ -14,7 +14,6 @@ from pandora_hedge import (
     prepare_comb_policy,
     prepare_policy,
 )
-from pandora_hedge.policies import coin_columns, price_columns
 from pandora_hedge.sampling import (
     COIN_STREAM,
     PRICE_STREAM,
@@ -22,7 +21,7 @@ from pandora_hedge.sampling import (
     uniforms,
 )
 
-from helpers import golden_pair
+from helpers import draw_columns, golden_pair
 
 
 class TestCounterContract:
@@ -107,13 +106,13 @@ class TestPriceSampling:
 
     def test_realizations_in_support(self):
         inst = golden_pair(exact=False)
-        rows = price_columns(inst, 3, 0, 500, object).T.tolist()
+        rows = draw_columns(inst, 3, 0, 500, object).T.tolist()
         for row in rows:
             assert row[0] == 5.0 and row[1] in (0.0, 10.0)
 
     def test_coin_rates_track_p(self):
         inst = golden_pair(exact=False)
-        rows = coin_columns(inst, 3, 0, 20_000).T.tolist()
+        rows = draw_columns(inst, 3, 0, 20_000, stream=COIN_STREAM).T.tolist()
         rate_a = sum(r[0] for r in rows) / len(rows)
         rate_b = sum(r[1] for r in rows) / len(rows)
         assert rate_a == 0.0  # p_hedge = 0 for the never-inspect item
@@ -121,6 +120,6 @@ class TestPriceSampling:
 
     def test_trial_slices_are_schedule_invariant(self):
         inst = golden_pair(exact=False)
-        whole = price_columns(inst, 11, 0, 60, object).T.tolist()
-        tail = price_columns(inst, 11, 25, 35, object).T.tolist()
+        whole = draw_columns(inst, 11, 0, 60, object).T.tolist()
+        tail = draw_columns(inst, 11, 25, 35, object).T.tolist()
         assert whole[25:] == tail
