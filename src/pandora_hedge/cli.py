@@ -151,7 +151,7 @@ def cmd_bounds(args, budget) -> int:
 
 def _trace_rows(prepared, seed, count):
     out = []
-    for t, (_, trace) in enumerate(iter_trials(prepared, seed, count)):
+    for t, trace in enumerate(iter_trials(prepared, seed, count)):
         row = {
             "trial": t,
             "inspection_order": list(trace.inspection_order),

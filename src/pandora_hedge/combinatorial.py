@@ -20,7 +20,7 @@ from . import policies
 from .budget import DEFAULT_BUDGET
 from .distkit import Numeric, running_sum
 from .indices import SurrogateKind
-from .instance import Instance, PolicyTrace
+from .instance import Instance
 from .policies import IntegerGrid, PreparedPolicy, _slots, plain_dtype
 from .sampling import SURROGATE_STREAM, Columns, Lanes, mc_summary, trial_chunks
 
@@ -328,8 +328,8 @@ def _greedy_select(bases: _Bases, pool: np.ndarray, threshold, prices: np.ndarra
 def _frugal_kernel(instance: Instance, model: CombModel):
     """Array form of the frugal composition of a matroid's greedy rule, the
     package's one frugal search: Monte Carlo and exact evaluation run it on
-    the ``IntegerGrid``, traces on object arrays of the instance's own
-    numbers.
+    the ``IntegerGrid``, ``PreparedPolicy.traces`` on object arrays of the
+    instance's own numbers.
 
     The greedy rule takes next the lowest (tentative price, inspected
     first, id) item that extends the selection, and an uninspected item's
@@ -345,9 +345,10 @@ def _frugal_kernel(instance: Instance, model: CombModel):
     Both policies charge in event order (see ``PolicyTrace``): a labelled
     slot's cost when it is inspected, a selection's realized price when it
     is made, then the terminal cost of the selected set, unless it is a
-    ``ZeroTerminal``.  ``search(prices, coins)`` returns the trials'
-    totals, their ``_Bases`` (the selected items) and, for each labelled
-    slot in slot order, its item and the trials that inspected it."""
+    ``ZeroTerminal``.  ``search(prices, coins)`` returns the policy's record
+    (see ``PreparedPolicy``): the trials' totals, the labelled slots' items
+    in slot order with the trials that inspected each, and the selected
+    items (rank x trials) in selection order."""
     costs = [item.cost for item in instance.items]
 
     def search(prices, coins):
@@ -357,14 +358,14 @@ def _frugal_kernel(instance: Instance, model: CombModel):
         bases = _Bases(model.family, trials)
         pool = np.full(prices.shape, np.inf, dtype=object if prices.dtype == object else np.float64)
         spent = np.zeros(trials, dtype=prices.dtype)
-        inspected = []
+        inspected = []  # per labelled slot
         for key, n, lab in slots:
             _greedy_select(bases, pool, key, prices, spent)
             go = bases.open() & bases.joins(n, cols)
             if coins is not None:
                 go &= coins[n] == lab
             if lab:
-                inspected.append((n, go))
+                inspected.append(go)
                 spent[go] += costs[n]
                 seen = prices[n, go]
                 pool[n, go] = np.where(seen > key, seen, key)
@@ -374,7 +375,7 @@ def _frugal_kernel(instance: Instance, model: CombModel):
         totals = spent.tolist()
         if type(model.terminal) is not ZeroTerminal:
             totals = [s + model.terminal_cost(frozenset(p)) for s, p in zip(totals, bases.picked.T.tolist())]
-        return totals, bases, inspected
+        return totals, np.array([n for _, n, lab in slots if lab]), np.array(inspected), bases.picked
 
     return search
 
@@ -397,27 +398,12 @@ def prepare_comb_policy(model: CombModel, instance: Instance, policy: str) -> Pr
     ``local-hedging`` (two stages: commit labels, then run the frugal
     composition on the induced obligatory-inspection view), on a uniform or
     graphic matroid.  Traces, Monte Carlo and exact evaluation all run
-    ``_frugal_kernel``.  A trace inspects its labelled slots in slot order
+    ``_frugal_kernel``: a trial inspects its labelled slots in slot order
     and selects its basis; an unlabelled item it selects is selected
     without inspection."""
     if policy not in COMB_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(COMB_POLICIES)}")
     if not isinstance(model.family, MATROIDS):
         raise ValueError("no greedy rule for this family: the frugal policies need a uniform or graphic matroid")
-    search = _frugal_kernel(instance, model)
-
-    def traces(prices, coins):
-        totals, bases, inspected = search(prices, coins)
-        orders = [[] for _ in totals]
-        for n, go in inspected:
-            for t in np.flatnonzero(go).tolist():
-                orders[t].append(n)
-        labelings = [None] * len(totals) if coins is None else [tuple(c) for c in coins.T.tolist()]
-        out = []
-        for order, picked, total, labs in zip(orders, bases.picked.T.tolist(), totals, labelings):
-            selected = frozenset(picked)
-            out.append(PolicyTrace(tuple(order), selected, selected.difference(order), total, labs))
-        return out
-
     labels = None if policy == "local-hedging" else (True,) * len(instance)
-    return PreparedPolicy(instance, traces, frugal_batch, labels, model)
+    return PreparedPolicy(instance, _frugal_kernel, frugal_batch, labels, model)

@@ -1,5 +1,5 @@
 """Exact optimal adaptive policies by dynamic programming, plus the exact
-policy-dependent one-shot lower bound E[min W^pi] (``pi_surrogate_bound``).
+one-shot lower bound E[min W^pi] of a policy's inspections (``pi_surrogate_bound``).
 
 Every optimum is one DP, ``_opt_value``: single-item selection is the rank-1
 uniform matroid.  Selecting reveals nothing and costs the same whenever it
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +26,7 @@ from .budget import DEFAULT_BUDGET, check_budget
 from .combinatorial import CombModel, UniformMatroid, ZeroTerminal, _surrogate_dtypes, surrogate_costs
 from .distkit import Numeric, expected_shortfall, running_sum
 from .instance import Instance
-from .policies import IntegerGrid, _digits, _exact_columns, _weighted_sum, prepare_policy
+from .policies import IntegerGrid, _digits, _exact_columns, _weighted_sum, array_dtype, prepare_policy
 from .sampling import trial_chunks
 
 
@@ -170,16 +169,18 @@ def _opt_value(model: CombModel, instance: Instance, allow_uninspected: bool) ->
 
 def pi_surrogate_bound(instance: Instance, policy: str, budget: int = DEFAULT_BUDGET) -> Numeric:
     """The exact policy-dependent one-shot lower bound E[min W^pi]: W^pi_n is
-    max(X_n, u_rsv) if the policy's trace inspected item n, else mu_n, on
-    object arrays of ``evaluate_exact``'s columns, by ``_weighted_sum``."""
-    prepared = prepare_policy(instance, policy)  # labelled once; its traces run on the instance's own numbers
+    max(X_n, u_rsv) if the policy's kernel, run on ``evaluate_exact``'s grid
+    columns, inspected item n, else mu_n; summed by ``_weighted_sum``."""
+    prepared = prepare_policy(instance, policy)  # labelled once, on the instance's own numbers
     grid, denominator, chunks = _exact_columns(instance, None, prepared.label_probs, budget, "pi-surrogate bound")
+    record, dtype = prepared.kernel(grid.instance, None), array_dtype(grid.instance)
+    u_rsv = np.array(grid.instance.reservation_prices, dtype=dtype)[:, None]
+    mu = np.array([ix.mu for ix in grid.instance.indices], dtype=dtype)[:, None]
 
     def w_pi(prices, labels):
-        traces = prepared.traces(prices * Fraction(1, grid.L), labels if prepared.draws_coins else None)
-        for row, trace in zip(prices.T.tolist(), traces):
-            inspected = set(trace.inspection_order)
-            pairs = enumerate(zip(row, grid.instance.indices))
-            yield grid.number(min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in pairs))
+        _, order, inspected, _ = record(prices, labels if prepared.draws_coins else None)
+        mask = np.zeros(prices.shape, dtype=bool)
+        mask[order] = inspected
+        return map(grid.number, np.where(mask, np.maximum(prices, u_rsv), mu).min(axis=0).tolist())
 
-    return _weighted_sum(grid, denominator, chunks(object), w_pi)
+    return _weighted_sum(grid, denominator, chunks(dtype), w_pi)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
+from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -241,26 +241,30 @@ class PreparedPolicy:
 
     ``labels`` are the items it may inspect, fixed for every trial, or None
     for local hedging, which ``draws_coins``: its labels are drawn afresh
-    each trial.  ``traces(prices, coins)`` maps an (items x trials) object
-    array of the instance's own prices (and, for a policy that draws coins,
-    a label array of the same shape) to the trials' traces;
-    ``run(realization, coins)`` is its one-trial form.  ``batch(grid)``
-    builds the array form on the ``IntegerGrid`` of the instance and
-    ``model`` (the combinatorial model of a combinatorial policy, else
-    None): a function that maps an (items x trials) array of the grid's
-    prices in ``array_dtype(grid.instance)`` (and the labels) to the
-    trials' totals on the grid.  Monte Carlo hands it ``sampling.Columns``,
+    each trial.  ``kernel(instance, model)`` builds the policy's record on
+    that instance (its own or a grid's): ``record(prices, coins)`` maps an
+    (items x trials) price array (and the labels) to the trials' totals as
+    a list, the ids it inspected in inspection order, a bool array of the
+    trials that inspected each, and the items each trial selected
+    (selections x trials).  ``batch(grid)`` builds the array form on the
+    ``IntegerGrid`` of the instance and ``model`` (the combinatorial model
+    of a combinatorial policy, else None): it maps the grid's prices in
+    ``array_dtype(grid.instance)`` (and the labels) to the trials' totals
+    on the grid, with no record.  Monte Carlo hands it ``sampling.Columns``,
     which draw a row when it is indexed: a form that reads every row takes
     ``np.asarray`` of them.  Monte Carlo and exact evaluation run the array
-    form; ``--trace`` and ``pi_surrogate_bound`` (on exact
-    evaluation's columns) run the traces.
+    form, ``--trace`` the traces and ``pi_surrogate_bound`` the kernel.
     """
 
     instance: Instance
-    traces: Callable[[np.ndarray, Optional[np.ndarray]], list]
+    kernel: Callable[[Instance, object], Callable]
     batch: Callable[[IntegerGrid], Callable]
     labels: Optional[tuple[bool, ...]]
     model: object = None
+    keep_labels: bool = False  # traces record the fixed labels
+
+    def __post_init__(self):
+        object.__setattr__(self, "_record", self.kernel(self.instance, self.model))
 
     @property
     def draws_coins(self) -> bool:
@@ -271,22 +275,22 @@ class PreparedPolicy:
         """Each item's labelling probability: p_hedge if it draws coins, else its fixed label as 1 or 0."""
         return [ix.p_hedge for ix in self.instance.indices] if self.labels is None else [int(b) for b in self.labels]
 
+    def traces(self, prices: np.ndarray, coins: Optional[np.ndarray]) -> list:
+        """The trials' traces, read off the record of the instance's own kernel
+        on an object array of its prices (and coins, if it draws them)."""
+        totals, order, inspected, selected = self._record(prices, coins if self.draws_coins else None)
+        orders = [tuple(order[trial].tolist()) for trial in inspected.T]
+        labelings = map(tuple, coins.T.tolist()) if self.draws_coins else repeat(self.labels if self.keep_labels else None)
+        return [
+            PolicyTrace(o, chosen, chosen.difference(o), total, labs)
+            for o, chosen, total, labs in zip(orders, map(frozenset, selected.T.tolist()), totals, labelings)
+        ]
+
     def run(self, realization: Realization, coins: Optional[HedgeCoins] = None) -> PolicyTrace:
         if self.draws_coins and coins is None:
             raise ValueError("local-hedging needs hedge coins")
         labels = np.array([coins.labels], dtype=bool).T if self.draws_coins else None
         return self.traces(np.array([realization.prices], dtype=object).T, labels)[0]
-
-
-def _column_traces(trace: Callable[..., PolicyTrace]):
-    """Column traces of a one-trial ``trace(prices, labels)``; labels are
-    None for a policy that draws no coins."""
-
-    def traces(prices, coins):
-        labels = [None] * prices.shape[1] if coins is None else [tuple(c) for c in coins.T.tolist()]
-        return [trace(row, lab) for row, lab in zip(prices.T.tolist(), labels)]
-
-    return traces
 
 
 def array_dtype(instance: Instance):
@@ -331,9 +335,9 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
     label arrays (coins read only if ``labels`` is None) and returns each
     trial's inspection costs, the realized price of the item it selects (the
     two add up to its total) and its stop: how many sorted slots it walked.
-    Monte Carlo and exact evaluation run it on the instance's
-    ``IntegerGrid``, traces on object arrays of the instance's own numbers;
-    the slot arrays take the prices' dtype and are built once per dtype.
+    Monte Carlo, exact evaluation and ``pi_surrogate_bound`` run it on the
+    instance's ``IntegerGrid``, traces on object arrays of the instance's own
+    numbers; the slot arrays take the prices' dtype, built once per dtype.
 
     Item n has two slots: labelled (key u_rsv, its cost and realized price)
     and unlabelled (key and view price mu, cost 0).  The slots are sorted
@@ -403,27 +407,31 @@ def reservation_batch(instance: Instance, labels: Optional[Sequence[bool]] = Non
     return search
 
 
-def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], keep_labels: bool = True):
-    """``reservation_batch`` as a prepared policy.  A trace inspects the
-    active slots before its trial's stop, charges the labelled ones' costs
-    in slot order (the search's sum), and selects the lowest inspected view
-    price, ties to the lowest id; its total is those costs plus the selected
-    realized price.  Fixed ``labels`` ignore the coins; ``keep_labels``
-    records the labels in the trace."""
-    slots, mus = _slots(instance, labels), [ix.mu for ix in instance.indices]
-    search = reservation_batch(instance, labels)
+def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], keep_labels: bool = False):
+    """``reservation_batch`` as a prepared policy.  Its record: a trial
+    inspects each active labelled slot before its stop, in slot order, and
+    selects the lowest view price among the active slots it walked, ties to
+    the lowest id, charged the search's costs plus that item's price."""
 
-    def traces(prices, coins):
-        spent, _, stops = search(prices, coins)
-        labelings = [labels] * prices.shape[1] if labels is not None else [tuple(c) for c in coins.T.tolist()]
-        out = []
-        for row, labs, cost, stop in zip(prices.T.tolist(), labelings, spent.tolist(), stops.tolist()):
-            walked = [(n, lab) for _, n, lab in slots[:stop] if labs[n] == lab]
-            order = tuple(n for n, lab in walked if lab)
-            sel = min(walked, key=lambda s: (row[s[0]] if s[1] else mus[s[0]], s[0]))[0]
-            uninspected = frozenset() if labs[sel] else frozenset({sel})
-            out.append(PolicyTrace(order, frozenset({sel}), uninspected, cost + row[sel], labs if keep_labels else None))
-        return out
+    def kernel(instance, model):
+        slots, search = _slots(instance, labels), reservation_batch(instance, labels)
+
+        @cache  # built on the first record, so that preparing a policy does not pay for them
+        def positions():
+            at = np.full((len(instance), 2), len(slots))  # each item's (unlabelled, labelled) slot; none: past the end
+            at[[n for _, n, _ in slots], [int(lab) for *_, lab in slots]] = np.arange(len(slots))
+            return at, np.array([n for _, n, lab in slots if lab], dtype=np.intp)
+
+        def record(prices, coins):
+            spent, _, stops = search(prices, coins)
+            lab, (at, order) = coins if labels is None else np.array(labels)[:, None], positions()
+            walked = np.where(lab, at[:, 1:], at[:, :1]) < stops
+            view = np.where(lab, prices, np.array([[ix.mu] for ix in instance.indices], dtype=prices.dtype))
+            selected = np.where(walked, view, np.inf).argmin(axis=0)
+            totals = spent + prices[selected, np.arange(prices.shape[1])]
+            return totals.tolist(), order, (walked & lab)[order], selected[None, :]
+
+        return record
 
     def batch(grid):
         on_grid = reservation_batch(grid.instance, labels)
@@ -434,7 +442,19 @@ def _reservation_policy(instance: Instance, labels: Optional[Sequence[bool]], ke
 
         return totals
 
-    return PreparedPolicy(instance, traces, batch, labels)
+    return PreparedPolicy(instance, kernel, batch, labels, None, keep_labels)
+
+
+def _inspect_all_kernel(instance: Instance, model=None):
+    """inspect-all's record: every item inspected in id order, the lowest price selected, ties to the lowest id."""
+    inspect_cost = running_sum(item.cost for item in instance.items)
+
+    def record(prices, coins):
+        selected, cols = prices.argmin(axis=0), np.arange(prices.shape[1])
+        inspected = np.ones(prices.shape, dtype=bool)
+        return (inspect_cost + prices[selected, cols]).tolist(), np.arange(len(instance)), inspected, selected[None, :]
+
+    return record
 
 
 def commit_enum_labeling(instance: Instance) -> HedgeCoins:
@@ -467,24 +487,17 @@ def prepare_policy(instance: Instance, policy: str) -> PreparedPolicy:
     (inspect everything, select the cheapest) and ``never-inspect`` (the
     all-unlabelled labeling: select the lowest mean uninspected)."""
     if policy == "weitzman":
-        return _reservation_policy(instance, (True,) * len(instance), keep_labels=False)
+        return _reservation_policy(instance, (True,) * len(instance))
     if policy == "never-inspect":
-        return _reservation_policy(instance, (False,) * len(instance), keep_labels=False)
+        return _reservation_policy(instance, (False,) * len(instance))
     if policy == "local-hedging":
         return _reservation_policy(instance, None)
     if policy == "commit-enum":
-        return _reservation_policy(instance, commit_enum_labeling(instance).labels)
+        return _reservation_policy(instance, commit_enum_labeling(instance).labels, keep_labels=True)
     if policy == "inspect-all":
-        ids = tuple(range(len(instance)))
-        inspect_cost = running_sum(item.cost for item in instance.items)
-
-        def inspect_all(prices, labels):
-            sel = min(ids, key=lambda n: (prices[n], n))
-            return PolicyTrace(ids, frozenset({sel}), frozenset(), inspect_cost + prices[sel])
-
         return PreparedPolicy(
             instance,
-            _column_traces(inspect_all),
+            _inspect_all_kernel,
             lambda grid: lambda prices, coins: running_sum(i.cost for i in grid.instance.items) + np.asarray(prices).min(axis=0),
             (True,) * len(instance),
         )
@@ -586,8 +599,8 @@ def _coin_lanes(instance: Instance) -> list:
 
 
 def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
-    """Yield (realization, trace) for trials 0..count-1 on the prepared
-    policy's instance: its traces, one chunk of drawn columns at a time,
+    """Yield the traces of trials 0..count-1 on the prepared policy's
+    instance, one chunk of drawn columns at a time,
     the instance's own prices drawn as ``evaluate_mc`` draws the grid's;
     coins are drawn only for a policy that draws them."""
     instance = prepared.instance
@@ -596,8 +609,7 @@ def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
     for start, size in trial_chunks(count):
         drawn = np.asarray(Columns(prices, start, size))
         labels = np.asarray(Columns(coins, start, size)) if coins is not None else None
-        realizations = (Realization(tuple(row)) for row in drawn.T.tolist())
-        yield from zip(realizations, prepared.traces(drawn, labels))
+        yield from prepared.traces(drawn, labels)
 
 
 def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:

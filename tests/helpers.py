@@ -292,6 +292,30 @@ def enumerate_lh_cost(instance: Instance):
     return total
 
 
+def reference_pi_bound(instance: Instance, policy: str):
+    """E[min W^pi] by enumerating hedge labels (local hedging only) and the
+    full price product through ``reference_policy`` traces: W^pi_n is
+    max(x_n, u_rsv) if the trace inspected item n, else mu_n."""
+    run = reference_policy(instance, policy)
+    hedged = policy == "local-hedging"
+    total = 0
+    for labels in itertools.product((True, False), repeat=len(instance)) if hedged else [None]:
+        weight = 1
+        for ix, lab in zip(instance.indices, labels or ()):
+            weight = weight * (ix.p_hedge if lab else 1 - ix.p_hedge)
+        if weight == 0:
+            continue
+        for combo in itertools.product(*(item.dist.atoms for item in instance.items)):
+            prob = weight
+            for _, q in combo:
+                prob = prob * q
+            prices = tuple(v for v, _ in combo)
+            inspected = run(Realization(prices), HedgeCoins(labels) if hedged else None).inspection_order
+            pairs = enumerate(zip(prices, instance.indices))
+            total = total + prob * min(max(x, ix.u_rsv) if n in inspected else ix.mu for n, (x, ix) in pairs)
+    return total
+
+
 def draw_columns(source, seed: int, start: int, count: int, dtype=object, stream=PRICE_STREAM):
     """The (lanes x trials) draws of trials start..start+count-1, drawn
     eagerly: row n maps lane (seed, n, stream)'s uniforms through lane n's

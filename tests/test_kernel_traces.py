@@ -1,6 +1,7 @@
 """Traces come from the array form: ``PreparedPolicy.traces`` reads each
-trial's stop from ``reservation_batch`` on object arrays of the instance's
-own numbers, and equals the reference per-trial engine field by field.  The
+policy's kernel record (for a reservation policy, each trial's stop from
+``reservation_batch``) on object arrays of the instance's own numbers, and
+equals the reference per-trial engine field by field.  The
 selection-argmin check of ``verify`` reads the stop and chosen price of the
 same search on every realization."""
 
@@ -47,7 +48,7 @@ def _assert_same_traces(got, expected):
         assert g.labels == e.labels and type(g.labels) is type(e.labels)
 
 
-@pytest.mark.parametrize("policy", KERNEL_POLICIES)
+@pytest.mark.parametrize("policy", policies.SINGLE_POLICIES)
 def test_traces_equal_the_reference_engine(policy):
     for inst, count in _cases():
         prepared = prepare_policy(inst, policy)

@@ -4,7 +4,9 @@ equals its eager reference, and a search that stops early draws fewer
 lanes than the instance has items."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from pandora_hedge.sampling import (
     Columns,
     Lanes,
     mc_summary,
-    sample_price_indices,
     trial_chunks,
     uniforms,
 )
@@ -80,9 +81,11 @@ def _same(got, expected):
 def test_lazy_reads_equal_the_eager_draw(lanes_of, stream, start, count, data):
     dtype, lanes = lanes_of
     eager = draw_columns(lanes, SEED, start, count, dtype, stream=stream)
-    for n, (values, probs) in enumerate(lanes):  # each row: its lane's uniforms through its support
-        us = uniforms(SEED, n, stream, count, start=start)
-        _same(eager[n], np.asarray(values, dtype=dtype)[sample_price_indices(probs, us)])
+    for n, (values, probs) in enumerate(lanes):  # trial by trial: its own uniform through the float cdf
+        cdf = list(accumulate(float(p) for p in probs))
+        cdf[-1] = 1.0
+        us = [float(uniforms(SEED, n, stream, 1, start=start + t)[0]) for t in range(count)]
+        _same(eager[n], np.array([values[bisect_right(cdf, u)] for u in us], dtype=dtype))
     cols = Columns(Lanes(lanes, SEED, stream, dtype), start, count)
     assert cols.shape == eager.shape and cols.dtype == eager.dtype
     n_lanes = len(lanes)

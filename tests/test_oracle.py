@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pandora_hedge import (
@@ -27,7 +29,8 @@ from pandora_hedge.distkit import mean, min_of_independent
 from pandora_hedge.indices import surrogate_dist
 from pandora_hedge.randgen import random_comb_instance, random_instance
 
-from helpers import golden_pair, two_point_item
+from helpers import big_grid, golden_pair, reference_pi_bound, two_point_item
+from test_batch_mc import tie_heavy
 
 
 class TestSingleItemOracles:
@@ -157,3 +160,41 @@ class TestPiSurrogateBound:
             noi = mean(min_of_independent([surrogate_dist(it, SurrogateKind.NOI) for it in inst.items]))
             for policy in ("local-hedging", "weitzman"):
                 assert noi <= pi_surrogate_bound(inst, policy) <= evaluate_exact(prepare_policy(inst, policy))
+
+    @pytest.mark.parametrize("policy", policies.SINGLE_POLICIES)
+    def test_bound_equals_the_reference_enumeration(self, policy):
+        """Zero tolerance on the tie-heavy and 200 random exact instances; the
+        float ones (summed in another order) within 1e-12 relative."""
+        rng = random.Random(29)
+        for inst in (tie_heavy("exact"), *(random_instance(rng, max_items=5, exact=True) for _ in range(200))):
+            assert pi_surrogate_bound(inst, policy) == reference_pi_bound(inst, policy)
+        for inst in (tie_heavy("float"), tie_heavy("int"), *(random_instance(rng, max_items=5) for _ in range(40))):
+            assert pi_surrogate_bound(inst, policy) == pytest.approx(reference_pi_bound(inst, policy), rel=1e-12)
+
+    def test_bound_reads_the_kernel_record_on_grid_numbers(self, monkeypatch):
+        """No ``PolicyTrace`` is built, and the kernel sees the grid's own
+        numbers: no ``Fraction`` (object ints past float64 on the big grid)."""
+
+        def no_trace(*args):
+            raise AssertionError("pi_surrogate_bound built a PolicyTrace")
+
+        real, seen = oracle.prepare_policy, []
+
+        def spying(instance, policy):
+            prepared = real(instance, policy)
+
+            def kernel(inst, model):
+                record = prepared.kernel(inst, model)
+                return lambda prices, coins: seen.append(prices) or record(prices, coins)
+
+            return dataclasses.replace(prepared, kernel=kernel)
+
+        monkeypatch.setattr(policies, "PolicyTrace", no_trace)
+        monkeypatch.setattr(oracle, "prepare_policy", spying)
+        for inst in (tie_heavy("exact"), golden_pair(), big_grid()):
+            for policy in policies.SINGLE_POLICIES:
+                seen.clear()
+                assert pi_surrogate_bound(inst, policy) == reference_pi_bound(inst, policy)
+                values = [x for prices in seen for x in np.asarray(prices).ravel().tolist()]
+                assert values and not any(isinstance(x, F) for x in values)
+        assert any(type(x) is int and x > 2**53 for x in values)  # the big grid's object ints
