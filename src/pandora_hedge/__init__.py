@@ -18,7 +18,6 @@ from .distkit import (
     expected_shortfall,
     mean,
     min_of_independent,
-    min_with_constant_expectation,
     reservation_price,
 )
 from .indices import (
@@ -26,7 +25,6 @@ from .indices import (
     ItemIndices,
     SurrogateKind,
     alpha_of_p,
-    capped_expectation,
     compute_indices,
     hedging_losses,
     make_worst_case_item,
@@ -35,11 +33,8 @@ from .indices import (
 )
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .policies import (
-    Action,
     evaluate_exact,
     evaluate_mc,
-    one_item_optimal_action,
-    one_item_value,
     prepare_policy,
 )
 from .combinatorial import (

@@ -11,7 +11,7 @@ their tentative prices sit at the reservation price.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -351,8 +351,13 @@ def _frugal_kernel(instance: Instance, model: CombModel):
     items (rank x trials) in selection order."""
     costs = [item.cost for item in instance.items]
 
+    @cache  # sorted on a kernel's first search, once per labelling
+    def sorted_slots(hedged: bool):
+        slots = _slots(instance, None if hedged else (True,) * len(instance))
+        return slots, np.array([n for _, n, lab in slots if lab])
+
     def search(prices, coins):
-        slots = _slots(instance, None if coins is not None else (True,) * len(instance))
+        slots, order = sorted_slots(coins is not None)
         trials = prices.shape[1]
         cols = np.arange(trials)
         bases = _Bases(model.family, trials)
@@ -375,7 +380,7 @@ def _frugal_kernel(instance: Instance, model: CombModel):
         totals = spent.tolist()
         if type(model.terminal) is not ZeroTerminal:
             totals = [s + model.terminal_cost(frozenset(p)) for s, p in zip(totals, bases.picked.T.tolist())]
-        return totals, np.array([n for _, n, lab in slots if lab]), np.array(inspected), bases.picked
+        return totals, order, np.array(inspected), bases.picked
 
     return search
 

@@ -85,10 +85,6 @@ class DiscreteDist:
         return tuple(p for _, p in self.atoms)
 
     @property
-    def min_support(self) -> Numeric:
-        return self.atoms[0][0]
-
-    @property
     def max_support(self) -> Numeric:
         return self.atoms[-1][0]
 
@@ -202,11 +198,6 @@ def backup_price(d: DiscreteDist, c: Numeric) -> Numeric:
     return values[0] - _div(c - excess_up, above)
 
 
-def min_with_constant_expectation(d: DiscreteDist, r: Numeric) -> Numeric:
-    """E[min{V, r}] for a deterministic cap r (r may be negative)."""
-    return mean(d) - expected_excess(d, r)
-
-
 def _tails(atoms: Sequence[tuple], grid: Sequence[Numeric]) -> list:
     """tail[j] = the weight of ``atoms`` at or above grid[j] over an
     ascending grid, accumulated from the top atom down: each entry is the
@@ -228,7 +219,7 @@ def min_of_independent(dists: Sequence[DiscreteDist]) -> DiscreteDist:
 
     Computed as the survival-function product over the merged support grid.
     The one-shot values reduce the same product by ``_min_mean``; this form
-    remains as the tests' reference.
+    stays as their reference, the benchmark's and the tests'.
     """
     if not dists:
         raise ValueError("need at least one distribution")

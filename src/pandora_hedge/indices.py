@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price, running_sum
+from .distkit import DiscreteDist, Numeric, backup_price, mean, reservation_price
 
 #: Hard ceiling on the local approximation ratio (exact, so exact-mode checks
 #: stay exact) and the float headroom over it.
@@ -123,7 +123,8 @@ def hedging_losses(idx: ItemIndices, cost: Numeric, p: Numeric) -> tuple[Numeric
 
 def alpha_of_p(item: Item, p: Numeric) -> Numeric:
     """Local approximation ratio 1 + max(A(p), B(p)) achieved by an arbitrary
-    hedging probability (``hedging_losses``)."""
+    hedging probability (``hedging_losses``): the curve whose minimum
+    ``verify.check_alpha`` proves is at the item's p_hedge."""
     return 1 + max(hedging_losses(item.indices, item.cost, p))
 
 
@@ -177,13 +178,6 @@ def surrogate_size(item: Item, kind: SurrogateKind) -> int:
         return 1
     values = {surrogate_value(item, kind, v, True) for v in item.dist.values}
     return len(values) + (kind is SurrogateKind.LH and idx.p_hedge != 1 and idx.mu not in values)
-
-
-def capped_expectation(item: Item, kind: SurrogateKind, r: Numeric) -> Numeric:
-    """E[min{W, r}] for the item's surrogate price W.  ``verify`` sweeps it
-    on the grid's ints; this form remains as the tests' reference."""
-    d = item.surrogate(kind)
-    return running_sum(p * min(v, r) for v, p in d.atoms)
 
 
 def make_worst_case_item(

@@ -59,10 +59,6 @@ class HedgeCoins:
 
     labels: tuple[bool, ...]
 
-    @classmethod
-    def all_obligatory(cls, instance: Instance) -> "HedgeCoins":
-        return cls((True,) * len(instance))
-
 
 @dataclass(frozen=True)
 class PolicyTrace:

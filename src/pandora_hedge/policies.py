@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, repeat
@@ -21,48 +20,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .distkit import DiscreteDist, Numeric, _div, _is_exact, _merged, capped_min_means, expected_excess, running_sum
+from .distkit import DiscreteDist, Numeric, _div, _is_exact, _merged, capped_min_means, running_sum
 from .indices import Item, SurrogateKind, surrogate_size
 from .instance import HedgeCoins, Instance, PolicyTrace, Realization
 from .sampling import COIN_STREAM, PRICE_STREAM, Columns, Lanes, mc_summary, trial_chunks
-
-
-class Action(Enum):
-    TAKE_OUTSIDE = "take_outside"
-    INSPECT = "inspect"
-    SELECT_UNINSPECTED = "select_uninspected"
-
-
-def one_item_optimal_action(item: Item, r: Numeric) -> Action:
-    """Optimal first action against a deterministic outside option r.
-
-    Boundary ties resolve toward the non-inspect action.
-    """
-    idx = item.indices
-    if idx.u_rsv >= idx.u_bkp:
-        return Action.SELECT_UNINSPECTED
-    if r <= idx.u_rsv:
-        return Action.TAKE_OUTSIDE
-    if r >= idx.u_bkp:
-        return Action.SELECT_UNINSPECTED
-    return Action.INSPECT
-
-
-def one_item_value(item: Item, r: Optional[Numeric], regime: SurrogateKind) -> Numeric:
-    """Optimal expected cost of the one-item subproblem; r=None means no
-    outside option (an infinite sentinel)."""
-    if regime is SurrogateKind.LH:
-        raise ValueError("one-item value is defined for the OI and NOI regimes")
-    mu = item.indices.mu
-    if r is None:
-        inspect_branch = item.cost + mu
-        candidates = [inspect_branch]
-    else:
-        inspect_branch = item.cost + (mu - expected_excess(item.dist, r))
-        candidates = [inspect_branch, r]
-    if regime is SurrogateKind.NOI:
-        candidates.append(mu)
-    return min(candidates)
 
 
 class IntegerGrid:
@@ -589,27 +550,26 @@ def evaluate_exact(prepared: PreparedPolicy, budget: int = DEFAULT_BUDGET) -> Nu
     return _weighted_sum(grid, denominator, chunks(), lambda p, lab: map(grid.number, batch(p, lab if hedged else None)))
 
 
-def _price_lanes(instance: Instance) -> list:
-    return [(item.dist.values, item.dist.probs) for item in instance.items]
-
-
-def _coin_lanes(instance: Instance) -> list:
-    """Item n's labels: labelled with probability p_hedge."""
-    return [((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices]
+def _trial_columns(instance: Instance, draws_coins: bool, seed: int, count: int, dtype):
+    """The package's one trial loop: per ``trial_chunks`` chunk of trials
+    0..count-1, the (prices, labels) ``Columns`` of ``instance`` (a policy's
+    own or its grid's): prices in ``dtype`` on ``PRICE_STREAM``, and hedge
+    labels (labelled with probability p_hedge, which the grid keeps) on
+    ``COIN_STREAM`` if the policy ``draws_coins``, else None."""
+    prices = Lanes([(item.dist.values, item.dist.probs) for item in instance.items], seed, PRICE_STREAM, dtype)
+    coins = None
+    if draws_coins:
+        coins = Lanes([((True, False), (ix.p_hedge, 1 - ix.p_hedge)) for ix in instance.indices], seed, COIN_STREAM, bool)
+    for start, size in trial_chunks(count):
+        yield Columns(prices, start, size), Columns(coins, start, size) if coins is not None else None
 
 
 def iter_trials(prepared: PreparedPolicy, seed: int, count: int):
     """Yield the traces of trials 0..count-1 on the prepared policy's
-    instance, one chunk of drawn columns at a time,
-    the instance's own prices drawn as ``evaluate_mc`` draws the grid's;
-    coins are drawn only for a policy that draws them."""
-    instance = prepared.instance
-    prices = Lanes(_price_lanes(instance), seed, PRICE_STREAM)
-    coins = Lanes(_coin_lanes(instance), seed, COIN_STREAM, bool) if prepared.draws_coins else None
-    for start, size in trial_chunks(count):
-        drawn = np.asarray(Columns(prices, start, size))
-        labels = np.asarray(Columns(coins, start, size)) if coins is not None else None
-        yield from prepared.traces(drawn, labels)
+    instance, one chunk of drawn columns at a time, the instance's own
+    prices drawn as ``evaluate_mc`` draws the grid's."""
+    for prices, coins in _trial_columns(prepared.instance, prepared.draws_coins, seed, count, object):
+        yield from prepared.traces(np.asarray(prices), None if coins is None else np.asarray(coins))
 
 
 def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float, float]:
@@ -619,13 +579,7 @@ def evaluate_mc(prepared: PreparedPolicy, trials: int, seed: int) -> tuple[float
     ``IntegerGrid`` of its instance: prices are drawn from the grid's
     supports as ``Columns``, so a lane is drawn only if the array form reads
     it, and totals leave the grid as floats."""
-    instance = prepared.instance
-    grid = IntegerGrid.of(instance, prepared.model)
+    grid = IntegerGrid.of(prepared.instance, prepared.model)
     batch = prepared.batch(grid)
-    prices = Lanes(_price_lanes(grid.instance), seed, PRICE_STREAM, array_dtype(grid.instance))
-    coins = Lanes(_coin_lanes(instance), seed, COIN_STREAM, bool) if prepared.draws_coins else None
-    totals = []
-    for start, size in trial_chunks(trials):
-        labels = Columns(coins, start, size) if coins is not None else None
-        totals.append(grid.float_totals(batch(Columns(prices, start, size), labels)))
-    return mc_summary(np.concatenate(totals))
+    columns = _trial_columns(grid.instance, prepared.draws_coins, seed, trials, array_dtype(grid.instance))
+    return mc_summary(np.concatenate([grid.float_totals(batch(prices, coins)) for prices, coins in columns]))

@@ -73,11 +73,6 @@ def _cumulative(probs) -> np.ndarray:
     return cum
 
 
-def sample_price_indices(cum_probs, us: np.ndarray) -> np.ndarray:
-    """Map uniforms to support indices via the cumulative distribution."""
-    return np.searchsorted(_cumulative(cum_probs), us, side="right")
-
-
 def trial_chunks(count: int) -> list[tuple[int, int]]:
     """(start, size) of the ``MC_CHUNK``-trial chunks covering trials
     0..count-1; every Monte Carlo path draws and runs one chunk at a time."""

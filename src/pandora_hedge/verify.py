@@ -8,8 +8,9 @@ They and the single-item one-shot values (``expected_min``) run on the
 gridded distributions and surrogates of the instance's ``IntegerGrid``: in
 exact mode on ints, each swept difference over its int denominator leaving
 by ``distkit._div``; in float mode on the instance's own numbers, in the
-order of operations of their references ``capped_expectation``,
-``one_item_value``, ``expected_excess`` and ``min_of_independent``.
+order of operations of their references: ``expected_excess`` and
+``min_of_independent`` here, and the one-item value and capped expectation
+that the tests keep.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def check_surrogate_means(values: ExactValues, tol):
 
 
 def check_one_item_identities(values: ExactValues, tol):
-    """E[min(W, r)] is the one-item value at r (``one_item_value``), for OI
-    and NOI, on the kink set: every term times the item's q."""
+    """E[min(W, r)] is the one-item value at r, min(c + mu - E[(X - r)+], r)
+    for OI and that or mu for NOI, on the kink set: every term times the
+    item's q."""
     grid, worst = values.grid, 0
     scaled = grid.instance
     for n, (item, ix) in enumerate(zip(scaled.items, scaled.indices)):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from enum import Enum
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -17,10 +18,11 @@ import numpy as np
 from pandora_hedge import DiscreteDist, GraphicMatroid, HedgeCoins, Instance, Item, PolicyTrace, Realization
 from pandora_hedge.combinatorial import MATROIDS, UniformMatroid, ZeroTerminal, _feasible_sets
 from pandora_hedge.distkit import _div, expected_excess, expected_shortfall, mean, min_of_independent
-from pandora_hedge.indices import SurrogateKind, capped_expectation, compute_indices, surrogate_dist
+from pandora_hedge.indices import SurrogateKind, compute_indices, surrogate_dist
 from pandora_hedge.oracle import _dp_items
-from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, one_item_value
-from pandora_hedge.sampling import COIN_STREAM, PRICE_STREAM, sample_price_indices, uniforms
+from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling
+from pandora_hedge.sampling import COIN_STREAM, PRICE_STREAM, uniforms
+from pandora_hedge.verify import _capped
 
 
 def brute_min_atoms(dists):
@@ -63,6 +65,79 @@ def reference_commit_enum(instance: Instance):
 
 def direct_capped_sum(dist: DiscreteDist, r):
     return added(p * min(v, r) for v, p in dist.atoms)
+
+
+def min_with_constant_expectation(d: DiscreteDist, r):
+    """E[min{V, r}] for a deterministic cap r (r may be negative)."""
+    return mean(d) - expected_excess(d, r)
+
+
+def capped_expectation(item: Item, kind, r):
+    """E[min{W, r}] for the item's surrogate price W, from its own
+    distribution: the reference of the ``verify`` sweeps, which run on the
+    grid's ints."""
+    return added(p * min(v, r) for v, p in item.surrogate(kind).atoms)
+
+
+def grid_capped(item: Item, kind, r):
+    """E[min{W, r}] read off the item's gridded surrogate atoms by
+    ``verify._capped``, as the sweeps read it: L r caps the scaled values,
+    and the sum leaves over q L."""
+    grid = IntegerGrid.of(Instance([item]))
+    q, atoms = grid.surrogates(kind)[0]
+    return _div(_capped(atoms, r * grid.L), q * grid.L)
+
+
+class Action(Enum):
+    TAKE_OUTSIDE = "take_outside"
+    INSPECT = "inspect"
+    SELECT_UNINSPECTED = "select_uninspected"
+
+
+def one_item_optimal_action(item: Item, r) -> Action:
+    """Optimal first action against a deterministic outside option r.
+
+    Boundary ties resolve toward the non-inspect action.
+    """
+    idx = item.indices
+    if idx.u_rsv >= idx.u_bkp:
+        return Action.SELECT_UNINSPECTED
+    if r <= idx.u_rsv:
+        return Action.TAKE_OUTSIDE
+    if r >= idx.u_bkp:
+        return Action.SELECT_UNINSPECTED
+    return Action.INSPECT
+
+
+def one_item_value(item: Item, r, regime):
+    """Optimal expected cost of the one-item subproblem; r=None means no
+    outside option (an infinite sentinel)."""
+    if regime is SurrogateKind.LH:
+        raise ValueError("one-item value is defined for the OI and NOI regimes")
+    mu = item.indices.mu
+    if r is None:
+        inspect_branch = item.cost + mu
+        candidates = [inspect_branch]
+    else:
+        inspect_branch = item.cost + (mu - expected_excess(item.dist, r))
+        candidates = [inspect_branch, r]
+    if regime is SurrogateKind.NOI:
+        candidates.append(mu)
+    return min(candidates)
+
+
+def all_obligatory(instance: Instance) -> HedgeCoins:
+    """The labeling with every item obligatory."""
+    return HedgeCoins((True,) * len(instance))
+
+
+def sample_price_indices(probs, us: np.ndarray) -> np.ndarray:
+    """Support indices of uniforms ``us`` by the cumulative distribution of
+    ``probs`` in float, its last entry set to 1.0 so that float shortfall
+    never leaves a uniform past the last bin."""
+    cum = np.cumsum(np.array([float(p) for p in probs]))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, us, side="right")
 
 
 def price_realizations(instance: Instance):

@@ -13,12 +13,11 @@ from pandora_hedge.distkit import (
     expected_shortfall,
     mean,
     min_of_independent,
-    min_with_constant_expectation,
     reservation_price,
     running_sum,
 )
 
-from helpers import added, brute_min_atoms
+from helpers import added, brute_min_atoms, min_with_constant_expectation
 
 TWO_POINT = DiscreteDist(((F(0), F(1, 2)), (F(10), F(1, 2))))
 POINT5 = DiscreteDist.point_mass(F(5))
@@ -103,6 +102,9 @@ class TestMoments:
         assert min_with_constant_expectation(TWO_POINT, 5) == F(5, 2)
         assert min_with_constant_expectation(TWO_POINT, 10) == 5
         assert min_with_constant_expectation(TWO_POINT, -2) == -2
+        # the capped sum that the verify sweeps run
+        for r, value in ((5, F(5, 2)), (10, 5), (-2, -2)):
+            assert verify._capped(TWO_POINT.atoms, r) == value
 
 
 class TestRunningSum:
@@ -181,7 +183,7 @@ class TestPriceSolvers:
         # supremum: any strictly larger u overshoots (strictly increasing
         # beyond the minimum support)
         bump = u + F(1, 1000)
-        assert expected_shortfall(d, bump) > c or bump <= d.min_support
+        assert expected_shortfall(d, bump) > c or bump <= d.values[0]
 
     @given(dists(), rationals(lo=0, hi=12))
     def test_backup_inverts_excess(self, d, c):

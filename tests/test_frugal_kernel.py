@@ -24,7 +24,9 @@ from pandora_hedge import (
     UniformMatroid,
     ZeroTerminal,
     combinatorial,
+    evaluate_exact,
     evaluate_mc,
+    policies,
     prepare_comb_policy,
     sampling,
 )
@@ -258,3 +260,35 @@ def test_kernel_equals_engine_property(case, policy):
     model, inst = case
     assert_kernel_matches_engine(model, inst, policy, 40)
     assert_kernel_matches_engine(model, inst, policy, 40, object)
+
+
+@pytest.mark.parametrize("policy", COMB_POLICIES)
+def test_each_kernel_sorts_its_slots_once(policy, monkeypatch):
+    """A frugal kernel sorts its slots on its first search and reuses them in
+    every later chunk: exact evaluation, Monte Carlo and traces over many
+    chunks each sort once, in the one kernel that searches."""
+    sorts, searches = [], []
+    real_slots, real_kernel = combinatorial._slots, combinatorial._frugal_kernel
+
+    def kernel(instance, model):
+        search = real_kernel(instance, model)
+        return lambda prices, coins: searches.append(id(search)) or search(prices, coins)
+
+    monkeypatch.setattr(combinatorial, "_slots", lambda *args: sorts.append(1) or real_slots(*args))
+    monkeypatch.setattr(combinatorial, "_frugal_kernel", kernel)
+    monkeypatch.setattr(policies, "EXACT_CHUNK", 4)
+    monkeypatch.setattr(sampling, "MC_CHUNK", 7)
+    atoms = lambda n: ((F(n % 3), F(1, 3)), (F(n % 3 + 2), F(1, 3)), (F(6), F(1, 3)))  # noqa: E731
+    inst = Instance([Item(n, F(1, 4), DiscreteDist(atoms(n))) for n in range(4)])
+    model = CombModel(UniformMatroid(2), ZeroTerminal(), 4)
+    prepared = prepare_comb_policy(model, inst, policy)
+    runs = (
+        lambda: evaluate_exact(prepared),
+        lambda: evaluate_mc(prepared, 22, SEED),
+        lambda: list(policies.iter_trials(prepared, SEED, 22)),
+    )
+    for run in runs:
+        sorts.clear()
+        searches.clear()
+        run()
+        assert len(searches) > 1 and len(sorts) == len(set(searches)) == 1

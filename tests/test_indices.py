@@ -8,7 +8,6 @@ from pandora_hedge import (
     Item,
     SurrogateKind,
     alpha_of_p,
-    capped_expectation,
     compute_indices,
     hedging_losses,
     make_worst_case_item,
@@ -17,7 +16,7 @@ from pandora_hedge import (
 )
 from pandora_hedge.distkit import expected_shortfall, mean
 
-from helpers import added, direct_capped_sum, two_point_item
+from helpers import added, capped_expectation, direct_capped_sum, grid_capped, two_point_item
 from test_distkit import dists, rationals
 
 
@@ -204,15 +203,18 @@ class TestSurrogates:
 class TestCappedExpectation:
     def test_oi_golden(self):
         assert capped_expectation(two_point_item(), SurrogateKind.OI, F(5)) == F(9, 2)
+        assert grid_capped(two_point_item(), SurrogateKind.OI, F(5)) == F(9, 2)
 
     def test_noi_golden(self):
         assert capped_expectation(two_point_item(), SurrogateKind.NOI, F(5)) == F(9, 2)
+        assert grid_capped(two_point_item(), SurrogateKind.NOI, F(5)) == F(9, 2)
 
     def test_nonpositive_r_passthrough(self):
         item = two_point_item()
         for kind in SurrogateKind:
-            assert capped_expectation(item, kind, F(-3)) == -3
-            assert capped_expectation(item, kind, F(0)) == 0
+            for route in (capped_expectation, grid_capped):
+                assert route(item, kind, F(-3)) == -3
+                assert route(item, kind, F(0)) == 0
 
     @given(random_items(), rationals())
     def test_closed_forms_from_raw_distribution(self, item, r):
@@ -222,6 +224,8 @@ class TestCappedExpectation:
         assert capped_expectation(item, SurrogateKind.NOI, r) == min(
             inspect_branch, r, mean(item.dist)
         )
+        for kind in SurrogateKind:  # the gridded atoms that verify sweeps
+            assert grid_capped(item, kind, r) == capped_expectation(item, kind, r)
 
 
 class TestLocalApproximation:

@@ -9,7 +9,6 @@ import pytest
 
 import pandora_hedge
 from pandora_hedge import (
-    Action,
     CombModel,
     DiscreteDist,
     HedgeCoins,
@@ -21,8 +20,6 @@ from pandora_hedge import (
     ZeroTerminal,
     evaluate_exact,
     evaluate_mc,
-    one_item_optimal_action,
-    one_item_value,
     prepare_comb_policy,
 )
 from pandora_hedge.budget import BudgetExceededError
@@ -31,7 +28,18 @@ from pandora_hedge.indices import compute_indices, surrogate_dist
 from pandora_hedge.policies import IntegerGrid, array_dtype, commit_enum_labeling, prepare_policy
 from pandora_hedge.randgen import random_instance
 
-from helpers import draw_columns, enumerate_lh_cost, golden_pair, price_realizations, two_point_item
+from helpers import (
+    Action,
+    all_obligatory,
+    draw_columns,
+    enumerate_lh_cost,
+    golden_pair,
+    grid_capped,
+    one_item_optimal_action,
+    one_item_value,
+    price_realizations,
+    two_point_item,
+)
 
 
 class TestOneItemSubproblem:
@@ -54,6 +62,9 @@ class TestOneItemSubproblem:
         item = two_point_item()
         assert one_item_value(item, 5, SurrogateKind.NOI) == F(9, 2)
         assert one_item_value(item, 3, SurrogateKind.NOI) == 3
+        # the one-item identity that verify sweeps: E[min(W^NOI, r)] on the grid
+        assert grid_capped(item, SurrogateKind.NOI, 5) == F(9, 2)
+        assert grid_capped(item, SurrogateKind.NOI, 3) == 3
 
     def test_value_sentinel(self):
         item = two_point_item()
@@ -139,7 +150,7 @@ class TestLocalHedgingTraces:
             inst = random_instance(rng, max_items=5, exact=exact)
             hedged = prepare_policy(inst, "local-hedging")
             cases = (
-                (HedgeCoins.all_obligatory(inst), prepare_policy(inst, "weitzman")),
+                (all_obligatory(inst), prepare_policy(inst, "weitzman")),
                 (HedgeCoins((False,) * len(inst)), prepare_policy(inst, "never-inspect")),
             )
             for prices in price_realizations(inst):

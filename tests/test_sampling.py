@@ -14,14 +14,17 @@ from pandora_hedge import (
     prepare_comb_policy,
     prepare_policy,
 )
-from pandora_hedge.sampling import (
-    COIN_STREAM,
-    PRICE_STREAM,
-    sample_price_indices,
-    uniforms,
-)
+from pandora_hedge import sampling
+from pandora_hedge.sampling import COIN_STREAM, PRICE_STREAM, Lanes, uniforms
 
-from helpers import draw_columns, golden_pair
+from helpers import draw_columns, golden_pair, sample_price_indices
+
+
+def lane_indices(monkeypatch, probs, us):
+    """``Lanes.draw`` of one lane whose values are its support indices, fed
+    the uniforms ``us``."""
+    monkeypatch.setattr(sampling, "uniforms", lambda *args, **kwargs: us)
+    return Lanes([(range(len(probs)), probs)], 0, PRICE_STREAM, np.intp).draw(0, 0, len(us))
 
 
 class TestCounterContract:
@@ -94,15 +97,19 @@ class TestCounterContract:
 
 
 class TestPriceSampling:
-    def test_index_boundaries(self):
-        idx = sample_price_indices([0.5, 0.5], np.array([0.0, 0.4999, 0.5, 0.9999]))
+    def test_index_boundaries(self, monkeypatch):
+        us = np.array([0.0, 0.4999, 0.5, 0.9999])
+        idx = sample_price_indices([0.5, 0.5], us)
         assert list(idx) == [0, 0, 1, 1]
+        assert list(lane_indices(monkeypatch, [0.5, 0.5], us)) == [0, 0, 1, 1]
 
-    def test_final_bin_guard(self):
+    def test_final_bin_guard(self, monkeypatch):
         # cumulative sums can fall short of 1.0 in float; the last bin absorbs
         probs = [0.1] * 10
-        idx = sample_price_indices(probs, np.array([0.9999999999999999]))
+        us = np.array([0.9999999999999999])
+        idx = sample_price_indices(probs, us)
         assert idx[0] == 9
+        assert lane_indices(monkeypatch, probs, us)[0] == 9
 
     def test_realizations_in_support(self):
         inst = golden_pair(exact=False)

@@ -16,11 +16,10 @@ from hypothesis import example, given, strategies as st
 
 from pandora_hedge import CombModel, DiscreteDist, Instance, Item, SurrogateKind, UniformMatroid, ZeroTerminal, verify
 from pandora_hedge.distkit import expected_excess, expected_shortfall, mean
-from pandora_hedge.indices import capped_expectation
 from pandora_hedge.oracle import opt_value_comb_noi
-from pandora_hedge.policies import IntegerGrid, one_item_value
+from pandora_hedge.policies import IntegerGrid
 
-from helpers import golden_pair
+from helpers import capped_expectation, golden_pair, one_item_value
 from test_distkit import TWO_POINT, dists, rationals
 from test_indices import hedged_items
 
